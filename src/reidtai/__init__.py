@@ -15,11 +15,11 @@ from .criterion import (
     dedupe_exceptions,
     exceptional_shape,
     finalize_sweep,
+    fold_chart,
     interior_verdict,
     merge_sweeps,
     reduction_support,
     rst_verdict,
-    sweep_over,
     sweep_sym2,
     sweep_v,
     torus_summary,

@@ -13,6 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Any, Callable
 
 from . import criterion, enumeration, oracle
 from .enumeration import CONSTRAINT_MODES, EnumerationConfig
@@ -25,6 +26,7 @@ from .report import (
     sym2_minima_row,
     torus_rows,
 )
+from .rotations import MAX_DENOMINATOR
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,6 +46,29 @@ def _default_jobs() -> int:
         return 1
 
 
+def _in_range(
+    convert: Callable[[str], Any], accepts: Callable[[Any], bool], rule: str
+) -> Callable[[str], Any]:
+    """An argparse type: convert the text, then reject values outside the
+    rule, so a bad value is a usage error (exit 2)."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    return parse
+
+
+_order_bound = _in_range(
+    int, lambda n: 1 <= n <= MAX_DENOMINATOR, f"must be in 1..{MAX_DENOMINATOR}"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reidtai",
@@ -53,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--order-divides", type=int, default=12, metavar="N",
-        help="restrict element orders to divisors of N (default 12)",
+        "--order-divides", type=_order_bound, default=12, metavar="N",
+        help=f"restrict element orders to divisors of N, 1..{MAX_DENOMINATOR} (default 12)",
     )
     common.add_argument(
         "--mode", choices=CONSTRAINT_MODES, default="integral-both",
@@ -96,9 +121,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_orc.add_argument("--samples", type=int, default=100)
     p_orc.add_argument("--seed", type=int, default=0)
-    p_orc.add_argument("--max-degree", type=int, default=8)
-    p_orc.add_argument("--order-divides", type=int, default=36, metavar="N")
-    p_orc.add_argument("--tol", type=float, default=oracle.DEFAULT_TOLERANCE)
+    p_orc.add_argument(
+        "--max-degree", default=8,
+        type=_in_range(
+            int, lambda d: d >= oracle.MIN_DEGREE, f"must be >= {oracle.MIN_DEGREE}"
+        ),
+    )
+    p_orc.add_argument("--order-divides", type=_order_bound, default=36, metavar="N")
+    p_orc.add_argument(
+        "--tol", default=oracle.DEFAULT_TOLERANCE,
+        type=_in_range(
+            float,
+            lambda t: 0 < t <= oracle.MAX_MATCH_TOLERANCE,
+            f"must be in (0, {oracle.MAX_MATCH_TOLERANCE}]",
+        ),
+    )
     p_orc.add_argument("--out", metavar="PATH")
     p_orc.add_argument("--format", choices=("json", "csv", "text"), default="text")
     return parser
@@ -106,8 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sweep_worker(task: tuple) -> criterion.SweepResult:
     chunk, cfg, include_age_one = task
-    classes = enumeration.element_classes_for(chunk, cfg)
-    return criterion.sweep_over(cfg.h, cfg.r, classes, include_age_one)
+    return criterion.fold_chart(cfg, chunk, include_age_one)
+
+
+def partition_w(w_classes: list, jobs: int) -> list[list]:
+    """Round-robin split of the abelian-factor stream into at most `jobs`
+    non-empty chunks, one task each."""
+    return [w_classes[i::jobs] for i in range(min(jobs, len(w_classes)))]
 
 
 def run_chart_sweep(
@@ -120,25 +162,23 @@ def run_chart_sweep(
 ) -> criterion.SweepResult:
     """One (h, r) sweep, optionally partitioned over worker processes.
 
-    The partition fans the abelian-factor stream across workers; the merge
-    is associative, so the result is independent of completion order.
+    The partition fans the abelian-factor stream across at most one worker
+    per CPU; the merge is associative, so the result is independent of
+    completion order.
     """
     cfg = EnumerationConfig(h, r, order_divides, mode)
+    w_classes = enumeration.abelian_factor_classes(cfg)
     if jobs <= 1:
         return criterion.finalize_sweep(
-            criterion.sweep_over(
-                h, r, enumeration.element_classes(cfg), include_age_one
-            )
+            criterion.fold_chart(cfg, w_classes, include_age_one)
         )
-    w_classes = list(enumeration.abelian_factor_classes(cfg))
     tasks = [
-        (w_classes[i::jobs], cfg, include_age_one)
-        for i in range(jobs)
-        if w_classes[i::jobs]
+        (chunk, cfg, include_age_one) for chunk in partition_w(list(w_classes), jobs)
     ]
     if not tasks:
-        return criterion.sweep_over(h, r, (), include_age_one)
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return criterion.fold_chart(cfg, (), include_age_one)
+    workers = min(len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_sweep_worker, tasks))
     result = parts[0]
     for part in parts[1:]:

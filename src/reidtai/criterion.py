@@ -15,7 +15,6 @@ must have the unique exceptional shape.  A failed check raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -24,11 +23,11 @@ from typing import Callable, Iterable
 from .enumeration import (
     ElementClass,
     EnumerationConfig,
-    element_classes,
+    abelian_factor_classes,
     lattice_factor_classes,
     ppav_classes,
 )
-from .functors import age, fixed_multiplicity, forms_spectrum, sym2, tensor
+from .functors import age, fixed_multiplicity, forms_spectrum, sym2, v_spectrum
 from .rotations import (
     HALF,
     ZERO,
@@ -188,50 +187,104 @@ def finalize_sweep(result: SweepResult) -> SweepResult:
     return replace(result, exceptions=dedupe_exceptions(result.exceptions))
 
 
-def sweep_over(
-    h: int,
-    r: int,
-    classes: Iterable[ElementClass],
+def spectrum_numerators(s: Spectrum, n: int) -> tuple[int, ...]:
+    """The entries of s as numerators over the common denominator n."""
+    if any(n % q.den for q in s.entries):
+        raise ValueError(f"{s} has an order not dividing {n}")
+    return tuple(q.num * (n // q.den) for q in s.entries)
+
+
+def sym2_age_num(xs: tuple[int, ...], n: int) -> int:
+    """n times the age of the symmetric square: sum over i <= j of
+    (x_i + x_j) mod n."""
+    return sum((x + xs[j]) % n for i, x in enumerate(xs) for j in range(i, len(xs)))
+
+
+def tensor_costs(xs: tuple[int, ...], ys: Iterable[int], n: int) -> dict[int, int]:
+    """For each lattice numerator y, n times the age of W tensored with the
+    single eigenvalue y/n: sum over x of (x + y) mod n.  The tensor block
+    is additive over lattice eigenvalues, so a lattice spectrum costs the
+    sum of its entries' costs."""
+    return {y: sum((x + y) % n for x in xs) for y in ys}
+
+
+def _chart_order(element: ElementClass) -> int:
+    return element_order(v_spectrum(element.w_spec, element.lambda_spec))
+
+
+def fold_chart(
+    cfg: EnumerationConfig,
+    w_specs: Iterable[Spectrum],
     include_age_one: bool = False,
 ) -> SweepResult:
-    """Fold ages over an explicit class stream (one parallel partition).
+    """Fold chart ages over every (W, Lambda) pair with W from w_specs.
 
-    Kernel-flagged classes are skipped.  Violations are collected, not
-    raised, so partitions can be merged before deciding.
+    Ages are integers over N = cfg.order_divides.  Each W costs one
+    symmetric-square age and one tensor cost per lattice numerator, so a
+    pair's chart age is a sum of precomputed integers.  Age 0 means the
+    pair acts trivially on the chart (the kernel) and is skipped; the
+    identity pair is not counted.  Classes, Fractions and the order-2
+    check are built only for the rows the result reports: the minimum's
+    witnesses and the rows below 1 (or at 1 with include_age_one).
+    Violations are collected, not raised, so folds over a partition of
+    the W stream can be merged before deciding.
     """
-    min_age: Fraction | None = None
-    witnesses: list[ElementClass] = []
+    n = cfg.order_divides
+    lams = list(lattice_factor_classes(cfg))
+    lam_nums = [spectrum_numerators(b, n) for b in lams]
+    ys = {y for lam in lam_nums for y in lam}
+    identity_lam = any(b.is_identity() for b in lams)
+    limit = n if include_age_one else n - 1
+    seen = 0
+    best: int | None = None
+    # Reported rows stay integer references until the fold is done:
+    # witnesses as (w, lattice index), threshold rows with their sym2 and
+    # chart ages appended.
+    witnesses: list[tuple[Spectrum, int]] = []
+    rows: list[tuple[Spectrum, int, int, int]] = []
+    for w in w_specs:
+        xs = spectrum_numerators(w, n)
+        a2 = sym2_age_num(xs, n)
+        cost = tensor_costs(xs, ys, n).__getitem__
+        ages = [a2 + sum(map(cost, lam)) for lam in lam_nums]
+        seen += len(ages)
+        if identity_lam and w.is_identity():
+            seen -= 1
+        low = min(filter(None, ages), default=None)
+        if low is None:
+            continue
+        if best is None or low < best:
+            best, witnesses = low, []
+        if low == best:
+            witnesses.extend((w, j) for j, av in enumerate(ages) if av == low)
+        if low <= limit:
+            rows.extend((w, j, a2, av) for j, av in enumerate(ages) if 0 < av <= limit)
+
     exceptions: list[ExceptionRecord] = []
     violations: list[ViolationRecord] = []
-    seen = 0
-    for c in classes:
-        seen += 1
-        if c.kernel_on_v:
-            continue
-        sym2_spec = sym2(c.w_spec)
-        tensor_spec = tensor(c.w_spec, c.lambda_spec)
-        a2 = age(sym2_spec)
-        at = age(tensor_spec)
-        av = a2 + at
-        if min_age is None or av < min_age:
-            min_age = av
-            witnesses = [c]
-        elif av == min_age:
-            witnesses.append(c)
-        if av < ONE or (include_age_one and av == ONE):
-            exceptions.append(
-                ExceptionRecord(c, a2, at, av, exceptional_shape(c))
+    for w, j, a2, av in rows:
+        c = ElementClass.build(w, lams[j])
+        age_v = Fraction(av, n)
+        exceptions.append(
+            ExceptionRecord(
+                c, Fraction(a2, n), Fraction(av - a2, n), age_v, exceptional_shape(c)
             )
-        if av < ONE:
-            v_order = math.lcm(element_order(sym2_spec), element_order(tensor_spec))
+        )
+        if av < n:
+            v_order = _chart_order(c)
             if v_order != 2:
-                violations.append(ViolationRecord("order-2", c, av, v_order))
+                violations.append(ViolationRecord("order-2", c, age_v, v_order))
     return SweepResult(
-        h,
-        r,
+        cfg.h,
+        cfg.r,
         seen,
-        min_age,
-        tuple(sorted(witnesses, key=lambda c: c.sort_key)),
+        None if best is None else Fraction(best, n),
+        tuple(
+            sorted(
+                (ElementClass.build(w, lams[j]) for w, j in witnesses),
+                key=lambda c: c.sort_key,
+            )
+        ),
         tuple(sorted(exceptions, key=lambda e: e.element.sort_key)),
         tuple(sorted(violations, key=lambda v: (v.rule, v.element.sort_key))),
     )
@@ -282,7 +335,9 @@ def sweep_v(
     if h < 1:
         raise ValueError("the chart sweep needs an abelian factor (h >= 1)")
     cfg = EnumerationConfig(h, r, order_divides, constraint_mode)
-    result = finalize_sweep(sweep_over(h, r, element_classes(cfg), include_age_one))
+    result = finalize_sweep(
+        fold_chart(cfg, abelian_factor_classes(cfg), include_age_one)
+    )
     if result.violations:
         raise PropositionViolation(result)
     return result
@@ -300,10 +355,7 @@ def check_exception_catalog(result: SweepResult) -> SweepResult:
             "exception-shape",
             rec.element,
             rec.age_v,
-            math.lcm(
-                element_order(sym2(rec.element.w_spec)),
-                element_order(tensor(rec.element.w_spec, rec.element.lambda_spec)),
-            ),
+            _chart_order(rec.element),
         )
         for rec in result.exceptions
         if rec.age_v < ONE and not (rec.matches_iii and rec.age_v == Fraction(1, 2))

@@ -201,8 +201,8 @@ def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[Spectrum]:
 def element_classes_for(
     w_subset: Iterable[Spectrum], cfg: EnumerationConfig
 ) -> Iterator[ElementClass]:
-    """Classes for an explicit W-side subset; the partition hook for
-    parallel consumption.  Skips the identity pair."""
+    """Classes for an explicit W-side subset, so one part of a partitioned
+    W stream can be enumerated on its own.  Skips the identity pair."""
     lams = list(lattice_factor_classes(cfg))
     for w in w_subset:
         for b in lams:

@@ -23,6 +23,8 @@ from .rotations import OrbitSignature, Spectrum, divisors, totient
 # angles unambiguously.
 MAX_MATCH_TOLERANCE = 1e-6
 DEFAULT_TOLERANCE = 1e-9
+# Smallest total degree of a sampled signature; --max-degree may not go below.
+MIN_DEGREE = 1
 
 
 class OracleFailure(RuntimeError):
@@ -206,7 +208,7 @@ def random_signature(
     rng: random.Random,
     max_degree: int,
     order_divides: int,
-    min_degree: int = 1,
+    min_degree: int = MIN_DEGREE,
 ) -> OrbitSignature:
     """A random signature with total degree in [min_degree, max_degree]."""
     if max_degree < min_degree:

