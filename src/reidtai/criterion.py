@@ -164,7 +164,7 @@ def dedupe_exceptions(
     The two central lifts of a class always score the same ages, so the
     catalog keeps a single row per lift pair: the lift with the canonical
     below-1 shape when one of the two has it, otherwise the lift that
-    sorts first.
+    sorts first.  Lifts that age differently raise ValueError.
     """
     groups: dict[tuple, list[ExceptionRecord]] = {}
     for rec in records:
@@ -172,7 +172,11 @@ def dedupe_exceptions(
         groups.setdefault(key, []).append(rec)
     out = []
     for group in groups.values():
-        assert len({r.age_v for r in group}) == 1, "central lifts must age equally"
+        if len({r.age_v for r in group}) > 1:
+            raise ValueError(
+                "central lifts must age equally: "
+                + "; ".join(f"{r.element} ages {r.age_v}" for r in group)
+            )
         shaped = [r for r in group if r.matches_iii]
         out.append(shaped[0] if shaped else min(group, key=lambda r: r.element.sort_key))
     return tuple(sorted(out, key=lambda r: r.element.sort_key))

@@ -23,14 +23,9 @@ from .rotations import (
     galois_orbit,
     rot,
     totient,
-    validate_ppav,
 )
 
 CONSTRAINT_MODES = ("integral-both", "integral-lambda-only", "unconstrained")
-
-# Above this abelian-factor dimension the direct filter over all multisets
-# is replaced by per-orbit assembly; both must agree where both run.
-_PPAV_FILTER_MAX_DIM = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,61 +120,66 @@ def lattice_classes(r: int, order_divides: int) -> Iterator[Spectrum]:
         yield sig.spectrum()
 
 
-def ppav_classes_by_filter(h: int, order_divides: int) -> Iterator[Spectrum]:
-    """Direct route: filter every h-multiset through the doubled-spectrum
-    integrality test.  Exhaustive but exponential in h."""
-    for s in all_spectra(h, order_divides):
-        if validate_ppav(s):
-            yield s
-
-
-def ppav_classes_by_assembly(h: int, order_divides: int) -> Iterator[Spectrum]:
-    """Orbit route: choose, for each order n | bound, how many copies of the
-    order-n orbit the doubled spectrum contains, then split each conjugate
-    pair {q, -q} between the spectrum and its negation.
+def _orbit_blocks(n: int, room: int) -> list[tuple[RotationNumber, ...]]:
+    """The order-n entries a spectrum with room entries left can take, each
+    block sorted, in the lexicographic order of ``all_spectra``.
 
     Orders 1 and 2 are self-conjugate, so their doubled multiplicity is
-    forced even and they contribute plain copies of 0 and 1/2.
+    forced even and they contribute plain copies of 0 and 1/2.  For n > 2
+    the doubled spectrum holds m copies of the order-n orbit, and each
+    conjugate pair {q, -q} splits as x copies of q and m - x of -q.  The
+    entries run q_1 < ... < q_k < -q_k < ... < -q_1, and lexicographic order
+    takes the most copies of each entry first, so the x_j count down first
+    and m, which fixes the counts m - x_j of the -q_j, last.
     """
-    if h < 0:
-        raise ValueError("dimension must be non-negative")
-    divs = divisors(order_divides)
-
-    def rec(i: int, remaining: int, acc: list[RotationNumber]) -> Iterator[Spectrum]:
-        if i == len(divs):
-            if remaining == 0:
-                yield Spectrum.of(acc)
-            return
-        n = divs[i]
-        if n <= 2:
-            q = rot(n - 1, n)  # 0/1 or 1/2
-            for j in range(remaining + 1):
-                yield from rec(i + 1, remaining - j, acc + [q] * j)
-            return
-        half_dim = totient(n) // 2
-        pairs = [(q, -q) for q in galois_orbit(n).entries if 2 * q.num < q.den]
-        m = 0
-        while m * half_dim <= remaining:
-            if m == 0:
-                yield from rec(i + 1, remaining, acc)
-            else:
-                for split in product(range(m + 1), repeat=len(pairs)):
-                    extra: list[RotationNumber] = []
-                    for (q, nq), x in zip(pairs, split):
-                        extra.extend([q] * x + [nq] * (m - x))
-                    yield from rec(i + 1, remaining - m * half_dim, acc + extra)
-            m += 1
-
-    yield from rec(0, h, [])
+    if n <= 2:
+        q = rot(n - 1, n)  # 0/1 or 1/2
+        return [(q,) * j for j in range(room, -1, -1)]
+    low = [q for q in galois_orbit(n).entries if 2 * q.num < q.den]
+    high = [-q for q in reversed(low)]
+    top = room // (totient(n) // 2)
+    out = []
+    for split in product(range(top, -1, -1), repeat=len(low)):
+        for m in range(top, max(split) - 1, -1):
+            out.append(
+                tuple(q for q, x in zip(low, split) for _ in range(x))
+                + tuple(q for q, x in zip(high, reversed(split)) for _ in range(m - x))
+            )
+    return out
 
 
 def ppav_classes(h: int, order_divides: int) -> Iterator[Spectrum]:
     """All dimension-h spectra of order dividing the bound that extend to an
-    integral action on the doubled homology; duplicate-free."""
-    if h <= _PPAV_FILTER_MAX_DIM:
-        yield from ppav_classes_by_filter(h, order_divides)
-    else:
-        yield from ppav_classes_by_assembly(h, order_divides)
+    integral action on the doubled homology; duplicate-free.
+
+    Assembled orbit by orbit, orders ascending, from the blocks of
+    :func:`_orbit_blocks`; a block is tried only if the higher orders can
+    fill the remaining entries exactly, so no branch dead-ends.  The stream
+    keeps the order of ``all_spectra`` (lexicographic in the sorted
+    entries).
+    """
+    if h < 0:
+        raise ValueError("dimension must be non-negative")
+    divs = divisors(order_divides)
+    memo: dict[tuple[int, int], list[tuple[RotationNumber, ...]]] = {}
+
+    def blocks(i: int, room: int) -> list[tuple[RotationNumber, ...]]:
+        if (i, room) not in memo:
+            memo[i, room] = [
+                b
+                for b in _orbit_blocks(divs[i], room)
+                if len(b) == room or (i + 1 < len(divs) and blocks(i + 1, room - len(b)))
+            ]
+        return memo[i, room]
+
+    def rec(i: int, room: int, acc: tuple[RotationNumber, ...]) -> Iterator[Spectrum]:
+        if room == 0:
+            yield Spectrum(acc)
+            return
+        for b in blocks(i, room):
+            yield from rec(i + 1, room - len(b), acc + b)
+
+    yield from rec(0, h, ())
 
 
 def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[Spectrum]:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .functors import sym2, tensor
-from .rotations import OrbitSignature, Spectrum, divisors, totient
+from .rotations import OrbitSignature, Spectrum, divisors, element_order, totient
 
 # The closest two distinct rationals with denominator <= 360 can get is
 # 1/(359*360) ~ 7.7e-6, so any matching tolerance at or below 1e-6 assigns
@@ -117,45 +117,52 @@ def numeric_angles(m: IntegerMatrix) -> tuple[float, ...]:
     return tuple(sorted(float(x) for x in angles))
 
 
-def _circular_distance(x: float, y: float) -> float:
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
-
-
 def match_angles(
     angles: tuple[float, ...], exact: Spectrum, tol: float = DEFAULT_TOLERANCE
 ) -> bool:
-    """Greedy unique assignment of numeric angles to exact entries under
-    circular distance; True iff every angle finds its own entry within tol."""
+    """True iff the numeric angles pair off one-to-one with the exact entries,
+    each within tol under circular distance.
+
+    Every exact entry lies on the grid k/L, L = element_order(exact).  Each
+    angle is snapped to its nearest grid point; the match holds iff every
+    snap is within tol and the snapped numerators equal the exact ones as a
+    multiset.  Distinct exact values lie more than 2*tol apart (see
+    MAX_MATCH_TOLERANCE), so an angle has at most one exact value within
+    tol, and the snap finds it while the grid spacing 1/L stays well above
+    2*tol.  A grid finer than that (tol*L > 1/4, so L above 250 000; the
+    CLI's order bound keeps L <= 360) raises ValueError.
+    """
     if not 0.0 < tol <= MAX_MATCH_TOLERANCE:
         raise ValueError(
             f"tolerance must be in (0, {MAX_MATCH_TOLERANCE}], got {tol}"
         )
     if len(angles) != exact.dim:
         return False
-    remaining = [float(q.fraction) for q in exact.entries]
-    for x in angles:
-        best = min(range(len(remaining)), key=lambda i: _circular_distance(x, remaining[i]))
-        if _circular_distance(x, remaining[best]) > tol:
-            return False
-        remaining.pop(best)
-    return True
+    big = element_order(exact)
+    if 4 * tol * big > 1:
+        raise ValueError(f"grid 1/{big} too fine to snap angles at tolerance {tol}")
+    x = np.asarray(angles, dtype=np.float64)
+    k = np.rint(x * big) % big
+    d = np.abs(x - k / big) % 1.0
+    if not np.all(np.minimum(d, 1.0 - d) <= tol):
+        return False
+    return np.array_equal(
+        np.sort(k.astype(np.int64)),
+        sorted(q.num * (big // q.den) for q in exact.entries),
+    )
 
 
 def sym2_matrix(m: np.ndarray) -> np.ndarray:
-    """Induced matrix on the symmetric square, in the basis e_i.e_j, i <= j."""
-    n = m.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    out = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
-    for (i, j), col in index.items():
-        for k in range(n):
-            for l in range(k, n):
-                if k == l:
-                    coeff = m[k, i] * m[k, j]
-                else:
-                    coeff = m[k, i] * m[l, j] + m[l, i] * m[k, j]
-                out[index[(k, l)], col] += coeff
+    """Induced matrix on the symmetric square, in the basis e_i.e_j, i <= j.
+
+    The coefficient of e_k.e_l in the image of e_i.e_j is
+    m[k,i]*m[l,j], plus m[l,i]*m[k,j] when k < l.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    k, l = np.triu_indices(m.shape[0])
+    out = m[k][:, k] * m[l][:, l]
+    off = k < l
+    out[off] += m[l[off]][:, k] * m[k[off]][:, l]
     return out
 
 
@@ -184,10 +191,10 @@ def crosscheck_functor(
     expected_dim = a_mat.n * (a_mat.n + 1) // 2
     if sym.shape != (expected_dim, expected_dim):
         raise OracleFailure("symmetric-square dimension mismatch")
-    sym_order = math.lcm(1, *(q.den for q in sym2(a_exact).entries))
+    sym_exact = sym2(a_exact)
     if not match_angles(
-        numeric_angles(IntegerMatrix(expected_dim, sym, sym_order)),
-        sym2(a_exact),
+        numeric_angles(IntegerMatrix(expected_dim, sym, element_order(sym_exact))),
+        sym_exact,
         tol,
     ):
         return False
@@ -196,9 +203,10 @@ def crosscheck_functor(
     if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
         raise OracleFailure("tensor-product dimension mismatch")
     tens = tensor(a_exact, b_exact)
-    tens_order = math.lcm(1, *(q.den for q in tens.entries))
     if not match_angles(
-        numeric_angles(IntegerMatrix(kron.shape[0], kron, tens_order)), tens, tol
+        numeric_angles(IntegerMatrix(kron.shape[0], kron, element_order(tens))),
+        tens,
+        tol,
     ):
         return False
     return True

@@ -1,8 +1,12 @@
 """Germ verdicts, sweeps, the moved-forms count and reduction evidence."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,7 @@ from reidtai.rotations import Spectrum, element_order, galois_orbit, parse_spect
 
 S = parse_spectrum
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def cyclic_germ(text):
@@ -199,6 +204,45 @@ def test_dedupe_prefers_canonical_shape():
     kept = dedupe_exceptions(records)
     assert len(kept) == 1
     assert kept[0].element == shaped
+
+
+def _unequal_lifts():
+    shaped = ElementClass.build(S("1/2"), S("0, 1/2, 1/2, 1/2"))
+    other = central_twin(shaped)
+    return [
+        ExceptionRecord(shaped, F(0), F(1, 2), F(1, 2), True),
+        ExceptionRecord(other, F(0), F(3, 4), F(3, 4), False),
+    ]
+
+
+def test_dedupe_rejects_lifts_aging_differently():
+    records = _unequal_lifts()
+    with pytest.raises(ValueError) as info:
+        dedupe_exceptions(records)
+    message = str(info.value)
+    for rec in records:
+        assert f"{rec.element} ages {rec.age_v}" in message
+
+
+def test_dedupe_check_survives_optimized_python():
+    # the check must not be an assert, which python -O strips
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from test_criterion import _unequal_lifts\n"
+        "from reidtai.criterion import dedupe_exceptions\n"
+        "try:\n"
+        "    dedupe_exceptions(_unequal_lifts())\n"
+        "except ValueError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_check_exception_catalog():

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from reference_enumeration import ppav_classes_by_filter
 from reidtai.enumeration import (
     ElementClass,
     EnumerationConfig,
@@ -13,8 +14,6 @@ from reidtai.enumeration import (
     element_classes,
     lattice_classes,
     ppav_classes,
-    ppav_classes_by_assembly,
-    ppav_classes_by_filter,
     rotation_universe,
 )
 from reidtai.functors import power, v_spectrum
@@ -116,8 +115,18 @@ def test_ppav_order_bound_filter():
 @pytest.mark.parametrize("h", [0, 1, 2, 3, 4])
 def test_ppav_filter_vs_assembly(h):
     by_filter = sorted(str(s) for s in ppav_classes_by_filter(h, 12))
-    by_assembly = sorted(str(s) for s in ppav_classes_by_assembly(h, 12))
+    by_assembly = sorted(str(s) for s in ppav_classes(h, 12))
     assert by_filter == by_assembly
+
+
+@pytest.mark.parametrize("order_divides, max_h", [(12, 5), (24, 3), (36, 3)])
+def test_ppav_assembly_emits_in_filter_order(order_divides, max_h):
+    # not only the same set: the same sequence, so the W stream, its --jobs
+    # partitions and the rows built from them keep the filter's order
+    for h in range(max_h + 1):
+        assert list(ppav_classes(h, order_divides)) == list(
+            ppav_classes_by_filter(h, order_divides)
+        )
 
 
 def test_ppav_stream_counts_and_validity():

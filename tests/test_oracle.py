@@ -4,10 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_oracle as ref
 from reidtai.functors import sym2, tensor
 from reidtai.oracle import (
     DEFAULT_TOLERANCE,
+    MAX_MATCH_TOLERANCE,
     IntegerMatrix,
     OracleFailure,
     companion,
@@ -20,7 +24,15 @@ from reidtai.oracle import (
     run_oracle_cases,
     sym2_matrix,
 )
-from reidtai.rotations import OrbitSignature, divisors, parse_spectrum, totient
+from reidtai.rotations import (
+    OrbitSignature,
+    Spectrum,
+    divisors,
+    element_order,
+    parse_spectrum,
+    rot,
+    totient,
+)
 
 S = parse_spectrum
 
@@ -141,3 +153,103 @@ def test_numeric_angles_rejects_non_unit_matrix():
     stretched = IntegerMatrix(1, np.array([[2]], dtype=np.int64), 1)
     with pytest.raises(OracleFailure):
         numeric_angles(stretched)
+
+
+# Differential checks of the array forms against the loop forms kept in
+# tests/reference_oracle.py.
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_sym2_matrix_matches_reference_on_random_matrices(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        m = rng.integers(-4, 5, size=(n, n), dtype=np.int64)
+        got = sym2_matrix(m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref.sym2_matrix(m))
+
+
+def test_sym2_matrix_matches_reference_on_realizations():
+    rng = random.Random(11)
+    sigs = [OrbitSignature()] + [random_signature(rng, 8, 36) for _ in range(40)]
+    for sig in sigs:
+        m = realize(sig).entries
+        assert np.array_equal(sym2_matrix(m), ref.sym2_matrix(m))
+
+
+# Offsets in units of tol: inside the tolerance (up to its edge) and outside.
+INSIDE = st.one_of(st.sampled_from((0.0, 0.999, -0.999)), st.floats(-0.999, 0.999))
+OUTSIDE = st.one_of(st.sampled_from((1.01, -1.01, 2.0, -2.0)), st.floats(1.01, 3.0))
+
+
+@st.composite
+def angle_cases(draw):
+    """An exact spectrum over the divisors of 360 and angles derived from
+    it, each within tol of its entry and wrapped into [0, 1) or not, with at
+    most one fault: an angle past the tolerance edge, an entry swapped for
+    another grid value (a wrong multiplicity), an angle dropped or added."""
+    tol = draw(st.sampled_from((DEFAULT_TOLERANCE, 1e-7, MAX_MATCH_TOLERANCE)))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 359), st.sampled_from(divisors(360))), max_size=10
+    ))
+    exact = Spectrum.of(rot(num, den) for num, den in pairs)
+    values = [q.num / q.den for q in exact.entries]
+    offsets = [draw(INSIDE) for _ in values]
+    fault = draw(st.sampled_from(("none", "outside", "swap", "drop", "add")))
+    if values and fault in ("outside", "swap", "drop"):
+        i = draw(st.integers(0, len(values) - 1))
+        if fault == "outside":
+            offsets[i] = draw(OUTSIDE) * draw(st.sampled_from((1, -1)))
+        elif fault == "swap":
+            values[i] = draw(st.integers(0, 359)) / 360
+        else:
+            del values[i], offsets[i]
+    elif fault == "add":
+        values.append(draw(st.sampled_from(values or [0.0])))
+        offsets.append(draw(INSIDE))
+    angles = []
+    for v, offset in zip(values, offsets):
+        x = v + offset * tol
+        angles.append(x % 1.0 if draw(st.booleans()) else x)
+    return tuple(draw(st.permutations(angles))), exact, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(angle_cases())
+@example(((1.0 - 1e-12,), parse_spectrum("0"), DEFAULT_TOLERANCE))
+@example(((0.0, 1.0 - 0.999e-9), parse_spectrum("0, 0"), DEFAULT_TOLERANCE))
+@example(((0.5, 0.5), parse_spectrum("0, 1/2"), DEFAULT_TOLERANCE))
+@example(((0.25, 0.75), parse_spectrum("1/4, 1/4"), DEFAULT_TOLERANCE))
+@example(((0.0, 0.5), parse_spectrum("0"), DEFAULT_TOLERANCE))
+@example(((), parse_spectrum(""), DEFAULT_TOLERANCE))
+@example(((), parse_spectrum("1/3"), DEFAULT_TOLERANCE))
+def test_match_angles_matches_greedy_reference(case):
+    angles, exact, tol = case
+    assert match_angles(angles, exact, tol) == ref.match_angles(angles, exact, tol)
+
+
+def test_match_angles_refuses_grid_finer_than_tolerance():
+    # pairwise coprime orders: the grid 1/L has L = 359*358*357 ~ 4.6e7
+    exact = parse_spectrum("1/359, 1/358, 1/357")
+    angles = tuple(float(q.fraction) for q in exact.entries)
+    assert element_order(exact) == 359 * 358 * 357
+    with pytest.raises(ValueError):
+        match_angles(angles, exact, MAX_MATCH_TOLERANCE)
+    # at a tolerance the grid still resolves, the snap agrees with greedy
+    assert match_angles(angles, exact) == ref.match_angles(angles, exact) is True
+
+
+@pytest.mark.parametrize(
+    "seed, tol", [(0, DEFAULT_TOLERANCE), (1, 3e-16), (2, 1e-16)]
+)
+def test_oracle_cases_match_reference_crosscheck(seed, tol):
+    # the two tight tolerances sit at the floating-point noise of the
+    # eigenvalues, so the cases split between pass and fail
+    cases = run_oracle_cases(200, seed=seed, tol=tol)
+    rng = random.Random(seed)
+    for case in cases:
+        a_sig = random_signature(rng, 8, 36)
+        b_sig = random_signature(rng, 8, 36)
+        assert case["a_signature"] == list(a_sig.parts)
+        assert case["b_signature"] == list(b_sig.parts)
+        assert case["ok"] == ref.crosscheck_functor(a_sig, b_sig, tol)
