@@ -496,10 +496,9 @@ def reduction_support(n: int, h_max: int) -> Fraction:
             f"orbit degree {degree} exceeds the homology budget {2 * h_max}"
         )
     pairs = [(q, -q) for q in galois_orbit(n).entries if 2 * q.num < q.den]
-    best: Fraction | None = None
-    for picks in product(*pairs):
-        value = age(sym2(Spectrum.of(picks)))
-        if best is None or value < best:
-            best = value
-    assert best is not None
+    best = min(
+        (age(sym2(Spectrum.of(picks))) for picks in product(*pairs)), default=None
+    )
+    if best is None:
+        raise ValueError(f"order {n} yields no candidate spectrum")
     return best

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,22 +104,24 @@ def realize(sig: OrbitSignature) -> IntegerMatrix:
     return IntegerMatrix(size, m, order)
 
 
-def numeric_angles(m: IntegerMatrix) -> tuple[float, ...]:
-    """Eigenvalue arguments over 2*pi, each folded into [0, 1), sorted."""
+def numeric_angles(m: IntegerMatrix) -> np.ndarray:
+    """Eigenvalue arguments over 2*pi, each folded into [0, 1), as a sorted
+    float64 array."""
     if m.n == 0:
-        return ()
+        return np.empty(0)
     try:
         eigenvalues = np.linalg.eigvals(m.entries.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise OracleFailure(f"eigenvalue extraction failed: {exc}") from exc
     if np.any(np.abs(np.abs(eigenvalues) - 1.0) > 1e-6):
         raise OracleFailure("eigenvalue off the unit circle; not finite order")
-    angles = np.mod(np.angle(eigenvalues) / (2.0 * math.pi), 1.0)
-    return tuple(sorted(float(x) for x in angles))
+    return np.sort(np.mod(np.angle(eigenvalues) / (2.0 * math.pi), 1.0))
 
 
 def match_angles(
-    angles: tuple[float, ...], exact: Spectrum, tol: float = DEFAULT_TOLERANCE
+    angles: Sequence[float] | np.ndarray,
+    exact: Spectrum,
+    tol: float = DEFAULT_TOLERANCE,
 ) -> bool:
     """True iff the numeric angles pair off one-to-one with the exact entries,
     each within tol under circular distance.
@@ -166,50 +169,86 @@ def sym2_matrix(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def crosscheck_functor(
-    a_sig: OrbitSignature,
-    b_sig: OrbitSignature,
-    tol: float = DEFAULT_TOLERANCE,
-) -> bool:
-    """Numeric agreement for one signature pair.
+def _realized(sig: OrbitSignature) -> tuple[IntegerMatrix, Spectrum]:
+    return realize(sig), sig.spectrum()
 
-    Checks the realized matrices themselves, the induced symmetric square
-    of the first and the tensor product of the two, after structural
-    dimension checks.  Convergence failures propagate as OracleFailure.
-    """
-    a_mat = realize(a_sig)
-    b_mat = realize(b_sig)
-    a_exact = a_sig.spectrum()
-    b_exact = b_sig.spectrum()
 
-    if not match_angles(numeric_angles(a_mat), a_exact, tol):
-        return False
-    if not match_angles(numeric_angles(b_mat), b_exact, tol):
-        return False
+def check_spectrum(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
+    """The realized matrix's own eigenvalues match its exact spectrum."""
+    return match_angles(numeric_angles(mat), exact, tol)
 
-    sym = sym2_matrix(a_mat.entries)
-    expected_dim = a_mat.n * (a_mat.n + 1) // 2
+
+def check_sym2(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
+    """The induced symmetric square matches the exact sym2 spectrum."""
+    sym = sym2_matrix(mat.entries)
+    expected_dim = mat.n * (mat.n + 1) // 2
     if sym.shape != (expected_dim, expected_dim):
         raise OracleFailure("symmetric-square dimension mismatch")
-    sym_exact = sym2(a_exact)
-    if not match_angles(
+    sym_exact = sym2(exact)
+    return match_angles(
         numeric_angles(IntegerMatrix(expected_dim, sym, element_order(sym_exact))),
         sym_exact,
         tol,
-    ):
-        return False
+    )
 
+
+def check_tensor(
+    a_mat: IntegerMatrix,
+    a_exact: Spectrum,
+    b_mat: IntegerMatrix,
+    b_exact: Spectrum,
+    tol: float,
+) -> bool:
+    """The Kronecker product matches the exact tensor spectrum."""
     kron = np.kron(a_mat.entries, b_mat.entries)
     if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
         raise OracleFailure("tensor-product dimension mismatch")
     tens = tensor(a_exact, b_exact)
-    if not match_angles(
+    return match_angles(
         numeric_angles(IntegerMatrix(kron.shape[0], kron, element_order(tens))),
         tens,
         tol,
-    ):
-        return False
-    return True
+    )
+
+
+def crosscheck_functor(
+    a_sig: OrbitSignature,
+    b_sig: OrbitSignature,
+    tol: float = DEFAULT_TOLERANCE,
+    memo: dict | None = None,
+) -> bool:
+    """Numeric agreement for one signature pair.
+
+    Realizes a, then b, and checks the realized matrices themselves, the
+    induced symmetric square of a and the tensor product of the two, in
+    that order, stopping at the first mismatch.  Convergence failures
+    propagate as OracleFailure.
+
+    Each step is a pure function of the signatures it names, so with a
+    ``memo`` table each realization and check runs once per signature (per
+    ordered pair for the tensor check) and later cases reuse its result;
+    the verdict and the first OracleFailure raised are those of a call
+    without the table.  A table only stores successful results.
+    """
+
+    def once(key: tuple, step: Callable, *args):
+        if memo is None:
+            return step(*args)
+        if key not in memo:
+            memo[key] = step(*args)
+        return memo[key]
+
+    a_mat, a_exact = once(("realize", a_sig), _realized, a_sig)
+    b_mat, b_exact = once(("realize", b_sig), _realized, b_sig)
+    return (
+        once(("spectrum", a_sig, tol), check_spectrum, a_mat, a_exact, tol)
+        and once(("spectrum", b_sig, tol), check_spectrum, b_mat, b_exact, tol)
+        and once(("sym2", a_sig, tol), check_sym2, a_mat, a_exact, tol)
+        and once(
+            ("tensor", a_sig, b_sig, tol),
+            check_tensor, a_mat, a_exact, b_mat, b_exact, tol,
+        )
+    )
 
 
 def random_signature(
@@ -242,15 +281,21 @@ def run_oracle_cases(
     order_divides: int = 36,
     tol: float = DEFAULT_TOLERANCE,
 ) -> list[dict]:
-    """Seeded batch of functor cross-checks; one result dict per case."""
+    """Seeded batch of functor cross-checks; one result dict per case.
+
+    The run shares one memo table among its cases, so each distinct
+    signature and ordered pair is checked once while every case still
+    reports its own verdict.
+    """
     if samples < 0:
         raise ValueError("sample count must be non-negative")
     rng = random.Random(seed)
     cases = []
+    memo: dict = {}
     for i in range(samples):
         a_sig = random_signature(rng, max_degree, order_divides)
         b_sig = random_signature(rng, max_degree, order_divides)
-        ok = crosscheck_functor(a_sig, b_sig, tol)
+        ok = crosscheck_functor(a_sig, b_sig, tol, memo)
         cases.append(
             {
                 "index": i,

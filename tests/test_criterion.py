@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from reference_fold import sweep_over
+from reidtai import criterion
 from reidtai.criterion import (
     ExceptionRecord,
     PropositionViolation,
@@ -348,6 +349,35 @@ def test_reduction_support_errors():
         reduction_support(13, 5)  # degree 12 over the budget 10
     with pytest.raises(ValueError):
         reduction_support(0, 6)
+
+
+def test_reduction_support_without_candidates_raises(monkeypatch):
+    # unreachable with a real orbit; an empty candidate stream must raise,
+    # not return None
+    monkeypatch.setattr(criterion, "product", lambda *pairs: iter(()))
+    with pytest.raises(ValueError, match="no candidate"):
+        reduction_support(5, 6)
+
+
+def test_reduction_support_check_survives_optimized_python():
+    # the check must not be an assert, which python -O strips
+    script = (
+        "import sys\n"
+        "import reidtai.criterion as criterion\n"
+        "criterion.product = lambda *pairs: iter(())\n"
+        "try:\n"
+        "    criterion.reduction_support(5, 6)\n"
+        "except ValueError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_tensor_padding_additivity():

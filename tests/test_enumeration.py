@@ -9,10 +9,12 @@ from reference_enumeration import ppav_classes_by_filter
 from reidtai.enumeration import (
     ElementClass,
     EnumerationConfig,
+    abelian_factor_classes,
     all_spectra,
     cyclotomic_signatures,
     element_classes,
     lattice_classes,
+    lattice_factor_classes,
     ppav_classes,
     rotation_universe,
 )
@@ -248,3 +250,71 @@ def test_constraint_modes():
     cfg = EnumerationConfig(0, 2, 12, "integral-lambda-only")
     for c in element_classes(cfg):
         assert validate_integral(c.lambda_spec)
+
+
+# Stream sizes against generating functions computed here, sharing no code
+# with the enumerators (not even their totient or divisor helpers).
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def _series_product(factors, top):
+    """Coefficients x^0..x^top of the product of the given power series."""
+    out = [1] + [0] * top
+    for f in factors:
+        out = [sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(top + 1)]
+    return out
+
+
+def lattice_series(n_bound, top):
+    """prod over n | N of 1 / (1 - x^phi(n)): one geometric series per order."""
+    factors = []
+    for n in range(1, n_bound + 1):
+        if n_bound % n == 0:
+            step = _phi(n)
+            factors.append([int(k % step == 0) for k in range(top + 1)])
+    return _series_product(factors, top)
+
+
+def ppav_series(n_bound, top):
+    """prod over n | N of F_n, with F_n = 1 / (1 - x) for n <= 2 and
+    F_n = sum over m of (m + 1)^(phi(n)/2) x^(m phi(n)/2) otherwise."""
+    factors = []
+    for n in range(1, n_bound + 1):
+        if n_bound % n:
+            continue
+        if n <= 2:
+            factors.append([1] * (top + 1))
+        else:
+            half = _phi(n) // 2
+            factors.append(
+                [(k // half + 1) ** half if k % half == 0 else 0 for k in range(top + 1)]
+            )
+    return _series_product(factors, top)
+
+
+def test_generating_series_examples():
+    # 1 / ((1-x)^2 (1-x^2)^3 (1-x^4)) at N = 12: {1}, {2} at degree 1 and
+    # {1,1}, {1,2}, {2,2}, {3}, {4}, {6} at degree 2
+    assert lattice_series(12, 2) == [1, 2, 6]
+    assert ppav_series(12, 3) == [1, 8, 40, 152]
+    assert ppav_series(1, 4) == [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("order_divides, top", [(12, 10), (24, 6), (36, 6)])
+def test_stream_sizes_match_generating_functions(order_divides, top):
+    w_sizes = [
+        sum(1 for _ in abelian_factor_classes(EnumerationConfig(h, 0, order_divides)))
+        for h in range(top + 1)
+    ]
+    lambda_sizes = [
+        sum(1 for _ in lattice_factor_classes(EnumerationConfig(0, r, order_divides)))
+        for r in range(top + 1)
+    ]
+    assert w_sizes == ppav_series(order_divides, top)
+    assert lambda_sizes == lattice_series(order_divides, top)
+    if order_divides == 12:
+        assert w_sizes[1:4] == [8, 40, 152]
+        assert w_sizes[10] == 66_848

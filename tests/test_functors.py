@@ -6,8 +6,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reidtai.enumeration import ppav_classes, lattice_classes, rotation_universe
+from reidtai.criterion import central_twin
+from reidtai.enumeration import (
+    ElementClass,
+    lattice_classes,
+    ppav_classes,
+    rotation_universe,
+)
 from reidtai.functors import (
     age,
     direct_sum,
@@ -200,3 +208,52 @@ def test_kernel_law_small():
                         q == half for q in b.entries
                     )
                     assert trivial == (plus or minus), (a, b)
+
+
+# Identities of the calculus as hypothesis properties, over spectra with
+# orders dividing 12, 24 or 36 (the order bounds the sweeps use).
+
+
+@st.composite
+def spectra_pairs(draw, max_dim=5):
+    universe = rotation_universe(draw(st.sampled_from((12, 24, 36))))
+    spectra = st.lists(st.sampled_from(universe), max_size=max_dim).map(Spectrum.of)
+    return draw(spectra), draw(spectra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra_pairs())
+def test_sym2_of_direct_sum_splits(pair):
+    a, b = pair
+    assert sym2(direct_sum(a, b)) == direct_sum(sym2(a), sym2(b), tensor(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra_pairs(max_dim=8))
+def test_age_plus_negated_age_is_moved_dimension(pair):
+    for s in pair:
+        assert age(s) + age(s.negated()) == s.dim - fixed_multiplicity(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra_pairs(), st.integers(0, 40), st.integers(0, 40))
+def test_power_composes(pair, j, k):
+    s, _ = pair
+    assert power(power(s, j), k) == power(s, j * k)
+    assert power(s, 1) == s
+    assert power(s, 0) == Spectrum.of(rot(0, 1) for _ in s.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra_pairs())
+def test_central_twin_is_an_involution_keeping_chart_ages(pair):
+    w, lam = pair
+    element = ElementClass.build(w, lam)
+    twin = central_twin(element)
+    assert central_twin(twin) == element
+    assert (twin.h, twin.r, twin.kernel_on_v) == (
+        element.h, element.r, element.kernel_on_v
+    )
+    assert age(sym2(twin.w_spec)) == age(sym2(w))
+    assert age(tensor(twin.w_spec, twin.lambda_spec)) == age(tensor(w, lam))
+    assert v_spectrum(twin.w_spec, twin.lambda_spec) == v_spectrum(w, lam)

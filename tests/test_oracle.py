@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_oracle as ref
+from reidtai import oracle
 from reidtai.functors import sym2, tensor
 from reidtai.oracle import (
     DEFAULT_TOLERANCE,
@@ -253,3 +254,180 @@ def test_oracle_cases_match_reference_crosscheck(seed, tol):
         assert case["a_signature"] == list(a_sig.parts)
         assert case["b_signature"] == list(b_sig.parts)
         assert case["ok"] == ref.crosscheck_functor(a_sig, b_sig, tol)
+
+
+def test_numeric_angles_returns_sorted_float64_array():
+    m = realize(OrbitSignature.of([12, 5, 1]))
+    angles = numeric_angles(m)
+    assert isinstance(angles, np.ndarray)
+    assert angles.dtype == np.float64
+    assert angles.shape == (m.n,)
+    assert np.all(np.diff(angles) >= 0)
+    assert np.all((0.0 <= angles) & (angles <= 1.0))
+    empty = numeric_angles(realize(OrbitSignature()))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+# The memo table of run_oracle_cases: each distinct signature and ordered
+# pair is checked once per run, and every case keeps the verdict, and the
+# first OracleFailure, of a call without the table.
+
+
+def _drawn(samples, seed):
+    rng = random.Random(seed)
+    return [
+        (random_signature(rng, 8, 36), random_signature(rng, 8, 36))
+        for _ in range(samples)
+    ]
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
+    counts = _count_calls(
+        monkeypatch,
+        ["crosscheck_functor", "realize", "sym2_matrix", "numeric_angles",
+         "sym2", "tensor"],
+    )
+    cases = run_oracle_cases(200, seed=seed)
+    assert all(case["ok"] for case in cases)  # so no check short-circuits
+    drawn = _drawn(200, seed)
+    signatures = {sig for pair in drawn for sig in pair}
+    firsts = {a for a, _ in drawn}
+    pairs = set(drawn)
+    assert len(signatures) < 400 and len(pairs) < 200  # the draws repeat
+    assert counts["crosscheck_functor"] == 200
+    assert counts["realize"] == len(signatures)
+    assert counts["sym2_matrix"] == counts["sym2"] == len(firsts)
+    assert counts["tensor"] == len(pairs)
+    assert counts["numeric_angles"] == len(signatures) + len(firsts) + len(pairs)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCE, 3e-16])
+@pytest.mark.parametrize("seed", range(5))
+def test_memo_cases_match_per_case_crosscheck(seed, tol):
+    cases = run_oracle_cases(200, seed=seed, tol=tol)
+    expected = [crosscheck_functor(a, b, tol) for a, b in _drawn(200, seed)]
+    assert [case["ok"] for case in cases] == expected
+
+
+def test_memo_keys_checks_by_tolerance():
+    # a table shared across tolerances still answers each one correctly
+    drawn = _drawn(60, 2)
+    memo = {}
+    for tol in (DEFAULT_TOLERANCE, 1e-16, DEFAULT_TOLERANCE):
+        got = [crosscheck_functor(a, b, tol, memo) for a, b in drawn]
+        assert got == [crosscheck_functor(a, b, tol) for a, b in drawn]
+
+
+def _log_steps(monkeypatch):
+    """Record each realize (by signature), sym2_matrix and numeric_angles
+    call (by matrix size), in call order."""
+    log = []
+    describe = {
+        "realize": lambda sig: sig,
+        "sym2_matrix": lambda m: len(m),
+        "numeric_angles": lambda m: m.n,
+    }
+    for name, key in describe.items():
+        original = getattr(oracle, name)
+
+        def logged(arg, _name=name, _key=key, _original=original):
+            log.append((_name, _key(arg)))
+            return _original(arg)
+
+        monkeypatch.setattr(oracle, name, logged)
+    return log
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+def test_crosscheck_order_and_short_circuit(monkeypatch, memo):
+    a, b = OrbitSignature.of([3]), OrbitSignature.of([4, 1])
+    log = _log_steps(monkeypatch)
+    assert crosscheck_functor(a, b, DEFAULT_TOLERANCE, memo)
+    assert log == [
+        ("realize", a), ("realize", b),
+        ("numeric_angles", 2), ("numeric_angles", 3),
+        ("sym2_matrix", 2), ("numeric_angles", 3), ("numeric_angles", 6),
+    ]
+    # a mismatch on the second signature's own spectrum stops the case
+    # before Sym^2 and tensor
+    log.clear()
+    verdicts = iter([True, False])
+    monkeypatch.setattr(oracle, "match_angles", lambda *args: next(verdicts))
+    c, d = OrbitSignature.of([6]), OrbitSignature.of([12])
+    assert not crosscheck_functor(c, d, DEFAULT_TOLERANCE, memo)
+    assert log == [
+        ("realize", c), ("realize", d), ("numeric_angles", 2), ("numeric_angles", 4),
+    ]
+
+
+def _first_failure(run):
+    try:
+        run()
+    except OracleFailure as exc:
+        return str(exc)
+    raise AssertionError("no OracleFailure raised")
+
+
+@pytest.mark.parametrize("step", ["realize", "sym2_matrix", "kron"])
+def test_memo_keeps_the_first_failure(monkeypatch, step):
+    # a fault tied to one signature that recurs in the draws, first met as
+    # the b side of a case, and later as the a side
+    drawn = _drawn(200, 4)
+    seen = [sig for a, b in drawn for sig in (a, b)]
+    bad = next(
+        sig for sig in seen
+        if seen.count(sig) > 2 and seen.index(sig) % 2 == 1
+    )
+    bad_entries = realize(bad).entries
+    calls = _count_calls(monkeypatch, ["crosscheck_functor"])
+
+    if step == "realize":
+        original = oracle.realize
+
+        def faulty(sig):
+            if sig == bad:
+                raise OracleFailure(f"forced failure realizing {sig}")
+            return original(sig)
+
+        monkeypatch.setattr(oracle, "realize", faulty)
+    elif step == "sym2_matrix":
+        original = oracle.sym2_matrix
+
+        def faulty(m):
+            out = original(m)
+            return out[:-1] if np.array_equal(m, bad_entries) else out
+
+        monkeypatch.setattr(oracle, "sym2_matrix", faulty)
+    else:
+        original = np.kron
+
+        def faulty(x, y):
+            out = original(x, y)
+            return out[:-1] if np.array_equal(y, bad_entries) else out
+
+        monkeypatch.setattr(oracle.np, "kron", faulty)
+
+    def per_case():
+        for a, b in drawn:
+            oracle.crosscheck_functor(a, b)
+
+    plain = _first_failure(per_case)
+    plain_calls = calls["crosscheck_functor"]
+    calls["crosscheck_functor"] = 0
+    memoized = _first_failure(lambda: run_oracle_cases(200, seed=4))
+    assert memoized == plain
+    assert calls["crosscheck_functor"] == plain_calls
