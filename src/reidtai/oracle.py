@@ -224,16 +224,17 @@ def crosscheck_functor(
     that order, stopping at the first mismatch.  Convergence failures
     propagate as OracleFailure.
 
-    Each step is a pure function of the signatures it names, so with a
-    ``memo`` table each realization and check runs once per signature (per
-    ordered pair for the tensor check) and later cases reuse its result;
-    the verdict and the first OracleFailure raised are those of a call
-    without the table.  A table only stores successful results.
+    Each step is a pure function of the signatures it names, so a ``memo``
+    table shared by several calls runs each realization and check once per
+    signature (per ordered pair for the tensor check) and later cases reuse
+    its result; the verdict and the first OracleFailure raised are those of
+    a call with a fresh table.  A table belongs to one tolerance and only
+    stores successful results.
     """
+    if memo is None:
+        memo = {}
 
     def once(key: tuple, step: Callable, *args):
-        if memo is None:
-            return step(*args)
         if key not in memo:
             memo[key] = step(*args)
         return memo[key]
@@ -241,11 +242,11 @@ def crosscheck_functor(
     a_mat, a_exact = once(("realize", a_sig), _realized, a_sig)
     b_mat, b_exact = once(("realize", b_sig), _realized, b_sig)
     return (
-        once(("spectrum", a_sig, tol), check_spectrum, a_mat, a_exact, tol)
-        and once(("spectrum", b_sig, tol), check_spectrum, b_mat, b_exact, tol)
-        and once(("sym2", a_sig, tol), check_sym2, a_mat, a_exact, tol)
+        once(("spectrum", a_sig), check_spectrum, a_mat, a_exact, tol)
+        and once(("spectrum", b_sig), check_spectrum, b_mat, b_exact, tol)
+        and once(("sym2", a_sig), check_sym2, a_mat, a_exact, tol)
         and once(
-            ("tensor", a_sig, b_sig, tol),
+            ("tensor", a_sig, b_sig),
             check_tensor, a_mat, a_exact, b_mat, b_exact, tol,
         )
     )
