@@ -17,7 +17,6 @@ from .criterion import (
     finalize_sweep,
     fold_chart,
     interior_verdict,
-    merge_sweeps,
     reduction_support,
     rst_verdict,
     sweep_sym2,

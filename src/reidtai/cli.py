@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
-from . import criterion, enumeration, oracle
-from .enumeration import CONSTRAINT_MODES, EnumerationConfig
+from . import criterion, oracle
+from .enumeration import CONSTRAINT_MODES
 from .report import (
     RENDERERS,
     Report,
@@ -34,16 +34,6 @@ EXIT_VIOLATION = 3
 EXIT_ORACLE = 4
 
 JOBS_ENV_VAR = "REIDTAI_JOBS"
-
-
-def _default_jobs() -> int:
-    value = os.environ.get(JOBS_ENV_VAR)
-    if value is None:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _in_range(
@@ -94,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "text"), default="text",
     )
     common.add_argument(
-        "--jobs", type=int, default=None, metavar="K",
+        "--jobs", type=_in_range(int, lambda k: k >= 1, "must be >= 1"),
+        default=os.environ.get(JOBS_ENV_VAR, "1"), metavar="K",
         help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
     )
 
@@ -141,49 +132,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_worker(task: tuple) -> criterion.SweepResult:
-    chunk, cfg, include_age_one = task
-    return criterion.fold_chart(cfg, chunk, include_age_one)
+def _chart(task: tuple) -> criterion.SweepResult:
+    """Sweep one chart; a violating chart returns its result instead of
+    raising, so the other charts still run and the report lists every row
+    (the exception does not survive pickling back from a worker)."""
+    try:
+        return criterion.sweep_v(*task)
+    except criterion.PropositionViolation as exc:
+        return exc.result
 
 
-def partition_w(w_classes: list, jobs: int) -> list[list]:
-    """Round-robin split of the abelian-factor stream into at most `jobs`
-    non-empty chunks, one task each."""
-    return [w_classes[i::jobs] for i in range(min(jobs, len(w_classes)))]
-
-
-def run_chart_sweep(
-    h: int,
-    r: int,
-    order_divides: int,
-    mode: str,
-    include_age_one: bool,
-    jobs: int = 1,
-) -> criterion.SweepResult:
-    """One (h, r) sweep, optionally partitioned over worker processes.
-
-    The partition fans the abelian-factor stream across at most one worker
-    per CPU; the merge is associative, so the result is independent of
-    completion order.
-    """
-    cfg = EnumerationConfig(h, r, order_divides, mode)
-    w_classes = enumeration.abelian_factor_classes(cfg)
-    if jobs <= 1:
-        return criterion.finalize_sweep(
-            criterion.fold_chart(cfg, w_classes, include_age_one)
-        )
-    tasks = [
-        (chunk, cfg, include_age_one) for chunk in partition_w(list(w_classes), jobs)
-    ]
-    if not tasks:
-        return criterion.fold_chart(cfg, (), include_age_one)
-    workers = min(len(tasks), os.cpu_count() or 1)
+def sweep_charts(tasks: list[tuple], jobs: int) -> list[criterion.SweepResult]:
+    """Sweep each (h, r, order_divides, mode, include_age_one) chart, in
+    task order, on at most one worker process per job, chart and CPU."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_chart(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_sweep_worker, tasks))
-    result = parts[0]
-    for part in parts[1:]:
-        result = criterion.merge_sweeps(result, part)
-    return criterion.finalize_sweep(result)
+        return list(pool.map(_chart, tasks))
 
 
 def _echo_config(args: argparse.Namespace, command: str) -> dict:
@@ -200,9 +166,6 @@ def _echo_config(args: argparse.Namespace, command: str) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Report, int]:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
     include_age_one = args.threshold == "terminal"
     report = Report(config=_echo_config(args, "sweep"))
 
@@ -241,8 +204,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
         report.minima.append(minima)
         return report, EXIT_OK
 
-    result = run_chart_sweep(
-        args.h, args.r, args.order_divides, args.mode, include_age_one, jobs
+    [result] = sweep_charts(
+        [(args.h, args.r, args.order_divides, args.mode, include_age_one)], args.jobs
     )
     minima, exceptions, violations = sweep_rows(result)
     report.minima.append(minima)
@@ -255,17 +218,15 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
 def _cmd_exceptions(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[Report, int]:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.g < 1:
         parser.error("--g must be >= 1")
     include_age_one = args.threshold == "terminal"
     report = Report(config=_echo_config(args, "exceptions"))
-    for h in range(1, args.g + 1):
-        result = run_chart_sweep(
-            h, args.g - h, args.order_divides, args.mode, include_age_one, jobs
-        )
+    tasks = [
+        (h, args.g - h, args.order_divides, args.mode, include_age_one)
+        for h in range(1, args.g + 1)
+    ]
+    for result in sweep_charts(tasks, args.jobs):
         result = criterion.check_exception_catalog(result)
         minima, exceptions, violations = sweep_rows(result)
         report.minima.append(minima)

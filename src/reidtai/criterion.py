@@ -20,10 +20,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
 
+from . import enumeration
 from .enumeration import (
     ElementClass,
     EnumerationConfig,
-    abelian_factor_classes,
     lattice_factor_classes,
     ppav_classes,
 )
@@ -38,6 +38,18 @@ from .rotations import (
 )
 
 ONE = Fraction(1)
+
+
+def age_kind(min_age: Fraction | None) -> str:
+    """The age criterion on a minimum age: above 1 is terminal, exactly 1
+    canonical, below 1 neither; no age at all is empty."""
+    if min_age is None:
+        return "empty"
+    if min_age > ONE:
+        return "terminal"
+    if min_age == ONE:
+        return "canonical"
+    return "not-canonical"
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,12 +88,9 @@ def rst_verdict(tangent_of: Callable[[int], Spectrum], order: int) -> Verdict:
     if best is None:
         raise ValueError("every power acts trivially: no germ to classify")
     min_age, k = best
-    if min_age > ONE:
-        kind = "terminal"
-    elif min_age == ONE:
+    kind = age_kind(min_age)
+    if kind == "canonical":
         kind = "canonical-not-terminal"
-    else:
-        kind = "not-canonical"
     return Verdict(kind, k, min_age)
 
 
@@ -120,7 +129,8 @@ class PropositionViolation(Exception):
 
 @dataclass(frozen=True, slots=True)
 class SweepResult:
-    """Fold state of a chart sweep; merging is associative and commutative."""
+    """Result of a chart sweep: the minimum age with its witnesses and the
+    rows at or below the threshold."""
 
     h: int
     r: int
@@ -230,8 +240,7 @@ def fold_chart(
     identity pair is not counted.  Classes, Fractions and the order-2
     check are built only for the rows the result reports: the minimum's
     witnesses and the rows below 1 (or at 1 with include_age_one).
-    Violations are collected, not raised, so folds over a partition of
-    the W stream can be merged before deciding.
+    Violations are collected, not raised; :func:`sweep_v` decides.
     """
     n = cfg.order_divides
     lams = list(lattice_factor_classes(cfg))
@@ -294,35 +303,6 @@ def fold_chart(
     )
 
 
-def merge_sweeps(a: SweepResult, b: SweepResult) -> SweepResult:
-    """Combine two partition folds over the same (h, r)."""
-    if (a.h, a.r) != (b.h, b.r):
-        raise ValueError("cannot merge sweeps over different (h, r)")
-    if a.min_age is None or (b.min_age is not None and b.min_age < a.min_age):
-        min_age, witnesses = b.min_age, b.witnesses
-    elif b.min_age is None or a.min_age < b.min_age:
-        min_age, witnesses = a.min_age, a.witnesses
-    else:
-        min_age = a.min_age
-        witnesses = tuple(
-            sorted(a.witnesses + b.witnesses, key=lambda c: c.sort_key)
-        )
-    return SweepResult(
-        a.h,
-        a.r,
-        a.classes_seen + b.classes_seen,
-        min_age,
-        witnesses,
-        tuple(sorted(a.exceptions + b.exceptions, key=lambda e: e.element.sort_key)),
-        tuple(
-            sorted(
-                a.violations + b.violations,
-                key=lambda v: (v.rule, v.element.sort_key),
-            )
-        ),
-    )
-
-
 def sweep_v(
     h: int,
     r: int,
@@ -339,9 +319,9 @@ def sweep_v(
     if h < 1:
         raise ValueError("the chart sweep needs an abelian factor (h >= 1)")
     cfg = EnumerationConfig(h, r, order_divides, constraint_mode)
-    result = finalize_sweep(
-        fold_chart(cfg, abelian_factor_classes(cfg), include_age_one)
-    )
+    # Looked up on the module, where perfbench/spans.py wraps the W stream.
+    w_specs = enumeration.abelian_factor_classes(cfg)
+    result = finalize_sweep(fold_chart(cfg, w_specs, include_age_one))
     if result.violations:
         raise PropositionViolation(result)
     return result
@@ -419,15 +399,7 @@ def interior_verdict(g: int, order_divides: int = 12) -> InteriorSummary:
     if g < 1:
         raise ValueError("genus must be >= 1")
     min_age, witnesses = sweep_sym2(g, order_divides)
-    if min_age is None:
-        kind = "empty"
-    elif min_age > ONE:
-        kind = "terminal"
-    elif min_age == ONE:
-        kind = "canonical"
-    else:
-        kind = "not-canonical"
-    return InteriorSummary(g, min_age, kind, witnesses)
+    return InteriorSummary(g, min_age, age_kind(min_age), witnesses)
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,6 +20,7 @@ from .criterion import (
     SweepResult,
     TorusSummary,
     ViolationRecord,
+    age_kind,
 )
 from .rotations import Spectrum
 
@@ -142,19 +143,11 @@ def torus_rows(summary: TorusSummary) -> tuple[dict, dict]:
 
 def chart_verdict_row(result: SweepResult) -> dict:
     """Informational age classification of one boundary chart."""
-    if result.min_age is None:
-        kind = "empty"
-    elif result.min_age > 1:
-        kind = "terminal"
-    elif result.min_age == 1:
-        kind = "canonical"
-    else:
-        kind = "not-canonical"
     return {
         "stratum": "boundary-chart",
         "h": result.h,
         "r": result.r,
-        "kind": kind,
+        "kind": age_kind(result.min_age),
         "min_age": fraction_str(result.min_age),
     }
 

@@ -30,10 +30,10 @@ def sweep_over(
     classes: Iterable[ElementClass],
     include_age_one: bool = False,
 ) -> SweepResult:
-    """Fold ages over an explicit class stream (one parallel partition).
+    """Fold ages over an explicit class stream.
 
     Kernel-flagged classes are skipped.  Violations are collected, not
-    raised, so partitions can be merged before deciding.
+    raised.
     """
     min_age: Fraction | None = None
     witnesses: list[ElementClass] = []

@@ -7,7 +7,7 @@ import pytest
 
 import reidtai.cli
 import reidtai.oracle
-from reidtai.cli import main, partition_w, run_chart_sweep
+from reidtai.cli import main, sweep_charts
 from reidtai.report import Report, parse_json, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -231,17 +231,23 @@ def test_deterministic_outputs(tmp_path, capsys):
 
 
 def test_jobs_do_not_change_bytes(tmp_path, capsys):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    code = main(["sweep", "--h", "1", "--r", "4", "--format", "json",
-                 "--jobs", "1", "--out", str(serial)])
-    capsys.readouterr()
-    assert code == 0
-    code = main(["sweep", "--h", "1", "--r", "4", "--format", "json",
-                 "--jobs", "3", "--out", str(parallel)])
-    capsys.readouterr()
-    assert code == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    # the exceptions run fans its five charts out over a real pool, and
+    # its violation rows come back through it
+    cases = [
+        (("sweep", "--h", "1", "--r", "4"), "3", 0),
+        (("exceptions", "--g", "5", "--mode", "unconstrained",
+          "--threshold", "terminal"), "2", 3),
+    ]
+    for argv, jobs, expected in cases:
+        serial = tmp_path / "serial.json"
+        parallel = tmp_path / "parallel.json"
+        code = main([*argv, "--format", "json", "--jobs", "1", "--out", str(serial)])
+        capsys.readouterr()
+        assert code == expected
+        code = main([*argv, "--format", "json", "--jobs", jobs, "--out", str(parallel)])
+        capsys.readouterr()
+        assert code == expected
+        assert serial.read_bytes() == parallel.read_bytes(), argv
 
 
 def test_oracle_accepts_the_bounds(capsys):
@@ -251,17 +257,6 @@ def test_oracle_accepts_the_bounds(capsys):
     )
     assert code == 0
     assert json.loads(out)["oracle"]["failures"] == 0
-
-
-def test_partition_w_round_robin():
-    items = list(range(10))
-    chunks = partition_w(items, 3)
-    assert chunks == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]
-    assert partition_w(items, 1) == [items]
-    assert partition_w([], 4) == []
-    # more jobs than items: one item per chunk, no empty chunks, and the
-    # cost follows the items, not the job count
-    assert partition_w(items[:3], 10**12) == [[0], [1], [2]]
 
 
 @pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1), (64, 8)])
@@ -284,13 +279,16 @@ def test_fan_out_capped_at_cpu_count(monkeypatch, cpus, expected):
         def map(self, fn, tasks):
             return [fn(task) for task in tasks]
 
-    # h=1 has 8 abelian-factor classes at order bound 12, so --jobs 1000
-    # makes 8 tasks
+    # eight small charts, the four with r < 4 violating the order-2 claim
+    tasks = [(1, r, 12, "integral-both", False) for r in range(8)]
     monkeypatch.setattr(reidtai.cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(reidtai.cli.os, "cpu_count", lambda: cpus)
-    fanned = run_chart_sweep(1, 4, 12, "integral-both", False, jobs=1000)
-    assert sizes == [expected]
-    assert fanned == run_chart_sweep(1, 4, 12, "integral-both", False, jobs=1)
+    serial = sweep_charts(tasks, 1)
+    assert sweep_charts(tasks, 1000) == serial
+    # a pool of min(jobs, charts, cpus), and none when that is 1
+    assert sizes == ([] if expected == 1 else [expected])
+    assert sweep_charts(tasks[:1], 1000) == serial[:1]
+    assert sizes == ([] if expected == 1 else [expected])
 
 
 def test_jobs_env_default(tmp_path, capsys, monkeypatch):
@@ -307,6 +305,14 @@ def test_jobs_env_default(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert viaenv.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_jobs_env_rejects_bad_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("REIDTAI_JOBS", value)
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--h", "1", "--r", "4"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize(

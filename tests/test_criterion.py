@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from reference_fold import sweep_over
 from reidtai import criterion
 from reidtai.criterion import (
     ExceptionRecord,
@@ -22,7 +21,6 @@ from reidtai.criterion import (
     dedupe_exceptions,
     exceptional_shape,
     interior_verdict,
-    merge_sweeps,
     reduction_support,
     rst_verdict,
     sweep_sym2,
@@ -31,8 +29,6 @@ from reidtai.criterion import (
 )
 from reidtai.enumeration import (
     ElementClass,
-    EnumerationConfig,
-    element_classes,
     rotation_universe,
 )
 from reidtai.functors import age, power, sym2, tensor, v_spectrum
@@ -172,16 +168,6 @@ def test_sweep_threshold_terminal_rows():
     assert not any(rec.matches_iii for rec in wide.exceptions)
 
 
-def test_sweep_over_merge_matches_serial():
-    cfg = EnumerationConfig(1, 4, 12)
-    classes = list(element_classes(cfg))
-    serial = sweep_over(1, 4, classes)
-    merged = merge_sweeps(
-        sweep_over(1, 4, classes[0::2]), sweep_over(1, 4, classes[1::2])
-    )
-    assert merged == serial
-
-
 def test_central_twin():
     c = ElementClass.build(S("1/2"), S("0, 1/2, 1/2, 1/2"))
     twin = central_twin(c)
@@ -267,12 +253,18 @@ def test_check_exception_catalog():
         (3, "not-canonical", F(2, 3)),
         (5, "canonical", F(1)),
         (6, "terminal", F(7, 6)),
+        (1, "not-canonical", F(1, 3)),
+        (2, "not-canonical", F(1, 2)),
+        (4, "not-canonical", F(5, 6)),
+        (7, "terminal", F(4, 3)),
     ],
 )
 def test_interior_verdicts(g, kind, min_age):
     summary = interior_verdict(g, 12)
     assert summary.kind == kind
     assert summary.min_age == min_age
+    # the interior minimum is (g + 1)/6
+    assert summary.min_age == F(g + 1, 6)
 
 
 def test_interior_minimizer_shape():

@@ -123,8 +123,8 @@ def test_ppav_filter_vs_assembly(h):
 
 @pytest.mark.parametrize("order_divides, max_h", [(12, 5), (24, 3), (36, 3)])
 def test_ppav_assembly_emits_in_filter_order(order_divides, max_h):
-    # not only the same set: the same sequence, so the W stream, its --jobs
-    # partitions and the rows built from them keep the filter's order
+    # not only the same set: the same sequence, so the W stream and the
+    # rows built from it keep the filter's order
     for h in range(max_h + 1):
         assert list(ppav_classes(h, order_divides)) == list(
             ppav_classes_by_filter(h, order_divides)

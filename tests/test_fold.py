@@ -3,8 +3,7 @@
 ``fold_chart`` computes every age as an integer over N and builds objects
 only for the rows it reports; ``reference_fold.sweep_over`` builds them for
 every pair.  The two must return equal ``SweepResult``s on every chart,
-order bound, mode and threshold checked here, also when the W stream is
-partitioned the way ``--jobs`` partitions it.
+order bound, mode and threshold checked here.
 """
 
 from fractions import Fraction
@@ -14,11 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_fold import sweep_over
-from reidtai.cli import partition_w
 from reidtai.criterion import (
     finalize_sweep,
     fold_chart,
-    merge_sweeps,
     spectrum_numerators,
     sym2_age_num,
     tensor_costs,
@@ -70,27 +67,6 @@ def test_fold_matches_object_route(cfg):
         assert finalize_sweep(folded) == finalize_sweep(expected)
 
 
-@pytest.mark.parametrize(
-    "cfg, include_age_one",
-    [
-        (EnumerationConfig(1, 4, 12), False),
-        (EnumerationConfig(2, 1, 12, "unconstrained"), True),
-        (EnumerationConfig(2, 1, 24, "integral-lambda-only"), True),
-    ],
-)
-def test_partitioned_fold_matches_object_route(cfg, include_age_one):
-    ws = list(abelian_factor_classes(cfg))
-    expected = finalize_sweep(
-        sweep_over(cfg.h, cfg.r, element_classes_for(ws, cfg), include_age_one)
-    )
-    for jobs in (2, 3, 5):
-        parts = [fold_chart(cfg, chunk, include_age_one) for chunk in partition_w(ws, jobs)]
-        merged = parts[0]
-        for part in parts[1:]:
-            merged = merge_sweeps(merged, part)
-        assert finalize_sweep(merged) == expected
-
-
 def _spectra(n, min_size=0):
     # Entries 0 and 1/2 are drawn often, so +-1 pairs (the chart's kernel)
     # come up as well as generic ones.
@@ -119,22 +95,3 @@ def test_integer_ages_match_fraction_ages(data):
 def test_numerators_reject_orders_outside_the_bound():
     with pytest.raises(ValueError):
         spectrum_numerators(Spectrum.of([rot(1, 5)]), 12)
-
-
-# A chart with rows below and at 1 and with order-2 violations, so every
-# field of a SweepResult is exercised by the merge.
-_MERGE_CFG = EnumerationConfig(1, 2, 12, "unconstrained")
-_MERGE_W = list(abelian_factor_classes(_MERGE_CFG))
-_MERGE_ALL = fold_chart(_MERGE_CFG, _MERGE_W, True)
-
-
-@settings(max_examples=30, deadline=None)
-@given(labels=st.lists(st.integers(0, 2), min_size=len(_MERGE_W), max_size=len(_MERGE_W)))
-def test_merge_sweeps_commutative_and_associative(labels):
-    a, b, c = (
-        fold_chart(_MERGE_CFG, [w for w, k in zip(_MERGE_W, labels) if k == part], True)
-        for part in range(3)
-    )
-    assert merge_sweeps(a, b) == merge_sweeps(b, a)
-    assert merge_sweeps(merge_sweeps(a, b), c) == merge_sweeps(a, merge_sweeps(b, c))
-    assert merge_sweeps(merge_sweeps(a, b), c) == _MERGE_ALL
