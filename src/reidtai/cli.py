@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
-from . import criterion, oracle
+from . import criterion
 from .enumeration import CONSTRAINT_MODES
 from .report import (
     RENDERERS,
@@ -26,7 +26,9 @@ from .report import (
     sym2_minima_row,
     torus_rows,
 )
-from .rotations import MAX_DENOMINATOR
+from .rotations import (
+    DEFAULT_TOLERANCE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE, MIN_DEGREE,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,6 +59,10 @@ def _in_range(
 _order_bound = _in_range(
     int, lambda n: 1 <= n <= MAX_DENOMINATOR, f"must be in 1..{MAX_DENOMINATOR}"
 )
+_out_path = _in_range(
+    Path, lambda p: p.parent.is_dir() and not p.is_dir(),
+    "must name a file in an existing directory",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", choices=("canonical", "terminal"), default="canonical",
         help="report ages < 1, or also the exact-1 boundary rows",
     )
-    common.add_argument("--out", metavar="PATH", help="also write the report here")
+    common.add_argument(
+        "--out", type=_out_path, metavar="PATH", help="also write the report here"
+    )
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="text",
     )
@@ -114,20 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--seed", type=int, default=0)
     p_orc.add_argument(
         "--max-degree", default=8,
-        type=_in_range(
-            int, lambda d: d >= oracle.MIN_DEGREE, f"must be >= {oracle.MIN_DEGREE}"
-        ),
+        type=_in_range(int, lambda d: d >= MIN_DEGREE, f"must be >= {MIN_DEGREE}"),
     )
     p_orc.add_argument("--order-divides", type=_order_bound, default=36, metavar="N")
     p_orc.add_argument(
-        "--tol", default=oracle.DEFAULT_TOLERANCE,
+        "--tol", default=DEFAULT_TOLERANCE,
         type=_in_range(
             float,
-            lambda t: 0 < t <= oracle.MAX_MATCH_TOLERANCE,
-            f"must be in (0, {oracle.MAX_MATCH_TOLERANCE}]",
+            lambda t: 0 < t <= MAX_MATCH_TOLERANCE,
+            f"must be in (0, {MAX_MATCH_TOLERANCE}]",
         ),
     )
-    p_orc.add_argument("--out", metavar="PATH")
+    p_orc.add_argument("--out", type=_out_path, metavar="PATH")
     p_orc.add_argument("--format", choices=("json", "csv", "text"), default="text")
     return parser
 
@@ -250,6 +256,8 @@ def _cmd_oracle(
         "tol": args.tol,
     }
     report = Report(config=config)
+    from . import oracle  # numpy is imported only when the oracle runs
+
     try:
         cases = oracle.run_oracle_cases(
             args.samples, args.seed, args.max_degree, args.order_divides, args.tol
@@ -277,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        args.out.write_text(rendered, encoding="utf-8")
     if code == EXIT_VIOLATION:
         for row in report.violations:
             print(

@@ -27,7 +27,7 @@ from .enumeration import (
     lattice_factor_classes,
     ppav_classes,
 )
-from .functors import age, fixed_multiplicity, forms_spectrum, sym2, v_spectrum
+from .functors import age, fixed_multiplicity, forms_spectrum, v_spectrum
 from .rotations import (
     HALF,
     ZERO,
@@ -229,9 +229,11 @@ def _chart_order(element: ElementClass) -> int:
 def fold_chart(
     cfg: EnumerationConfig,
     w_specs: Iterable[Spectrum],
+    lams: Iterable[Spectrum],
     include_age_one: bool = False,
 ) -> SweepResult:
-    """Fold chart ages over every (W, Lambda) pair with W from w_specs.
+    """Fold chart ages over every (W, Lambda) pair, W from w_specs and
+    Lambda from lams.
 
     Ages are integers over N = cfg.order_divides.  Each W costs one
     symmetric-square age and one tensor cost per lattice numerator, so a
@@ -241,9 +243,12 @@ def fold_chart(
     check are built only for the rows the result reports: the minimum's
     witnesses and the rows below 1 (or at 1 with include_age_one).
     Violations are collected, not raised; :func:`sweep_v` decides.
+
+    With lams = [Spectrum()] the chart is Sym^2 W alone and the kernel is
+    +-1: the interior, the Sym^2 table and the torus forms space.
     """
     n = cfg.order_divides
-    lams = list(lattice_factor_classes(cfg))
+    lams = list(lams)
     lam_nums = [spectrum_numerators(b, n) for b in lams]
     ys = {y for lam in lam_nums for y in lam}
     identity_lam = any(b.is_identity() for b in lams)
@@ -321,7 +326,8 @@ def sweep_v(
     cfg = EnumerationConfig(h, r, order_divides, constraint_mode)
     # Looked up on the module, where perfbench/spans.py wraps the W stream.
     w_specs = enumeration.abelian_factor_classes(cfg)
-    result = finalize_sweep(fold_chart(cfg, w_specs, include_age_one))
+    lams = lattice_factor_classes(cfg)
+    result = finalize_sweep(fold_chart(cfg, w_specs, lams, include_age_one))
     if result.violations:
         raise PropositionViolation(result)
     return result
@@ -355,8 +361,13 @@ def check_exception_catalog(result: SweepResult) -> SweepResult:
     return replace(result, violations=merged)
 
 
-def _is_plus_minus_one(a: Spectrum) -> bool:
-    return a.is_identity() or all(q == HALF for q in a.entries)
+def _sym2_minimum(
+    dim: int, order_divides: int, spectra: Iterable[Spectrum]
+) -> tuple[Fraction | None, tuple[Spectrum, ...]]:
+    """Minimum symmetric-square age over dimension-dim spectra other than
+    +-1, with the sorted minimizers: the chart fold at r = 0."""
+    result = fold_chart(EnumerationConfig(dim, 0, order_divides), spectra, [Spectrum()])
+    return result.min_age, tuple(c.w_spec for c in result.witnesses)
 
 
 def sweep_sym2(
@@ -366,20 +377,7 @@ def sweep_sym2(
     +-1, with the list of minimizers."""
     if h < 1:
         raise ValueError("symmetric-square sweep needs h >= 1")
-    min_age: Fraction | None = None
-    minimizers: list[Spectrum] = []
-    for a in ppav_classes(h, order_divides):
-        if _is_plus_minus_one(a):
-            continue
-        value = age(sym2(a))
-        if min_age is None or value < min_age:
-            min_age = value
-            minimizers = [a]
-        elif value == min_age:
-            minimizers.append(a)
-    return min_age, tuple(
-        sorted(minimizers, key=lambda s: tuple(q.sort_key for q in s.entries))
-    )
+    return _sym2_minimum(h, order_divides, ppav_classes(h, order_divides))
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,23 +419,8 @@ def torus_summary(
     """Minimum forms-space age over lattice classes that act effectively
     there (+-1 on the lattice is the kernel of the forms action)."""
     cfg = EnumerationConfig(0, r, order_divides, constraint_mode)
-    min_age: Fraction | None = None
-    witnesses: list[Spectrum] = []
-    for b in lattice_factor_classes(cfg):
-        forms = forms_spectrum(b)
-        if forms.is_identity():
-            continue
-        value = age(forms)
-        if min_age is None or value < min_age:
-            min_age = value
-            witnesses = [b]
-        elif value == min_age:
-            witnesses.append(b)
-    return TorusSummary(
-        r,
-        min_age,
-        tuple(sorted(witnesses, key=lambda s: tuple(q.sort_key for q in s.entries))),
-    )
+    min_age, witnesses = _sym2_minimum(r, order_divides, lattice_factor_classes(cfg))
+    return TorusSummary(r, min_age, witnesses)
 
 
 def boundary_moved_count(lambda_spec: Spectrum) -> int:
@@ -468,9 +451,7 @@ def reduction_support(n: int, h_max: int) -> Fraction:
             f"orbit degree {degree} exceeds the homology budget {2 * h_max}"
         )
     pairs = [(q, -q) for q in galois_orbit(n).entries if 2 * q.num < q.den]
-    best = min(
-        (age(sym2(Spectrum.of(picks))) for picks in product(*pairs)), default=None
-    )
+    best, _ = _sym2_minimum(degree // 2, n, map(Spectrum.of, product(*pairs)))
     if best is None:
         raise ValueError(f"order {n} yields no candidate spectrum")
     return best

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .functors import v_spectrum
 from .rotations import (
@@ -198,19 +198,11 @@ def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[Spectrum]:
         yield from lattice_classes(cfg.r, cfg.order_divides)
 
 
-def element_classes_for(
-    w_subset: Iterable[Spectrum], cfg: EnumerationConfig
-) -> Iterator[ElementClass]:
-    """Classes for an explicit W-side subset, so one part of a partitioned
-    W stream can be enumerated on its own.  Skips the identity pair."""
+def element_classes(cfg: EnumerationConfig) -> Iterator[ElementClass]:
+    """Every non-identity class for the config, kernel classes flagged."""
     lams = list(lattice_factor_classes(cfg))
-    for w in w_subset:
+    for w in abelian_factor_classes(cfg):
         for b in lams:
             if w.is_identity() and b.is_identity():
                 continue
             yield ElementClass.build(w, b)
-
-
-def element_classes(cfg: EnumerationConfig) -> Iterator[ElementClass]:
-    """Every non-identity class for the config, kernel classes flagged."""
-    yield from element_classes_for(abelian_factor_classes(cfg), cfg)

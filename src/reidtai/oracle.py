@@ -17,15 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .functors import sym2, tensor
-from .rotations import OrbitSignature, Spectrum, divisors, element_order, totient
-
-# The closest two distinct rationals with denominator <= 360 can get is
-# 1/(359*360) ~ 7.7e-6, so any matching tolerance at or below 1e-6 assigns
-# angles unambiguously.
-MAX_MATCH_TOLERANCE = 1e-6
-DEFAULT_TOLERANCE = 1e-9
-# Smallest total degree of a sampled signature; --max-degree may not go below.
-MIN_DEGREE = 1
+from .rotations import (
+    DEFAULT_TOLERANCE, MAX_MATCH_TOLERANCE, MIN_DEGREE,
+    OrbitSignature, Spectrum, divisors, element_order, totient,
+)
 
 
 class OracleFailure(RuntimeError):

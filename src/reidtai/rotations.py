@@ -19,6 +19,15 @@ from typing import Iterable, Iterator
 # numerators and denominators stay tiny; construction enforces the cap.
 MAX_DENOMINATOR = 360
 
+# Limits of the numeric oracle, kept here so that reading them does not
+# import numpy.  The closest two distinct rationals with denominator <= 360
+# can get is 1/(359*360) ~ 7.7e-6, so any matching tolerance at or below
+# 1e-6 assigns angles unambiguously.
+MAX_MATCH_TOLERANCE = 1e-6
+DEFAULT_TOLERANCE = 1e-9
+# Smallest total degree of a sampled signature; --max-degree may not go below.
+MIN_DEGREE = 1
+
 
 @dataclass(frozen=True, slots=True)
 class RotationNumber:

@@ -19,9 +19,23 @@ from reidtai.criterion import (
     ViolationRecord,
     exceptional_shape,
 )
-from reidtai.enumeration import ElementClass
+from reidtai.enumeration import ElementClass, EnumerationConfig, lattice_factor_classes
 from reidtai.functors import age, sym2, tensor
-from reidtai.rotations import element_order
+from reidtai.rotations import Spectrum, element_order
+
+
+def classes_for(
+    w_subset: Iterable[Spectrum], cfg: EnumerationConfig
+) -> list[ElementClass]:
+    """The classes of the chart whose W lies in w_subset, with every Lambda
+    of the config's lattice stream; the identity pair is skipped."""
+    lams = list(lattice_factor_classes(cfg))
+    return [
+        ElementClass.build(w, b)
+        for w in w_subset
+        for b in lams
+        if not (w.is_identity() and b.is_identity())
+    ]
 
 
 def sweep_over(

@@ -1,6 +1,9 @@
 """Driver behavior: flags, exit codes, report formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from reidtai.cli import main, sweep_charts
 from reidtai.report import Report, parse_json, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +117,9 @@ def test_exceptions_stable_under_larger_bound(capsys):
         ("oracle", "--tol", "1e-3"),
         ("oracle", "--tol", "nan"),
         ("oracle", "--max-degree", "0"),
+        ("exceptions", "--g", "2", "--out", "/nonexistent/d/x.json"),
+        ("exceptions", "--g", "2", "--out", str(Path(__file__).parent)),
+        ("oracle", "--samples", "1", "--out", str(Path(__file__).parent)),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -331,3 +338,15 @@ def test_golden_reports(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the oracle needs numpy; the sweeps must not pay for its import
+    script = "import sys, reidtai.cli; sys.exit('numpy' in sys.modules)"
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr or "numpy was imported"

@@ -257,6 +257,7 @@ def test_check_exception_catalog():
         (2, "not-canonical", F(1, 2)),
         (4, "not-canonical", F(5, 6)),
         (7, "terminal", F(4, 3)),
+        (8, "terminal", F(3, 2)),
     ],
 )
 def test_interior_verdicts(g, kind, min_age):

@@ -3,7 +3,9 @@
 ``fold_chart`` computes every age as an integer over N and builds objects
 only for the rows it reports; ``reference_fold.sweep_over`` builds them for
 every pair.  The two must return equal ``SweepResult``s on every chart,
-order bound, mode and threshold checked here.
+order bound, mode and threshold checked here.  The Sym^2 table and the
+torus run the same fold at r = 0, so they are checked against the
+reference on the r = 0 chart.
 """
 
 from fractions import Fraction
@@ -12,20 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_fold import sweep_over
+from reference_fold import classes_for, sweep_over
 from reidtai.criterion import (
     finalize_sweep,
     fold_chart,
     spectrum_numerators,
+    sweep_sym2,
     sym2_age_num,
     tensor_costs,
+    torus_summary,
 )
 from reidtai.enumeration import (
     CONSTRAINT_MODES,
+    ElementClass,
     EnumerationConfig,
     abelian_factor_classes,
-    element_classes_for,
     lattice_factor_classes,
+    ppav_classes,
 )
 from reidtai.functors import age, sym2, tensor, v_spectrum
 from reidtai.rotations import Spectrum, rot
@@ -59,12 +64,37 @@ def _w_sample(cfg):
 )
 def test_fold_matches_object_route(cfg):
     ws = _w_sample(cfg)
-    classes = list(element_classes_for(ws, cfg))
+    classes = classes_for(ws, cfg)
     for include_age_one in (False, True):
         expected = sweep_over(cfg.h, cfg.r, classes, include_age_one)
-        folded = fold_chart(cfg, ws, include_age_one)
+        folded = fold_chart(cfg, ws, lattice_factor_classes(cfg), include_age_one)
         assert folded == expected
         assert finalize_sweep(folded) == finalize_sweep(expected)
+
+
+def _reference_sym2_minimum(dim, spectra):
+    # the r = 0 chart: V = Sym^2, whose kernel is +-1
+    classes = [ElementClass.build(s, Spectrum()) for s in spectra]
+    result = sweep_over(dim, 0, classes)
+    return result.min_age, tuple(c.w_spec for c in result.witnesses)
+
+
+@pytest.mark.parametrize(
+    "n, h", [(12, h) for h in range(1, 7)] + [(n, h) for n in (24, 36) for h in (1, 2, 3, 4)]
+)
+def test_sym2_table_matches_object_route(n, h):
+    assert sweep_sym2(h, n) == _reference_sym2_minimum(h, ppav_classes(h, n))
+
+
+@pytest.mark.parametrize("n, r_max", [(12, 5), (24, 3), (36, 3)])
+@pytest.mark.parametrize("mode", CONSTRAINT_MODES)
+def test_torus_matches_object_route(n, r_max, mode):
+    # the forms space is Sym^2 of the lattice, so the fold runs on lattice
+    # spectra; unconstrained rank 5 at N = 36 alone has 658,008 of them
+    for r in range(r_max + 1):
+        lams = lattice_factor_classes(EnumerationConfig(0, r, n, mode))
+        summary = torus_summary(r, n, mode)
+        assert (summary.min_age, summary.witnesses) == _reference_sym2_minimum(r, lams)
 
 
 def _spectra(n, min_size=0):
