@@ -6,10 +6,11 @@ some power dips below; an element whose fixed locus has codimension one
 (exactly one nonzero eigenvalue) invalidates the test and is reported as a
 quasi-reflection.
 
-The sweeps fold those ages over the enumeration streams.  Two facts are
-machine-checked while folding, not merely reported: every below-1 class
-must act with order exactly 2 on the chart, and (at the catalog level)
-must have the unique exceptional shape.  A failed check raises
+The sweeps fold those ages over the enumeration streams.  Three facts are
+machine-checked while folding, not merely reported: a class acting
+trivially on the chart must be +-1, every below-1 class must act with
+order exactly 2 on the chart, and (at the catalog level) must have the
+unique exceptional shape.  A failed check raises
 :class:`PropositionViolation` rather than producing a report row.
 """
 
@@ -24,8 +25,13 @@ from . import enumeration
 from .enumeration import (
     ElementClass,
     EnumerationConfig,
+    State,
+    as_spectrum,
     lattice_factor_classes,
-    ppav_classes,
+    lattice_residues,
+    multiset_states,
+    numerators,
+    spectrum_state,
 )
 from .functors import age, fixed_multiplicity, forms_spectrum, v_spectrum
 from .rotations import (
@@ -109,7 +115,7 @@ class ExceptionRecord:
 class ViolationRecord:
     """A machine-checked claim that failed, with the offending class."""
 
-    rule: str  # "order-2" | "exception-shape"
+    rule: str  # "kernel" | "order-2" | "exception-shape"
     element: ElementClass
     age_v: Fraction
     v_order: int
@@ -201,87 +207,87 @@ def finalize_sweep(result: SweepResult) -> SweepResult:
     return replace(result, exceptions=dedupe_exceptions(result.exceptions))
 
 
-def spectrum_numerators(s: Spectrum, n: int) -> tuple[int, ...]:
-    """The entries of s as numerators over the common denominator n."""
-    if any(n % q.den for q in s.entries):
-        raise ValueError(f"{s} has an order not dividing {n}")
-    return tuple(q.num * (n // q.den) for q in s.entries)
-
-
-def sym2_age_num(xs: tuple[int, ...], n: int) -> int:
-    """n times the age of the symmetric square: sum over i <= j of
-    (x_i + x_j) mod n."""
-    return sum((x + xs[j]) % n for i, x in enumerate(xs) for j in range(i, len(xs)))
-
-
-def tensor_costs(xs: tuple[int, ...], ys: Iterable[int], n: int) -> dict[int, int]:
-    """For each lattice numerator y, n times the age of W tensored with the
-    single eigenvalue y/n: sum over x of (x + y) mod n.  The tensor block
-    is additive over lattice eigenvalues, so a lattice spectrum costs the
-    sum of its entries' costs."""
-    return {y: sum((x + y) % n for x in xs) for y in ys}
-
-
 def _chart_order(element: ElementClass) -> int:
     return element_order(v_spectrum(element.w_spec, element.lambda_spec))
 
 
+def _plus_minus_one(xs: tuple[int, ...], ys: tuple[int, ...], n: int) -> bool:
+    """True iff the pair acts as +1 or -1: one common entry, 0 or 1/2."""
+    values = set(xs).union(ys)
+    return len(values) <= 1 and all(2 * v % n == 0 for v in values)
+
+
 def fold_chart(
     cfg: EnumerationConfig,
-    w_specs: Iterable[Spectrum],
+    w_states: Iterable[State],
     lams: Iterable[Spectrum],
     include_age_one: bool = False,
 ) -> SweepResult:
-    """Fold chart ages over every (W, Lambda) pair, W from w_specs and
-    Lambda from lams.
+    """Fold chart ages over every (W, Lambda) pair, W from the integer
+    states w_states (costs indexed by ``lattice_residues(cfg)``, as
+    ``enumeration.abelian_factor_classes(cfg)`` yields them) and Lambda
+    from lams.
 
-    Ages are integers over N = cfg.order_divides.  Each W costs one
-    symmetric-square age and one tensor cost per lattice numerator, so a
-    pair's chart age is a sum of precomputed integers.  Age 0 means the
-    pair acts trivially on the chart (the kernel) and is skipped; the
-    identity pair is not counted.  Classes, Fractions and the order-2
-    check are built only for the rows the result reports: the minimum's
-    witnesses and the rows below 1 (or at 1 with include_age_one).
-    Violations are collected, not raised; :func:`sweep_v` decides.
+    Ages are integers over N = cfg.order_divides: a pair's chart age is
+    the state's Sym^2 age plus its tensor costs at Lambda's entries.  Age 0
+    means the pair acts trivially on the chart (the kernel) and is skipped;
+    the identity pair is not counted.  The kernel must be +-1: a zero-age
+    pair that is not becomes a ``kernel`` violation.  Spectra, classes,
+    Fractions and the order-2 check are built only for the rows the result
+    reports: the minimum's witnesses and the rows below 1 (or at 1 with
+    include_age_one).  Violations are collected, not raised;
+    :func:`sweep_v` decides.
 
     With lams = [Spectrum()] the chart is Sym^2 W alone and the kernel is
     +-1: the interior, the Sym^2 table and the torus forms space.
     """
     n = cfg.order_divides
     lams = list(lams)
-    lam_nums = [spectrum_numerators(b, n) for b in lams]
-    ys = {y for lam in lam_nums for y in lam}
+    position = {y: k for k, y in enumerate(lattice_residues(cfg))}
+    lam_cols = [tuple(position[y] for y in numerators(b, n)) for b in lams]
     identity_lam = any(b.is_identity() for b in lams)
     limit = n if include_age_one else n - 1
     seen = 0
     best: int | None = None
     # Reported rows stay integer references until the fold is done:
-    # witnesses as (w, lattice index), threshold rows with their sym2 and
-    # chart ages appended.
-    witnesses: list[tuple[Spectrum, int]] = []
-    rows: list[tuple[Spectrum, int, int, int]] = []
-    for w in w_specs:
-        xs = spectrum_numerators(w, n)
-        a2 = sym2_age_num(xs, n)
-        cost = tensor_costs(xs, ys, n).__getitem__
-        ages = [a2 + sum(map(cost, lam)) for lam in lam_nums]
+    # witnesses and zero-age pairs as (entries, lattice index), threshold
+    # rows with their sym2 and chart ages appended.
+    witnesses: list[tuple[tuple[int, ...], int]] = []
+    kernel: list[tuple[tuple[int, ...], int]] = []
+    rows: list[tuple[tuple[int, ...], int, int, int]] = []
+    for xs, a2, cost in w_states:
+        cost_at = cost.__getitem__
+        ages = [a2 + sum(map(cost_at, cols)) for cols in lam_cols]
         seen += len(ages)
-        if identity_lam and w.is_identity():
+        if identity_lam and not any(xs):
             seen -= 1
+        if 0 in ages:
+            kernel.extend((xs, j) for j, av in enumerate(ages) if av == 0)
         low = min(filter(None, ages), default=None)
         if low is None:
             continue
         if best is None or low < best:
             best, witnesses = low, []
         if low == best:
-            witnesses.extend((w, j) for j, av in enumerate(ages) if av == low)
+            witnesses.extend((xs, j) for j, av in enumerate(ages) if av == low)
         if low <= limit:
-            rows.extend((w, j, a2, av) for j, av in enumerate(ages) if 0 < av <= limit)
+            rows.extend((xs, j, a2, av) for j, av in enumerate(ages) if 0 < av <= limit)
+
+    spectra: dict[tuple[int, ...], Spectrum] = {}  # one per W, shared by its rows
+
+    def element(xs: tuple[int, ...], j: int) -> ElementClass:
+        if xs not in spectra:
+            spectra[xs] = as_spectrum(xs, n)
+        return ElementClass.build(spectra[xs], lams[j])
 
     exceptions: list[ExceptionRecord] = []
-    violations: list[ViolationRecord] = []
-    for w, j, a2, av in rows:
-        c = ElementClass.build(w, lams[j])
+    violations = [
+        ViolationRecord("kernel", element(xs, j), Fraction(0), 1)
+        for xs, j in kernel
+        if not _plus_minus_one(xs, numerators(lams[j], n), n)
+    ]
+    for xs, j, a2, av in rows:
+        c = element(xs, j)
         age_v = Fraction(av, n)
         exceptions.append(
             ExceptionRecord(
@@ -297,12 +303,7 @@ def fold_chart(
         cfg.r,
         seen,
         None if best is None else Fraction(best, n),
-        tuple(
-            sorted(
-                (ElementClass.build(w, lams[j]) for w, j in witnesses),
-                key=lambda c: c.sort_key,
-            )
-        ),
+        tuple(sorted((element(xs, j) for xs, j in witnesses), key=lambda c: c.sort_key)),
         tuple(sorted(exceptions, key=lambda e: e.element.sort_key)),
         tuple(sorted(violations, key=lambda v: (v.rule, v.element.sort_key))),
     )
@@ -362,11 +363,12 @@ def check_exception_catalog(result: SweepResult) -> SweepResult:
 
 
 def _sym2_minimum(
-    dim: int, order_divides: int, spectra: Iterable[Spectrum]
+    dim: int, order_divides: int, states: Iterable[State]
 ) -> tuple[Fraction | None, tuple[Spectrum, ...]]:
-    """Minimum symmetric-square age over dimension-dim spectra other than
-    +-1, with the sorted minimizers: the chart fold at r = 0."""
-    result = fold_chart(EnumerationConfig(dim, 0, order_divides), spectra, [Spectrum()])
+    """Minimum symmetric-square age over the states of dimension-dim
+    spectra other than +-1, with the sorted minimizers: the chart fold at
+    r = 0, which reads no costs, so none are needed."""
+    result = fold_chart(EnumerationConfig(dim, 0, order_divides), states, [Spectrum()])
     return result.min_age, tuple(c.w_spec for c in result.witnesses)
 
 
@@ -377,7 +379,9 @@ def sweep_sym2(
     +-1, with the list of minimizers."""
     if h < 1:
         raise ValueError("symmetric-square sweep needs h >= 1")
-    return _sym2_minimum(h, order_divides, ppav_classes(h, order_divides))
+    # Looked up on the module, where perfbench/spans.py wraps the W stream.
+    states = enumeration.abelian_factor_classes(EnumerationConfig(h, 0, order_divides))
+    return _sym2_minimum(h, order_divides, states)
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,8 +422,12 @@ def torus_summary(
 ) -> TorusSummary:
     """Minimum forms-space age over lattice classes that act effectively
     there (+-1 on the lattice is the kernel of the forms action)."""
-    cfg = EnumerationConfig(0, r, order_divides, constraint_mode)
-    min_age, witnesses = _sym2_minimum(r, order_divides, lattice_factor_classes(cfg))
+    if constraint_mode == "unconstrained":
+        states = multiset_states(r, order_divides)
+    else:
+        cfg = EnumerationConfig(0, r, order_divides, constraint_mode)
+        states = (spectrum_state(s, order_divides) for s in lattice_factor_classes(cfg))
+    min_age, witnesses = _sym2_minimum(r, order_divides, states)
     return TorusSummary(r, min_age, witnesses)
 
 
@@ -451,7 +459,8 @@ def reduction_support(n: int, h_max: int) -> Fraction:
             f"orbit degree {degree} exceeds the homology budget {2 * h_max}"
         )
     pairs = [(q, -q) for q in galois_orbit(n).entries if 2 * q.num < q.den]
-    best, _ = _sym2_minimum(degree // 2, n, map(Spectrum.of, product(*pairs)))
+    states = (spectrum_state(Spectrum.of(c), n) for c in product(*pairs))
+    best, _ = _sym2_minimum(degree // 2, n, states)
     if best is None:
         raise ValueError(f"order {n} yields no candidate spectrum")
     return best

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from typing import Iterator
+from functools import lru_cache
+from itertools import product
+from operator import add
+from typing import Iterator, Sequence
 
 from .functors import v_spectrum
 from .rotations import (
@@ -86,11 +88,209 @@ def rotation_universe(order_divides: int) -> tuple[RotationNumber, ...]:
     return tuple(sorted(seen, key=lambda q: q.sort_key))
 
 
+# An integer state (entries, a2, cost) stands for one spectrum W over the
+# order bound N: entries are its numerators over N in canonical order, a2
+# is N * age(Sym^2 W), and cost[k] is N * age(W (x) y) for the k-th lattice
+# residue y, i.e. sum over x in W of (x + y) mod N.  Both ages are additive
+# over a split W = a + b:
+#   a2(a + b) = a2(a) + a2(b) + sum over x in b of cost_a[x],
+#   cost_{a+b} = cost_a + cost_b,
+# so the streams build every state from its prefix and one memoized block.
+State = tuple[tuple[int, ...], int, Sequence[int]]
+
+
+def numerators(s: Spectrum, n: int) -> tuple[int, ...]:
+    """The entries of s as numerators over the common denominator n."""
+    if any(n % q.den for q in s.entries):
+        raise ValueError(f"{s} has an order not dividing {n}")
+    return tuple(q.num * (n // q.den) for q in s.entries)
+
+
+@lru_cache(maxsize=None)
+def _rotations(n: int) -> tuple[RotationNumber, ...]:
+    return tuple(rot(k, n) for k in range(n))
+
+
+def as_spectrum(entries: tuple[int, ...], n: int) -> Spectrum:
+    """The spectrum of a state's entries (numerators over n, canonical order)."""
+    return Spectrum(tuple(map(_rotations(n).__getitem__, entries)))
+
+
+def _block_ages(
+    block: tuple[int, ...], n: int, ys: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """n times the Sym^2 age of a block, and its tensor cost at each y."""
+    a2 = sum((x + block[j]) % n for i, x in enumerate(block) for j in range(i, len(block)))
+    return a2, tuple(sum((x + y) % n for x in block) for y in ys)
+
+
+def spectrum_state(s: Spectrum, n: int, residues: tuple[int, ...] = ()) -> State:
+    """The state of an explicit spectrum, taken whole as one block, with
+    its costs at the given residues."""
+    entries = numerators(s, n)
+    return (entries, *_block_ages(entries, n, residues))
+
+
+def _orbit_residues(d: int, n: int) -> tuple[int, ...]:
+    """The order-d residues over n (d | n), ascending."""
+    return tuple(q.num * (n // d) for q in galois_orbit(d).entries)
+
+
+def lattice_residues(cfg: EnumerationConfig) -> tuple[int, ...]:
+    """The numerators over N that the config's lattice stream can contain,
+    ascending: every residue when unconstrained, else the orders n | N with
+    phi(n) <= r.  The W stream's cost vectors are indexed by them."""
+    n = cfg.order_divides
+    if cfg.r == 0:
+        return ()
+    if cfg.constraint_mode == "unconstrained":
+        return tuple(range(n))
+    return tuple(
+        sorted(x for d in divisors(n) if totient(d) <= cfg.r for x in _orbit_residues(d, n))
+    )
+
+
+def _blocks(level: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
+    """The non-empty blocks a spectrum with room entries left can take at
+    one level, each sorted, in the lexicographic order of ``all_spectra``.
+
+    A single-residue level (orders 1 and 2 of the integral stream, every
+    entry of the unconstrained one) takes plain copies of its residue.  An
+    order-n orbit level, n > 2, comes from m copies of the orbit in the
+    doubled spectrum: each conjugate pair {q, -q} splits as x copies of q
+    and m - x of -q.  The entries run q_1 < ... < q_k < -q_k < ... < -q_1,
+    and lexicographic order takes the most copies of each entry first, so
+    the x_j count down first and m, which fixes the counts m - x_j of the
+    -q_j, last.
+    """
+    if len(level) == 1:
+        return [level * j for j in range(room, 0, -1)]
+    half = len(level) // 2
+    low, high = level[:half], level[half:]
+    top = room // half
+    out = []
+    for split in product(range(top, -1, -1), repeat=half):
+        for m in range(top, max(split) - 1, -1):
+            block = tuple(x for x, c in zip(low, split) for _ in range(c)) + tuple(
+                x for x, c in zip(high, reversed(split)) for _ in range(m - c)
+            )
+            if block:
+                out.append(block)
+    return out
+
+
+def _assemble(
+    levels: list[tuple[int, ...]], dim: int, n: int, residues: tuple[int, ...]
+) -> Iterator[State]:
+    """Every dim-entry state built from at most one block per level, levels
+    in order, in the lexicographic order of the spectra; duplicate-free.
+
+    A block is tried only if the later levels can fill the remaining
+    entries exactly, so no branch dead-ends, and each frame adds one
+    non-empty block, so the recursion is at most dim deep.  Inside the
+    assembly the cost vectors also carry the residues later levels can
+    still add (their Sym^2 cross terms need them), placed after the
+    lattice residues in reverse level order: a prefix vector shrinks as
+    the levels pass, and a finished state keeps the lattice part alone.
+    """
+    if dim < 0:
+        raise ValueError("dimension must be non-negative")
+    width = len(residues)
+    lattice = set(residues)
+    order = list(residues)
+    cut = [0] * len(levels)  # vector width once level i is placed
+    for i in range(len(levels) - 1, -1, -1):
+        cut[i] = len(order)
+        order.extend(x for x in reversed(levels[i]) if x not in lattice)
+    position = {x: k for k, x in enumerate(order)}
+    made: dict[tuple[int, tuple[int, ...], bool], tuple] = {}
+
+    def step(i: int, block: tuple[int, ...], leaf: bool) -> tuple:
+        # a block fits many rooms: build its step once and share it
+        if (i, block, leaf) not in made:
+            ys = tuple(order[: width if leaf else cut[i]])
+            pos = tuple(position[x] for x in block)
+            made[i, block, leaf] = (i + 1, block, pos, *_block_ages(block, n, ys))
+        return made[i, block, leaf]
+
+    # steps[room][i]: the blocks at levels >= i that fit room and leave a
+    # fillable remainder, in stream order, as (next level, block, block
+    # positions, block a2, block cost).
+    steps: list[list[list[tuple]]] = [[[] for _ in range(len(levels) + 1)]]
+    for room in range(1, dim + 1):
+        row: list[list[tuple]] = [[] for _ in range(len(levels) + 1)]
+        for i in range(len(levels) - 1, -1, -1):
+            row[i] = [
+                step(i, b, len(b) == room)
+                for b in _blocks(levels[i], room)
+                if len(b) == room or steps[room - len(b)][i + 1]
+            ] + row[i + 1]
+        steps.append(row)
+
+    def rec(
+        i: int, room: int, entries: tuple[int, ...], a2: int, cost: list[int]
+    ) -> Iterator[State]:
+        for j, block, pos, b2, bcost in steps[room][i]:
+            state = (
+                entries + block,
+                a2 + b2 + sum(map(cost.__getitem__, pos)),
+                # truncated to bcost's width; a list, because CPython
+                # builds tuple(map(...)) by resizing, and keeps up to 2,000
+                # such tuples per size on a free list after they die
+                list(map(add, cost, bcost)),
+            )
+            if len(block) == room:
+                yield state
+            else:
+                yield from rec(j, room - len(block), *state)
+
+    if dim == 0:
+        yield (), 0, [0] * width
+        return
+    yield from rec(0, dim, (), 0, [0] * len(order))
+
+
+def ppav_states(
+    h: int, order_divides: int, residues: tuple[int, ...] = ()
+) -> Iterator[State]:
+    """The states of every dimension-h spectrum of order dividing the bound
+    that extends to an integral action on the doubled homology, with costs
+    at the given residues: one level per orbit order, ascending."""
+    # an order-d orbit fills phi(d)/2 entries of W (the doubled homology
+    # holds the whole orbit), so orders with phi(d) > 2h cannot occur
+    levels = [
+        _orbit_residues(d, order_divides)
+        for d in divisors(order_divides)
+        if totient(d) <= 2 * h
+    ]
+    yield from _assemble(levels, h, order_divides, residues)
+
+
+def multiset_states(
+    dim: int, order_divides: int, residues: tuple[int, ...] = ()
+) -> Iterator[State]:
+    """The states of every dim-multiset over the rotation universe, with
+    costs at the given residues: one level per universe entry."""
+    levels = [(q.num * (order_divides // q.den),) for q in rotation_universe(order_divides)]
+    yield from _assemble(levels, dim, order_divides, residues)
+
+
+def _spectra(states: Iterator[State], n: int) -> Iterator[Spectrum]:
+    for entries, _, _ in states:
+        yield as_spectrum(entries, n)
+
+
 def all_spectra(dim: int, order_divides: int) -> Iterator[Spectrum]:
-    """Every multiset of the given size over the rotation universe."""
-    universe = rotation_universe(order_divides)
-    for combo in combinations_with_replacement(universe, dim):
-        yield Spectrum(combo)
+    """Every multiset of the given size over the rotation universe, in
+    lexicographic order."""
+    yield from _spectra(multiset_states(dim, order_divides), order_divides)
+
+
+def ppav_classes(h: int, order_divides: int) -> Iterator[Spectrum]:
+    """All dimension-h spectra of order dividing the bound that extend to an
+    integral action on the doubled homology; duplicate-free, in the order
+    of ``all_spectra`` (lexicographic in the sorted entries)."""
+    yield from _spectra(ppav_states(h, order_divides), order_divides)
 
 
 def cyclotomic_signatures(dim: int, order_divides: int) -> Iterator[OrbitSignature]:
@@ -120,74 +320,11 @@ def lattice_classes(r: int, order_divides: int) -> Iterator[Spectrum]:
         yield sig.spectrum()
 
 
-def _orbit_blocks(n: int, room: int) -> list[tuple[RotationNumber, ...]]:
-    """The order-n entries a spectrum with room entries left can take, each
-    block sorted, in the lexicographic order of ``all_spectra``.
-
-    Orders 1 and 2 are self-conjugate, so their doubled multiplicity is
-    forced even and they contribute plain copies of 0 and 1/2.  For n > 2
-    the doubled spectrum holds m copies of the order-n orbit, and each
-    conjugate pair {q, -q} splits as x copies of q and m - x of -q.  The
-    entries run q_1 < ... < q_k < -q_k < ... < -q_1, and lexicographic order
-    takes the most copies of each entry first, so the x_j count down first
-    and m, which fixes the counts m - x_j of the -q_j, last.
-    """
-    if n <= 2:
-        q = rot(n - 1, n)  # 0/1 or 1/2
-        return [(q,) * j for j in range(room, -1, -1)]
-    low = [q for q in galois_orbit(n).entries if 2 * q.num < q.den]
-    high = [-q for q in reversed(low)]
-    top = room // (totient(n) // 2)
-    out = []
-    for split in product(range(top, -1, -1), repeat=len(low)):
-        for m in range(top, max(split) - 1, -1):
-            out.append(
-                tuple(q for q, x in zip(low, split) for _ in range(x))
-                + tuple(q for q, x in zip(high, reversed(split)) for _ in range(m - x))
-            )
-    return out
-
-
-def ppav_classes(h: int, order_divides: int) -> Iterator[Spectrum]:
-    """All dimension-h spectra of order dividing the bound that extend to an
-    integral action on the doubled homology; duplicate-free.
-
-    Assembled orbit by orbit, orders ascending, from the blocks of
-    :func:`_orbit_blocks`; a block is tried only if the higher orders can
-    fill the remaining entries exactly, so no branch dead-ends.  The stream
-    keeps the order of ``all_spectra`` (lexicographic in the sorted
-    entries).
-    """
-    if h < 0:
-        raise ValueError("dimension must be non-negative")
-    divs = divisors(order_divides)
-    memo: dict[tuple[int, int], list[tuple[RotationNumber, ...]]] = {}
-
-    def blocks(i: int, room: int) -> list[tuple[RotationNumber, ...]]:
-        if (i, room) not in memo:
-            memo[i, room] = [
-                b
-                for b in _orbit_blocks(divs[i], room)
-                if len(b) == room or (i + 1 < len(divs) and blocks(i + 1, room - len(b)))
-            ]
-        return memo[i, room]
-
-    def rec(i: int, room: int, acc: tuple[RotationNumber, ...]) -> Iterator[Spectrum]:
-        if room == 0:
-            yield Spectrum(acc)
-            return
-        for b in blocks(i, room):
-            yield from rec(i + 1, room - len(b), acc + b)
-
-    yield from rec(0, h, ())
-
-
-def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[Spectrum]:
-    """The W-side stream for a config (validity filter per mode)."""
-    if cfg.constraint_mode == "integral-both":
-        yield from ppav_classes(cfg.h, cfg.order_divides)
-    else:
-        yield from all_spectra(cfg.h, cfg.order_divides)
+def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[State]:
+    """The W-side stream for a config (validity filter per mode), as states
+    with costs at :func:`lattice_residues`."""
+    states = ppav_states if cfg.constraint_mode == "integral-both" else multiset_states
+    yield from states(cfg.h, cfg.order_divides, lattice_residues(cfg))
 
 
 def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[Spectrum]:
@@ -201,7 +338,7 @@ def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[Spectrum]:
 def element_classes(cfg: EnumerationConfig) -> Iterator[ElementClass]:
     """Every non-identity class for the config, kernel classes flagged."""
     lams = list(lattice_factor_classes(cfg))
-    for w in abelian_factor_classes(cfg):
+    for w in _spectra(abelian_factor_classes(cfg), cfg.order_divides):
         for b in lams:
             if w.is_identity() and b.is_identity():
                 continue

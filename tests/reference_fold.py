@@ -4,6 +4,9 @@ It builds a class, the symmetric-square and tensor spectra and their
 Fraction ages for every (W, Lambda) pair: slow, but a direct reading of
 V = Sym^2 W + W (x) Lambda.  ``reidtai.criterion.fold_chart`` must agree
 with it result for result.
+
+The per-W integer ages below recompute, for one whole spectrum, what the
+W stream builds block by block: the reference for its states.
 """
 
 from __future__ import annotations
@@ -22,6 +25,25 @@ from reidtai.criterion import (
 from reidtai.enumeration import ElementClass, EnumerationConfig, lattice_factor_classes
 from reidtai.functors import age, sym2, tensor
 from reidtai.rotations import Spectrum, element_order
+
+
+def spectrum_numerators(s: Spectrum, n: int) -> tuple[int, ...]:
+    """The entries of s as numerators over the common denominator n."""
+    if any(n % q.den for q in s.entries):
+        raise ValueError(f"{s} has an order not dividing {n}")
+    return tuple(q.num * (n // q.den) for q in s.entries)
+
+
+def sym2_age_num(xs: tuple[int, ...], n: int) -> int:
+    """n times the age of the symmetric square: sum over i <= j of
+    (x_i + x_j) mod n."""
+    return sum((x + xs[j]) % n for i, x in enumerate(xs) for j in range(i, len(xs)))
+
+
+def tensor_costs(xs: tuple[int, ...], ys: Iterable[int], n: int) -> dict[int, int]:
+    """For each lattice numerator y, n times the age of W tensored with the
+    single eigenvalue y/n: sum over x of (x + y) mod n."""
+    return {y: sum((x + y) % n for x in xs) for y in ys}
 
 
 def classes_for(

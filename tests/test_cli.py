@@ -332,6 +332,7 @@ def test_jobs_env_rejects_bad_values(capsys, monkeypatch, value):
         ("exceptions_g5.csv", ("exceptions", "--g", "5", "--format", "csv")),
         ("interior_g5.txt", ("sweep", "--interior", "--g", "5",
                              "--format", "text")),
+        ("exceptions_g8.json", ("exceptions", "--g", "8", "--format", "json")),
     ],
 )
 def test_golden_reports(capsys, golden, argv):

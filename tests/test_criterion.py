@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from reidtai import criterion
+from reference_enumeration import multiset_count, ppav_series
+from reidtai import criterion, enumeration
+from reidtai.cli import main
 from reidtai.criterion import (
     ExceptionRecord,
     PropositionViolation,
@@ -29,6 +31,7 @@ from reidtai.criterion import (
 )
 from reidtai.enumeration import (
     ElementClass,
+    EnumerationConfig,
     rotation_universe,
 )
 from reidtai.functors import age, power, sym2, tensor, v_spectrum
@@ -383,3 +386,60 @@ def test_tensor_padding_additivity():
         b = Spectrum.of(rng.choices(universe, k=rng.randrange(0, 4)))
         padded = Spectrum.of(b.entries + (zero,))
         assert age(v_spectrum(a, padded)) == age(v_spectrum(a, b)) + age(a)
+
+
+# The benchmark's traced replay counts the W stream by wrapping
+# ``enumeration.abelian_factor_classes`` on the module.  A sweep that
+# reaches the stream under another name (an imported alias, a renamed
+# stream) would silently drop out of that count, so the contract is held
+# here: one open per chart, with that chart's config, yielding exactly the
+# generating-function count.
+
+
+def _w_count(cfg):
+    if cfg.constraint_mode == "integral-both":
+        return ppav_series(cfg.order_divides, cfg.h)[cfg.h]
+    return multiset_count(cfg.h, cfg.order_divides)
+
+
+@pytest.fixture
+def opened_w_streams(monkeypatch):
+    opened = []
+    stream = enumeration.abelian_factor_classes
+
+    def counting(cfg):
+        entry = [cfg, 0]
+        opened.append(entry)
+        for state in stream(cfg):
+            entry[1] += 1
+            yield state
+
+    monkeypatch.setattr(enumeration, "abelian_factor_classes", counting)
+    return opened
+
+
+@pytest.mark.parametrize("mode", ["integral-both", "integral-lambda-only", "unconstrained"])
+@pytest.mark.parametrize("h, r, n", [(1, 3, 12), (3, 2, 12), (2, 2, 24)])
+def test_sweep_v_opens_the_w_stream_once(opened_w_streams, h, r, n, mode):
+    try:
+        sweep_v(h, r, n, mode)
+    except PropositionViolation:
+        pass  # the relaxed modes meet below-1 classes of other orders
+    cfg = EnumerationConfig(h, r, n, mode)
+    assert opened_w_streams == [[cfg, _w_count(cfg)]]
+
+
+@pytest.mark.parametrize("h, n", [(1, 12), (5, 12), (3, 36)])
+def test_sweep_sym2_opens_the_w_stream_once(opened_w_streams, h, n):
+    sweep_sym2(h, n)
+    interior_verdict(h, n)
+    cfg = EnumerationConfig(h, 0, n)
+    assert opened_w_streams == [[cfg, _w_count(cfg)]] * 2
+
+
+def test_catalog_opens_one_w_stream_per_chart(opened_w_streams):
+    assert main(["exceptions", "--g", "5", "--format", "json"]) == 0
+    assert opened_w_streams == [
+        [EnumerationConfig(h, 5 - h), _w_count(EnumerationConfig(h, 5 - h))]
+        for h in range(1, 6)
+    ]

@@ -5,16 +5,24 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from reference_enumeration import ppav_classes_by_filter
+from reference_enumeration import (
+    all_spectra_by_combinations,
+    lattice_series,
+    ppav_classes_by_filter,
+    ppav_series,
+)
 from reidtai.enumeration import (
+    CONSTRAINT_MODES,
     ElementClass,
     EnumerationConfig,
     abelian_factor_classes,
     all_spectra,
+    as_spectrum,
     cyclotomic_signatures,
     element_classes,
     lattice_classes,
     lattice_factor_classes,
+    lattice_residues,
     ppav_classes,
     rotation_universe,
 )
@@ -56,7 +64,7 @@ def galois_stable(s: Spectrum) -> bool:
 
 
 def brute_ppav_stream(h, order_divides):
-    for s in all_spectra(h, order_divides):
+    for s in all_spectra_by_combinations(h, order_divides):
         if galois_stable(Spectrum.of(s.entries + s.negated().entries)):
             yield s
 
@@ -131,6 +139,45 @@ def test_ppav_assembly_emits_in_filter_order(order_divides, max_h):
         )
 
 
+@pytest.mark.parametrize(
+    "order_divides, max_dim", [(1, 4), (2, 4), (5, 4), (12, 4), (24, 3), (36, 3)]
+)
+def test_all_spectra_emits_combinations_in_order(order_divides, max_dim):
+    for dim in range(max_dim + 1):
+        assert list(all_spectra(dim, order_divides)) == list(
+            all_spectra_by_combinations(dim, order_divides)
+        )
+
+
+_REFERENCE_W = {
+    "integral-both": ppav_classes_by_filter,
+    "integral-lambda-only": all_spectra_by_combinations,
+    "unconstrained": all_spectra_by_combinations,
+}
+
+
+@pytest.mark.parametrize("mode", CONSTRAINT_MODES)
+@pytest.mark.parametrize("order_divides, max_h", [(12, 4), (24, 3), (36, 3)])
+def test_state_stream_views_match_reference_streams(order_divides, max_h, mode):
+    # the W stream's states, read as spectra, are the reference stream
+    # element by element, whatever lattice residues their costs carry
+    for h in range(max_h + 1):
+        for r in (0, 2):
+            cfg = EnumerationConfig(h, r, order_divides, mode)
+            states = abelian_factor_classes(cfg)
+            assert [as_spectrum(xs, order_divides) for xs, _, _ in states] == list(
+                _REFERENCE_W[mode](h, order_divides)
+            )
+
+
+def test_lattice_residues():
+    assert lattice_residues(EnumerationConfig(3, 0, 12)) == ()
+    # orders 1, 2 at rank 1; orders 3, 4, 6 join at rank 2
+    assert lattice_residues(EnumerationConfig(1, 1, 12)) == (0, 6)
+    assert lattice_residues(EnumerationConfig(1, 2, 12)) == (0, 2, 3, 4, 6, 8, 9, 10)
+    assert lattice_residues(EnumerationConfig(1, 1, 12, "unconstrained")) == tuple(range(12))
+
+
 def test_ppav_stream_counts_and_validity():
     expected = {0: 1, 1: 8, 2: 40, 3: 152, 4: 483, 5: 1344}
     for h, count in expected.items():
@@ -171,7 +218,7 @@ def test_element_classes_completeness():
                 stream = list(element_classes(cfg))
                 brute = []
                 for a in brute_ppav_stream(h, order_divides):
-                    for b in all_spectra(r, order_divides):
+                    for b in all_spectra_by_combinations(r, order_divides):
                         if not galois_stable(b):
                             continue
                         if a.is_identity() and b.is_identity():
@@ -252,47 +299,9 @@ def test_constraint_modes():
         assert validate_integral(c.lambda_spec)
 
 
-# Stream sizes against generating functions computed here, sharing no code
-# with the enumerators (not even their totient or divisor helpers).
-
-
-def _phi(n):
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def _series_product(factors, top):
-    """Coefficients x^0..x^top of the product of the given power series."""
-    out = [1] + [0] * top
-    for f in factors:
-        out = [sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(top + 1)]
-    return out
-
-
-def lattice_series(n_bound, top):
-    """prod over n | N of 1 / (1 - x^phi(n)): one geometric series per order."""
-    factors = []
-    for n in range(1, n_bound + 1):
-        if n_bound % n == 0:
-            step = _phi(n)
-            factors.append([int(k % step == 0) for k in range(top + 1)])
-    return _series_product(factors, top)
-
-
-def ppav_series(n_bound, top):
-    """prod over n | N of F_n, with F_n = 1 / (1 - x) for n <= 2 and
-    F_n = sum over m of (m + 1)^(phi(n)/2) x^(m phi(n)/2) otherwise."""
-    factors = []
-    for n in range(1, n_bound + 1):
-        if n_bound % n:
-            continue
-        if n <= 2:
-            factors.append([1] * (top + 1))
-        else:
-            half = _phi(n) // 2
-            factors.append(
-                [(k // half + 1) ** half if k % half == 0 else 0 for k in range(top + 1)]
-            )
-    return _series_product(factors, top)
+# Stream sizes against generating functions computed in
+# reference_enumeration, sharing no code with the enumerators (not even
+# their totient or divisor helpers).
 
 
 def test_generating_series_examples():

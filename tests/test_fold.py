@@ -5,7 +5,8 @@ only for the rows it reports; ``reference_fold.sweep_over`` builds them for
 every pair.  The two must return equal ``SweepResult``s on every chart,
 order bound, mode and threshold checked here.  The Sym^2 table and the
 torus run the same fold at r = 0, so they are checked against the
-reference on the r = 0 chart.
+reference on the r = 0 chart.  The W stream's integer states, built block
+by block, are checked against the per-W ages of ``reference_fold``.
 """
 
 from fractions import Fraction
@@ -14,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_fold import classes_for, sweep_over
-from reidtai.criterion import (
-    finalize_sweep,
-    fold_chart,
+from reference_fold import (
+    classes_for,
     spectrum_numerators,
-    sweep_sym2,
+    sweep_over,
     sym2_age_num,
     tensor_costs,
+)
+from reidtai.criterion import (
+    ViolationRecord,
+    finalize_sweep,
+    fold_chart,
+    sweep_sym2,
     torus_summary,
 )
 from reidtai.enumeration import (
@@ -29,8 +34,12 @@ from reidtai.enumeration import (
     ElementClass,
     EnumerationConfig,
     abelian_factor_classes,
+    as_spectrum,
     lattice_factor_classes,
+    lattice_residues,
+    numerators,
     ppav_classes,
+    spectrum_state,
 )
 from reidtai.functors import age, sym2, tensor, v_spectrum
 from reidtai.rotations import Spectrum, rot
@@ -51,10 +60,10 @@ def _charts():
 
 
 def _w_sample(cfg):
-    ws = list(abelian_factor_classes(cfg))
+    states = list(abelian_factor_classes(cfg))
     lam_count = sum(1 for _ in lattice_factor_classes(cfg))
-    stride = max(1, -(-len(ws) * lam_count // PAIRS_PER_CHART))
-    return ws[::stride]
+    stride = max(1, -(-len(states) * lam_count // PAIRS_PER_CHART))
+    return states[::stride]
 
 
 @pytest.mark.parametrize(
@@ -63,11 +72,11 @@ def _w_sample(cfg):
     ids=lambda c: f"N{c.order_divides}-{c.constraint_mode}-h{c.h}r{c.r}",
 )
 def test_fold_matches_object_route(cfg):
-    ws = _w_sample(cfg)
-    classes = classes_for(ws, cfg)
+    states = _w_sample(cfg)
+    classes = classes_for((as_spectrum(xs, cfg.order_divides) for xs, _, _ in states), cfg)
     for include_age_one in (False, True):
         expected = sweep_over(cfg.h, cfg.r, classes, include_age_one)
-        folded = fold_chart(cfg, ws, lattice_factor_classes(cfg), include_age_one)
+        folded = fold_chart(cfg, states, lattice_factor_classes(cfg), include_age_one)
         assert folded == expected
         assert finalize_sweep(folded) == finalize_sweep(expected)
 
@@ -112,11 +121,11 @@ def test_integer_ages_match_fraction_ages(data):
     n = data.draw(st.sampled_from((12, 24, 36)))
     a = data.draw(_spectra(n, min_size=1))
     b = data.draw(_spectra(n))
-    xs = spectrum_numerators(a, n)
-    ys = spectrum_numerators(b, n)
-    a2 = sym2_age_num(xs, n)
-    cost = tensor_costs(xs, set(ys), n)
+    # a whole spectrum is one block of the W stream
+    ys = numerators(b, n)
+    xs, a2, cost = spectrum_state(a, n, tuple(range(n)))
     at = sum(cost[y] for y in ys)
+    assert xs == spectrum_numerators(a, n)
     assert Fraction(a2, n) == age(sym2(a))
     assert Fraction(at, n) == age(tensor(a, b))
     assert (a2 + at == 0) == v_spectrum(a, b).is_identity()
@@ -124,4 +133,45 @@ def test_integer_ages_match_fraction_ages(data):
 
 def test_numerators_reject_orders_outside_the_bound():
     with pytest.raises(ValueError):
-        spectrum_numerators(Spectrum.of([rot(1, 5)]), 12)
+        numerators(Spectrum.of([rot(1, 5)]), 12)
+    with pytest.raises(ValueError):
+        spectrum_state(Spectrum.of([rot(1, 5)]), 12)
+
+
+# (h, r) charts per order bound: every state of their W streams is checked.
+STATE_CHARTS = {
+    12: ((1, 3), (2, 2), (3, 1), (4, 1), (5, 0), (6, 2)),
+    24: ((1, 2), (2, 2), (3, 1), (4, 0)),
+    36: ((1, 2), (2, 2), (3, 1)),
+}
+
+
+@pytest.mark.parametrize("mode", CONSTRAINT_MODES)
+@pytest.mark.parametrize("n", STATE_CHARTS)
+def test_states_carry_reference_ages(n, mode):
+    # the block-by-block a2 and cost equal the per-W recomputation
+    for h, r in STATE_CHARTS[n]:
+        cfg = EnumerationConfig(h, r, n, mode)
+        ys = lattice_residues(cfg)
+        for xs, a2, cost in abelian_factor_classes(cfg):
+            assert xs == spectrum_numerators(as_spectrum(xs, n), n)
+            assert a2 == sym2_age_num(xs, n)
+            costs = tensor_costs(xs, ys, n)
+            assert list(cost) == [costs[y] for y in ys]
+
+
+def test_fold_records_a_zero_age_pair_that_is_not_plus_minus_one():
+    # A hand-built state claims age 0 for W = {1/4} against Lambda = {1/2}:
+    # that pair moves the chart, so the kernel law must flag it.
+    cfg = EnumerationConfig(1, 1, 12)
+    assert lattice_residues(cfg) == (0, 6)
+    w, lam = Spectrum.of([rot(1, 4)]), Spectrum.of([rot(1, 2)])
+    result = fold_chart(cfg, [((3,), 0, (0, 0))], [lam])
+    c = ElementClass.build(w, lam)
+    assert result.violations == (ViolationRecord("kernel", c, Fraction(0), 1),)
+    assert result.min_age is None
+    # the true -1 pair has age 0 too, and is the kernel: no violation
+    result = fold_chart(cfg, [((6,), 0, (6, 0))], [lam])
+    assert result.violations == ()
+    assert result.min_age is None
+    assert result.classes_seen == 1
