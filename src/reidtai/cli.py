@@ -25,6 +25,7 @@ from .report import (
     sweep_rows,
     sym2_minima_row,
     torus_rows,
+    violation_row,
 )
 from .rotations import (
     DEFAULT_TOLERANCE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE, MIN_DEGREE,
@@ -276,12 +277,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    if args.command == "sweep":
-        report, code = _cmd_sweep(args, parser)
-    elif args.command == "exceptions":
-        report, code = _cmd_exceptions(args, parser)
-    else:
-        report, code = _cmd_oracle(args, parser)
+    command = {"sweep": _cmd_sweep, "exceptions": _cmd_exceptions, "oracle": _cmd_oracle}
+    try:
+        report, code = command[args.command](args, parser)
+    except criterion.PropositionViolation as exc:
+        # the r = 0 folds of sweep raise on a kernel violation: list it as a chart would
+        report = Report(config=_echo_config(args, args.command))
+        report.violations.extend(map(violation_row, exc.result.violations))
+        code = EXIT_VIOLATION
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.out:

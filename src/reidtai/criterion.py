@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable
+from math import gcd
+from typing import Callable, Iterable, Sequence
 
 from . import enumeration
 from .enumeration import (
@@ -33,15 +34,8 @@ from .enumeration import (
     numerators,
     spectrum_state,
 )
-from .functors import age, fixed_multiplicity, forms_spectrum, v_spectrum
-from .rotations import (
-    HALF,
-    ZERO,
-    Spectrum,
-    element_order,
-    galois_orbit,
-    totient,
-)
+from .functors import age, fixed_multiplicity, forms_spectrum
+from .rotations import HALF, ZERO, RotationNumber, Spectrum, galois_orbit, totient
 
 ONE = Fraction(1)
 
@@ -125,12 +119,16 @@ class PropositionViolation(Exception):
     """Raised when a sweep meets a class that contradicts a checked claim."""
 
     def __init__(self, result: SweepResult):
+        super().__init__(result)
         self.result = result
+
+    def __str__(self) -> str:
+        # built when shown: the CLI reads .result and never shows it
         lines = [
             f"{v.rule}: {v.element} age_v={v.age_v} order-on-chart={v.v_order}"
-            for v in result.violations
+            for v in self.result.violations
         ]
-        super().__init__("; ".join(lines) or "proposition violation")
+        return "; ".join(lines) or "proposition violation"
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,6 +170,19 @@ def central_twin(element: ElementClass) -> ElementClass:
     return ElementClass.build(_shifted(element.w_spec), _shifted(element.lambda_spec))
 
 
+def twin_sort_key(element: ElementClass, keys: dict[RotationNumber, tuple]) -> tuple:
+    """``central_twin(element).sort_key`` without building the twin: each
+    entry q gives the key of q + 1/2, cached in keys.  The keys are a
+    Fraction's terms, so the twin's orders may exceed MAX_DENOMINATOR."""
+    w, lam = element.w_spec.entries, element.lambda_spec.entries
+    for q in w + lam:
+        if q not in keys:
+            f = (q.fraction + Fraction(1, 2)) % 1
+            keys[q] = (f.denominator, f.numerator)
+    twin = (tuple(sorted(map(keys.__getitem__, s))) for s in (w, lam))
+    return (element.h, element.r, *twin)
+
+
 def dedupe_exceptions(
     records: Iterable[ExceptionRecord],
 ) -> tuple[ExceptionRecord, ...]:
@@ -183,8 +194,9 @@ def dedupe_exceptions(
     sorts first.  Lifts that age differently raise ValueError.
     """
     groups: dict[tuple, list[ExceptionRecord]] = {}
+    twin_keys: dict[RotationNumber, tuple] = {}  # per entry, shared by the records
     for rec in records:
-        key = min(rec.element.sort_key, central_twin(rec.element).sort_key)
+        key = min(rec.element.sort_key, twin_sort_key(rec.element, twin_keys))
         groups.setdefault(key, []).append(rec)
     out = []
     for group in groups.values():
@@ -207,8 +219,14 @@ def finalize_sweep(result: SweepResult) -> SweepResult:
     return replace(result, exceptions=dedupe_exceptions(result.exceptions))
 
 
-def _chart_order(element: ElementClass) -> int:
-    return element_order(v_spectrum(element.w_spec, element.lambda_spec))
+def chart_order(xs: Sequence[int], ys: Sequence[int], n: int) -> int:
+    """The order of a pair's action on the chart Sym^2 W + W (x) Lambda,
+    from its numerators over n: n // gcd(n, {x_i + x_j}, {x + y})."""
+    return n // gcd(
+        n,
+        *(x + xs[j] for i, x in enumerate(xs) for j in range(i, len(xs))),
+        *(x + y for x in xs for y in ys),
+    )
 
 
 def _plus_minus_one(xs: tuple[int, ...], ys: tuple[int, ...], n: int) -> bool:
@@ -243,7 +261,8 @@ def fold_chart(
     """
     n = cfg.order_divides
     lams = list(lams)
-    position = {y: k for k, y in enumerate(lattice_residues(cfg))}
+    residues = lattice_residues(cfg)
+    position = {y: k for k, y in enumerate(residues)}
     lam_cols = [tuple(position[y] for y in numerators(b, n)) for b in lams]
     identity_lam = any(b.is_identity() for b in lams)
     limit = n if include_age_one else n - 1
@@ -275,27 +294,29 @@ def fold_chart(
 
     spectra: dict[tuple[int, ...], Spectrum] = {}  # one per W, shared by its rows
 
-    def element(xs: tuple[int, ...], j: int) -> ElementClass:
+    def lam_nums(j: int) -> tuple[int, ...]:  # from the columns: a kept list raises peak RSS
+        return tuple(map(residues.__getitem__, lam_cols[j]))
+
+    def element(xs: tuple[int, ...], j: int, kernel: bool = False) -> ElementClass:
+        # the kernel flag is the age's (zero), not the +-1 rule it is checked against
         if xs not in spectra:
             spectra[xs] = as_spectrum(xs, n)
-        return ElementClass.build(spectra[xs], lams[j])
+        ys = lam_nums(j)
+        order = n // gcd(n, *xs, *ys)
+        return ElementClass(len(xs), len(ys), spectra[xs], lams[j], order, kernel)
 
     exceptions: list[ExceptionRecord] = []
     violations = [
-        ViolationRecord("kernel", element(xs, j), Fraction(0), 1)
+        ViolationRecord("kernel", element(xs, j, True), Fraction(0), 1)
         for xs, j in kernel
-        if not _plus_minus_one(xs, numerators(lams[j], n), n)
+        if not _plus_minus_one(xs, lam_nums(j), n)
     ]
     for xs, j, a2, av in rows:
-        c = element(xs, j)
-        age_v = Fraction(av, n)
-        exceptions.append(
-            ExceptionRecord(
-                c, Fraction(a2, n), Fraction(av - a2, n), age_v, exceptional_shape(c)
-            )
-        )
+        c, age_v = element(xs, j), Fraction(av, n)
+        a_sym2, a_tensor = Fraction(a2, n), Fraction(av - a2, n)
+        exceptions.append(ExceptionRecord(c, a_sym2, a_tensor, age_v, exceptional_shape(c)))
         if av < n:
-            v_order = _chart_order(c)
+            v_order = chart_order(xs, lam_nums(j), n)
             if v_order != 2:
                 violations.append(ViolationRecord("order-2", c, age_v, v_order))
     return SweepResult(
@@ -341,25 +362,16 @@ def check_exception_catalog(result: SweepResult) -> SweepResult:
     rows sitting exactly at 1 (threshold=terminal runs) are exempt.
     Returns the result with any failures appended as violations.
     """
-    bad = [
-        ViolationRecord(
-            "exception-shape",
-            rec.element,
-            rec.age_v,
-            _chart_order(rec.element),
-        )
-        for rec in result.exceptions
-        if rec.age_v < ONE and not (rec.matches_iii and rec.age_v == Fraction(1, 2))
-    ]
+    bad = []
+    for rec in result.exceptions:
+        if rec.age_v < ONE and not (rec.matches_iii and rec.age_v == Fraction(1, 2)):
+            c, n = rec.element, rec.element.order
+            order = chart_order(numerators(c.w_spec, n), numerators(c.lambda_spec, n), n)
+            bad.append(ViolationRecord("exception-shape", c, rec.age_v, order))
     if not bad:
         return result
-    merged = tuple(
-        sorted(
-            result.violations + tuple(bad),
-            key=lambda v: (v.rule, v.element.sort_key),
-        )
-    )
-    return replace(result, violations=merged)
+    merged = sorted(result.violations + tuple(bad), key=lambda v: (v.rule, v.element.sort_key))
+    return replace(result, violations=tuple(merged))
 
 
 def _sym2_minimum(
@@ -367,8 +379,13 @@ def _sym2_minimum(
 ) -> tuple[Fraction | None, tuple[Spectrum, ...]]:
     """Minimum symmetric-square age over the states of dimension-dim
     spectra other than +-1, with the sorted minimizers: the chart fold at
-    r = 0, which reads no costs, so none are needed."""
+    r = 0, which reads no costs, so none are needed.  A zero-age state
+    that is not +-1 raises :class:`PropositionViolation` with its
+    ``kernel`` records; the order-2 law is not claimed at r = 0."""
     result = fold_chart(EnumerationConfig(dim, 0, order_divides), states, [Spectrum()])
+    kernel = tuple(v for v in result.violations if v.rule == "kernel")
+    if kernel:
+        raise PropositionViolation(replace(result, violations=kernel))
     return result.min_age, tuple(c.w_spec for c in result.witnesses)
 
 

@@ -172,31 +172,11 @@ def render_csv(report: Report) -> str:
     """Exception catalog as CSV (the other sections live in json/text)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "h",
-            "r",
-            "w_spec",
-            "lambda_spec",
-            "age_sym2",
-            "age_tensor",
-            "age_v",
-            "matches_iii",
-        ]
-    )
+    columns = ["h", "r", "w_spec", "lambda_spec", "age_sym2", "age_tensor", "age_v"]
+    writer.writerow([*columns, "matches_iii"])
     for row in report.exceptions:
-        writer.writerow(
-            [
-                row["h"],
-                row["r"],
-                " ".join(row["w_spec"]),
-                " ".join(row["lambda_spec"]),
-                row["age_sym2"],
-                row["age_tensor"],
-                row["age_v"],
-                "true" if row["matches_iii"] else "false",
-            ]
-        )
+        cells = [" ".join(v) if isinstance(v, list) else v for v in map(row.get, columns)]
+        writer.writerow([*cells, "true" if row["matches_iii"] else "false"])
     return out.getvalue()
 
 

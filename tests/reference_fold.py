@@ -6,12 +6,15 @@ V = Sym^2 W + W (x) Lambda.  ``reidtai.criterion.fold_chart`` must agree
 with it result for result.
 
 The per-W integer ages below recompute, for one whole spectrum, what the
-W stream builds block by block: the reference for its states.
+W stream builds block by block: the reference for its states.  The chart
+order and the central-lift pairing are read off built spectra and twin
+classes here; the library reads them off integers.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -20,10 +23,11 @@ from reidtai.criterion import (
     ExceptionRecord,
     SweepResult,
     ViolationRecord,
+    central_twin,
     exceptional_shape,
 )
 from reidtai.enumeration import ElementClass, EnumerationConfig, lattice_factor_classes
-from reidtai.functors import age, sym2, tensor
+from reidtai.functors import age, sym2, tensor, v_spectrum
 from reidtai.rotations import Spectrum, element_order
 
 
@@ -107,3 +111,29 @@ def sweep_over(
         tuple(sorted(exceptions, key=lambda e: e.element.sort_key)),
         tuple(sorted(violations, key=lambda v: (v.rule, v.element.sort_key))),
     )
+
+
+def chart_order(element: ElementClass) -> int:
+    """The order of the class on the chart, read off its chart spectrum."""
+    return element_order(v_spectrum(element.w_spec, element.lambda_spec))
+
+
+def dedupe_exceptions(records: Iterable[ExceptionRecord]) -> tuple[ExceptionRecord, ...]:
+    """One row per lift pair, each twin built as a class by ``central_twin``
+    (through ``ElementClass.build``): the shaped lift if either has the
+    shape, else the one sorting first."""
+    groups: dict[tuple, list[ExceptionRecord]] = {}
+    for rec in records:
+        key = min(rec.element.sort_key, central_twin(rec.element).sort_key)
+        groups.setdefault(key, []).append(rec)
+    kept = []
+    for group in groups.values():
+        if len({r.age_v for r in group}) > 1:
+            raise ValueError(f"central lifts age differently: {group}")
+        shaped = [r for r in group if r.matches_iii]
+        kept.append(shaped[0] if shaped else min(group, key=lambda r: r.element.sort_key))
+    return tuple(sorted(kept, key=lambda r: r.element.sort_key))
+
+
+def finalize_sweep(result: SweepResult) -> SweepResult:
+    return replace(result, exceptions=dedupe_exceptions(result.exceptions))

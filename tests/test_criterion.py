@@ -1,5 +1,6 @@
 """Germ verdicts, sweeps, the moved-forms count and reduction evidence."""
 
+import json
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from reference_enumeration import multiset_count, ppav_series
-from reidtai import criterion, enumeration
+from reidtai import criterion, enumeration, functors
 from reidtai.cli import main
 from reidtai.criterion import (
     ExceptionRecord,
@@ -248,6 +249,8 @@ def test_check_exception_catalog():
     flagged = check_exception_catalog(bad)
     assert len(flagged.violations) == 1
     assert flagged.violations[0].rule == "exception-shape"
+    # on the chart: Sym^2 {0} and tensor {5/6, 1/6, 1/2}
+    assert flagged.violations[0].v_order == 6
 
 
 @pytest.mark.parametrize(
@@ -443,3 +446,83 @@ def test_catalog_opens_one_w_stream_per_chart(opened_w_streams):
         [EnumerationConfig(h, 5 - h), _w_count(EnumerationConfig(h, 5 - h))]
         for h in range(1, 6)
     ]
+
+
+# The r = 0 folds (interior, Sym^2 table, torus) check the kernel law too:
+# a forged zero-age state that is not +-1 must reach the report as a
+# ``kernel`` violation with exit 3, as it does on a chart.  The state
+# W = {1/4, 3/4} (numerators 3, 9 over 12) claims Sym^2 age 0.
+FORGED = ((3, 9), 0, [])
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name",
+    [
+        (["sweep", "--interior", "--g", "2"], enumeration, "abelian_factor_classes"),
+        (["sweep", "--h", "2"], enumeration, "abelian_factor_classes"),
+        (
+            ["sweep", "--h", "0", "--r", "2", "--mode", "unconstrained"],
+            criterion,
+            "multiset_states",
+        ),
+    ],
+)
+def test_r0_sweeps_report_kernel_violations(monkeypatch, capsys, argv, owner, name):
+    stream = getattr(owner, name)
+
+    def forged(*args):
+        yield from stream(*args)
+        yield FORGED
+
+    monkeypatch.setattr(owner, name, forged)
+    assert main([*argv, "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == [
+        {
+            "rule": "kernel", "h": 2, "r": 0, "w_spec": ["1/4", "3/4"],
+            "lambda_spec": [], "age_v": "0/1", "v_order": 1,
+        }
+    ]
+
+
+def test_r0_sweeps_do_not_claim_the_order_two_law(capsys):
+    # the interior at g = 2 has rows below 1 of order 4 and 6 on Sym^2: the
+    # fold records them, and the r = 0 sweeps do not report them
+    cfg = EnumerationConfig(2, 0, 12)
+    result = criterion.fold_chart(cfg, enumeration.abelian_factor_classes(cfg), [Spectrum()])
+    assert {(v.rule, v.v_order) for v in result.violations} == {("order-2", 4), ("order-2", 6)}
+    assert interior_verdict(2).min_age == Fraction(1, 2)
+    assert main(["sweep", "--interior", "--g", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+def test_catalog_builds_no_chart_spectrum_or_class(monkeypatch):
+    # every reported row's chart order, kernel flag and twin come from
+    # integers: neither v_spectrum (under any name binding it) nor
+    # ElementClass.build runs on a catalog with violations
+    calls = {"v_spectrum": 0, "build": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    v_spectrum_fn = functors.v_spectrum
+    owners = [
+        module for module_name, module in list(sys.modules.items())
+        if module_name.split(".")[0] == "reidtai"
+        and getattr(module, "v_spectrum", None) is v_spectrum_fn
+    ]
+    assert {functors, enumeration} <= set(owners)
+    for owner in owners:
+        monkeypatch.setattr(owner, "v_spectrum", counting("v_spectrum", v_spectrum_fn))
+    build = vars(ElementClass)["build"].__func__
+    monkeypatch.setattr(ElementClass, "build", classmethod(counting("build", build)))
+    argv = ["exceptions", "--g", "5", "--mode", "unconstrained", "--threshold", "terminal"]
+    assert main([*argv, "--jobs", "1"]) == 3
+    assert calls == {"v_spectrum": 0, "build": 0}
+    # the wrappers are live: the public twin builds a class and its spectrum
+    central_twin(ElementClass(1, 0, S("1/2"), Spectrum(), 2, True))
+    assert calls == {"v_spectrum": 1, "build": 1}

@@ -6,15 +6,19 @@ every pair.  The two must return equal ``SweepResult``s on every chart,
 order bound, mode and threshold checked here.  The Sym^2 table and the
 torus run the same fold at r = 0, so they are checked against the
 reference on the r = 0 chart.  The W stream's integer states, built block
-by block, are checked against the per-W ages of ``reference_fold``.
+by block, are checked against the per-W ages of ``reference_fold``, and
+the facts each reported row carries (chart order, kernel flag, twin sort
+key) against the spectrum and twin-class route kept there.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_fold
 from reference_fold import (
     classes_for,
     spectrum_numerators,
@@ -24,10 +28,14 @@ from reference_fold import (
 )
 from reidtai.criterion import (
     ViolationRecord,
+    central_twin,
+    chart_order,
+    check_exception_catalog,
     finalize_sweep,
     fold_chart,
     sweep_sym2,
     torus_summary,
+    twin_sort_key,
 )
 from reidtai.enumeration import (
     CONSTRAINT_MODES,
@@ -46,8 +54,9 @@ from reidtai.rotations import Spectrum, rot
 
 # (order bound, largest genus).  The reference costs about 0.1 ms per pair,
 # so charts with more pairs than this are checked on an every-k-th slice
-# of their W stream; the Lambda stream is always complete.
-GRID = ((12, 5), (24, 3), (36, 3))
+# of their W stream; the Lambda stream is always complete.  At the odd
+# bound 9 a central twin's entries have order 18, off the N-grid.
+GRID = ((12, 5), (24, 3), (36, 3), (9, 3))
 PAIRS_PER_CHART = 600
 
 
@@ -78,7 +87,7 @@ def test_fold_matches_object_route(cfg):
         expected = sweep_over(cfg.h, cfg.r, classes, include_age_one)
         folded = fold_chart(cfg, states, lattice_factor_classes(cfg), include_age_one)
         assert folded == expected
-        assert finalize_sweep(folded) == finalize_sweep(expected)
+        assert finalize_sweep(folded) == reference_fold.finalize_sweep(expected)
 
 
 def _reference_sym2_minimum(dim, spectra):
@@ -131,6 +140,49 @@ def test_integer_ages_match_fraction_ages(data):
     assert (a2 + at == 0) == v_spectrum(a, b).is_identity()
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_facts_match_the_spectrum_route(data):
+    # the fold reads each reported row's chart order, kernel flag and twin
+    # key off integers; the reference reads them off spectra and classes
+    n = data.draw(st.sampled_from((9, 12, 24, 36)))
+    w = data.draw(_spectra(n, min_size=1))
+    lam = data.draw(_spectra(n))
+    xs, ys = numerators(w, n), numerators(lam, n)
+    c = ElementClass.build(w, lam)
+    assert chart_order(xs, ys, n) == reference_fold.chart_order(c)
+    m = c.order  # check_exception_catalog's route: numerators over the class order
+    assert chart_order(numerators(w, m), numerators(lam, m), m) == chart_order(xs, ys, n)
+    assert twin_sort_key(c, {}) == central_twin(c).sort_key
+    _, a2, cost = spectrum_state(w, n, tuple(range(n)))
+    zero_age = a2 + sum(cost[y] for y in ys) == 0
+    assert zero_age == v_spectrum(w, lam).is_identity() == c.kernel_on_v
+
+
+@pytest.mark.parametrize("n", (9, 12, 24))
+def test_violation_orders_match_the_spectrum_route(n):
+    # the fold's order-2 rows and the catalog check's exception-shape rows
+    # carry the integer chart order
+    rules = set()
+    for h in range(1, 5):
+        cfg = EnumerationConfig(h, 4 - h, n, "unconstrained")
+        folded = fold_chart(cfg, abelian_factor_classes(cfg), lattice_factor_classes(cfg))
+        result = check_exception_catalog(finalize_sweep(folded))
+        for v in result.violations:
+            rules.add(v.rule)
+            assert v.v_order == reference_fold.chart_order(v.element), v
+    assert rules == {"order-2", "exception-shape"}
+
+
+def test_twin_key_leaves_the_rotation_cap():
+    # at an odd bound above 180 a twin has order 2N > 360, which no
+    # RotationNumber can hold; the key needs no twin, so dedupe still pairs
+    c = ElementClass.build(Spectrum.of([rot(1, 359)]), Spectrum.of([rot(0, 1)]))
+    assert twin_sort_key(c, {}) == (1, 1, ((718, 361),), ((2, 1),))
+    with pytest.raises(ValueError):
+        central_twin(c)
+
+
 def test_numerators_reject_orders_outside_the_bound():
     with pytest.raises(ValueError):
         numerators(Spectrum.of([rot(1, 5)]), 12)
@@ -167,7 +219,10 @@ def test_fold_records_a_zero_age_pair_that_is_not_plus_minus_one():
     assert lattice_residues(cfg) == (0, 6)
     w, lam = Spectrum.of([rot(1, 4)]), Spectrum.of([rot(1, 2)])
     result = fold_chart(cfg, [((3,), 0, (0, 0))], [lam])
-    c = ElementClass.build(w, lam)
+    # the class carries the fold's kernel flag (its age is 0), not the
+    # spectrum route's, which knows the pair moves the chart
+    c = ElementClass(1, 1, w, lam, 4, True)
+    assert ElementClass.build(w, lam) == replace(c, kernel_on_v=False)
     assert result.violations == (ViolationRecord("kernel", c, Fraction(0), 1),)
     assert result.min_age is None
     # the true -1 pair has age 0 too, and is the kernel: no violation
