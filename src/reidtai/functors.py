@@ -7,9 +7,12 @@ floats, because the boundary cases sit exactly on the thresholds.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
-from .rotations import RotationNumber, Spectrum
+from .rotations import RotationNumber, Spectrum, element_order, rot
 
 
 def age(s: Spectrum) -> Fraction:
@@ -17,19 +20,41 @@ def age(s: Spectrum) -> Fraction:
     return sum((q.fraction for q in s.entries), Fraction(0))
 
 
+def _numerators(s: Spectrum, big: int) -> list[int]:
+    """Entries of s as numerators over big, which each denominator divides."""
+    return [q.num * (big // q.den) for q in s.entries]
+
+
+def _spectrum_over(sums: Iterable[int], big: int) -> Spectrum:
+    """The spectrum {k/big mod 1 : k in sums}.
+
+    Only the distinct sums are reduced, in order of first occurrence, so a
+    sum whose reduced denominator exceeds the cap raises the ValueError that
+    adding the entries one pair at a time raises first.
+    """
+    counts = Counter(k % big for k in sums)
+    distinct = sorted(((rot(k, big), c) for k, c in counts.items()),
+                      key=lambda qc: qc[0].sort_key)
+    return Spectrum(tuple(q for q, c in distinct for _ in range(c)))
+
+
 def sym2(a: Spectrum) -> Spectrum:
     """Spectrum of the induced operator on the symmetric square.
 
     For |a| = h this is the multiset {a_i + a_j : i <= j}, of size
-    h*(h+1)/2.
+    h*(h+1)/2, summed as integer numerators over the order of a.
     """
-    e = a.entries
-    return Spectrum.of(e[i] + e[j] for i in range(len(e)) for j in range(i, len(e)))
+    big = element_order(a)
+    x = _numerators(a, big)
+    return _spectrum_over((x[i] + y for i in range(len(x)) for y in x[i:]), big)
 
 
 def tensor(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Spectrum of the induced operator on the tensor product (size |a|*|b|)."""
-    return Spectrum.of(x + y for x in a.entries for y in b.entries)
+    """Spectrum of the induced operator on the tensor product (size |a|*|b|),
+    summed as integer numerators over the lcm of the two orders."""
+    big = math.lcm(element_order(a), element_order(b))
+    y = _numerators(b, big)
+    return _spectrum_over((x + z for x in _numerators(a, big) for z in y), big)
 
 
 def direct_sum(*summands: Spectrum) -> Spectrum:

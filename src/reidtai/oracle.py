@@ -4,14 +4,19 @@ Orbit signatures are realized as block companion matrices of cyclotomic
 polynomials; eigenvalue angles extracted numerically must land within
 tolerance of the exact rotation numbers, both for the realized matrix and
 for the induced symmetric-square and tensor operators built from it.
+
+A run solves each distinct eigenvalue problem once, in stacks of
+same-size matrices, and then checks its cases one by one against the
+stored verdicts.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +26,11 @@ from .rotations import (
     DEFAULT_TOLERANCE, MAX_MATCH_TOLERANCE, MIN_DEGREE,
     OrbitSignature, Spectrum, divisors, element_order, totient,
 )
+
+
+# Most matrix entries one stacked eigenvalue solve receives; a run builds
+# each stack only when it solves it, so this bounds the memory of a solve.
+STACK_ENTRIES = 1 << 15
 
 
 class OracleFailure(RuntimeError):
@@ -99,18 +109,24 @@ def realize(sig: OrbitSignature) -> IntegerMatrix:
     return IntegerMatrix(size, m, order)
 
 
-def numeric_angles(m: IntegerMatrix) -> np.ndarray:
+def numeric_angles(m: IntegerMatrix | np.ndarray) -> np.ndarray:
     """Eigenvalue arguments over 2*pi, each folded into [0, 1), as a sorted
-    float64 array."""
-    if m.n == 0:
-        return np.empty(0)
+    float64 array.
+
+    ``m`` is one matrix, or an integer array of k same-size square matrices
+    whose angles come back as k sorted rows; one failed extraction or one
+    eigenvalue off the unit circle fails the whole stack.
+    """
+    entries = m if isinstance(m, np.ndarray) else m.entries
+    if entries.shape[-1] == 0:
+        return np.empty(entries.shape[:-1])
     try:
-        eigenvalues = np.linalg.eigvals(m.entries.astype(np.float64))
+        eigenvalues = np.linalg.eigvals(entries.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise OracleFailure(f"eigenvalue extraction failed: {exc}") from exc
     if np.any(np.abs(np.abs(eigenvalues) - 1.0) > 1e-6):
         raise OracleFailure("eigenvalue off the unit circle; not finite order")
-    return np.sort(np.mod(np.angle(eigenvalues) / (2.0 * math.pi), 1.0))
+    return np.sort(np.mod(np.angle(eigenvalues) / (2.0 * math.pi), 1.0), axis=-1)
 
 
 def match_angles(
@@ -173,15 +189,27 @@ def check_spectrum(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
     return match_angles(numeric_angles(mat), exact, tol)
 
 
-def check_sym2(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
-    """The induced symmetric square matches the exact sym2 spectrum."""
+def _sym2_entries(mat: IntegerMatrix) -> np.ndarray:
     sym = sym2_matrix(mat.entries)
     expected_dim = mat.n * (mat.n + 1) // 2
     if sym.shape != (expected_dim, expected_dim):
         raise OracleFailure("symmetric-square dimension mismatch")
+    return sym
+
+
+def _kron_entries(a_mat: IntegerMatrix, b_mat: IntegerMatrix) -> np.ndarray:
+    kron = np.kron(a_mat.entries, b_mat.entries)
+    if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
+        raise OracleFailure("tensor-product dimension mismatch")
+    return kron
+
+
+def check_sym2(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
+    """The induced symmetric square matches the exact sym2 spectrum."""
+    sym = _sym2_entries(mat)
     sym_exact = sym2(exact)
     return match_angles(
-        numeric_angles(IntegerMatrix(expected_dim, sym, element_order(sym_exact))),
+        numeric_angles(IntegerMatrix(len(sym), sym, element_order(sym_exact))),
         sym_exact,
         tol,
     )
@@ -195,9 +223,7 @@ def check_tensor(
     tol: float,
 ) -> bool:
     """The Kronecker product matches the exact tensor spectrum."""
-    kron = np.kron(a_mat.entries, b_mat.entries)
-    if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
-        raise OracleFailure("tensor-product dimension mismatch")
+    kron = _kron_entries(a_mat, b_mat)
     tens = tensor(a_exact, b_exact)
     return match_angles(
         numeric_angles(IntegerMatrix(kron.shape[0], kron, element_order(tens))),
@@ -224,7 +250,8 @@ def crosscheck_functor(
     signature (per ordered pair for the tensor check) and later cases reuse
     its result; the verdict and the first OracleFailure raised are those of
     a call with a fresh table.  A table belongs to one tolerance and only
-    stores successful results.
+    stores successful results, so a step missing from it, whether
+    :func:`solve_stacked` left it out or it failed before, runs here alone.
     """
     if memo is None:
         memo = {}
@@ -258,16 +285,99 @@ def random_signature(
         raise ValueError("max_degree below min_degree")
     parts: list[int] = []
     degree = 0
+    options = [(d, totient(d)) for d in divisors(order_divides)]
     while True:
-        fits = [d for d in divisors(order_divides) if degree + totient(d) <= max_degree]
-        if not fits:
+        # degree only grows, so the orders that still fit only shrink
+        options = [(d, phi) for d, phi in options if degree + phi <= max_degree]
+        if not options:
             break
         if degree >= min_degree and rng.random() < 0.35:
             break
-        pick = rng.choice(fits)
+        pick, phi = rng.choice(options)
         parts.append(pick)
-        degree += totient(pick)
+        degree += phi
     return OrbitSignature.of(parts)
+
+
+def _problems(
+    drawn: Sequence[tuple[OrbitSignature, OrbitSignature]],
+    realized: dict[OrbitSignature, tuple[IntegerMatrix, Spectrum]],
+) -> dict[int, list[tuple[tuple, Callable, Callable]]]:
+    """Each distinct eigenvalue problem of the drawn pairs whose signatures
+    are realized, once, as (memo key, a function making its matrix, one
+    making its exact spectrum), grouped by matrix size."""
+    by_size: dict[int, list] = defaultdict(list)
+    for sig, (mat, exact) in realized.items():
+        by_size[mat.n].append(
+            (("spectrum", sig), lambda m=mat: m.entries, lambda e=exact: e)
+        )
+    for a in dict.fromkeys(a for a, _ in drawn):
+        if a in realized:
+            mat, exact = realized[a]
+            by_size[mat.n * (mat.n + 1) // 2].append(
+                (("sym2", a), partial(_sym2_entries, mat), partial(sym2, exact))
+            )
+    for a, b in dict.fromkeys(drawn):
+        if a in realized and b in realized:
+            (a_mat, a_exact), (b_mat, b_exact) = realized[a], realized[b]
+            by_size[a_mat.n * b_mat.n].append((
+                ("tensor", a, b),
+                partial(_kron_entries, a_mat, b_mat),
+                partial(tensor, a_exact, b_exact),
+            ))
+    return by_size
+
+
+def solve_stacked(
+    drawn: Sequence[tuple[OrbitSignature, OrbitSignature]],
+    tol: float,
+    memo: dict,
+) -> None:
+    """Realize every signature of the drawn pairs and check each distinct
+    problem of theirs (own spectrum, Sym^2 of a first signature, tensor of a
+    pair) once, storing the results in ``memo`` under the keys of
+    :func:`crosscheck_functor`.
+
+    The problems of one matrix size are solved in chunks of at most
+    STACK_ENTRIES matrix entries (one matrix if it alone is larger), one
+    :func:`numeric_angles` call per chunk, and each chunk's matrices are
+    built only when it is solved.  Only verdicts that came out are stored:
+    a problem that failed its realization, a dimension check or its exact
+    side (a ValueError), or sat in a chunk whose solve failed, stays out of
+    the table, so the case that first needs it recomputes it alone and
+    raises there.
+    """
+    realized = {}
+    for sig in dict.fromkeys(sig for pair in drawn for sig in pair):
+        try:
+            realized[sig] = memo[("realize", sig)] = _realized(sig)
+        except OracleFailure:
+            pass
+    for size, problems in sorted(_problems(drawn, realized).items()):
+        per_chunk = max(1, STACK_ENTRIES // max(1, size * size))
+        for start in range(0, len(problems), per_chunk):
+            _solve_chunk(problems[start : start + per_chunk], tol, memo)
+
+
+def _solve_chunk(chunk: list, tol: float, memo: dict) -> None:
+    built, stack = [], []
+    for key, matrix, exact in chunk:
+        try:
+            stack.append(matrix())
+        except OracleFailure:
+            continue
+        built.append((key, exact))
+    if not stack:
+        return
+    try:
+        rows = numeric_angles(np.stack(stack))
+    except OracleFailure:
+        return
+    for (key, exact), row in zip(built, rows):
+        try:
+            memo[key] = match_angles(row, exact(), tol)
+        except ValueError:
+            pass
 
 
 def run_oracle_cases(
@@ -279,18 +389,25 @@ def run_oracle_cases(
 ) -> list[dict]:
     """Seeded batch of functor cross-checks; one result dict per case.
 
-    The run shares one memo table among its cases, so each distinct
-    signature and ordered pair is checked once while every case still
-    reports its own verdict.
+    The run draws all its signature pairs first, solves each distinct
+    eigenvalue problem of theirs once in same-size stacks
+    (:func:`solve_stacked`), and then calls :func:`crosscheck_functor` on
+    every case in order with the shared memo table.  Every case reports
+    its own verdict, and a failure surfaces as an OracleFailure at the
+    same case as when each case is checked alone.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")
     rng = random.Random(seed)
-    cases = []
+    drawn = [
+        (random_signature(rng, max_degree, order_divides),
+         random_signature(rng, max_degree, order_divides))
+        for _ in range(samples)
+    ]
     memo: dict = {}
-    for i in range(samples):
-        a_sig = random_signature(rng, max_degree, order_divides)
-        b_sig = random_signature(rng, max_degree, order_divides)
+    solve_stacked(drawn, tol, memo)
+    cases = []
+    for i, (a_sig, b_sig) in enumerate(drawn):
         ok = crosscheck_functor(a_sig, b_sig, tol, memo)
         cases.append(
             {

@@ -333,6 +333,8 @@ def test_jobs_env_rejects_bad_values(capsys, monkeypatch, value):
         ("interior_g5.txt", ("sweep", "--interior", "--g", "5",
                              "--format", "text")),
         ("exceptions_g8.json", ("exceptions", "--g", "8", "--format", "json")),
+        ("oracle_s200_seed3.json", ("oracle", "--samples", "200", "--seed", "3",
+                                    "--format", "json")),
     ],
 )
 def test_golden_reports(capsys, golden, argv):

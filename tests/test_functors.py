@@ -6,9 +6,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_functors as ref
 from reidtai.criterion import central_twin
 from reidtai.enumeration import (
     ElementClass,
@@ -26,7 +27,7 @@ from reidtai.functors import (
     tensor,
     v_spectrum,
 )
-from reidtai.rotations import Spectrum, parse_spectrum, rot
+from reidtai.rotations import MAX_DENOMINATOR, Spectrum, divisors, parse_spectrum, rot
 
 
 F = Fraction
@@ -257,3 +258,54 @@ def test_central_twin_is_an_involution_keeping_chart_ages(pair):
     assert age(sym2(twin.w_spec)) == age(sym2(w))
     assert age(tensor(twin.w_spec, twin.lambda_spec)) == age(tensor(w, lam))
     assert v_spectrum(twin.w_spec, twin.lambda_spec) == v_spectrum(w, lam)
+
+
+# The integer-numerator sym2 and tensor against the rotation-number sums
+# of tests/reference_functors.py: equal spectra, and the same ValueError
+# exactly when some entry sum has a denominator above the cap.
+
+DIFFERENTIAL_ORDERS = (1, 2, 7, 9, 12, 24, 36, 360)
+
+
+@st.composite
+def spectra_under_orders(draw, max_dim=6):
+    def spectrum():
+        if draw(st.booleans()):
+            dens = st.sampled_from(divisors(draw(st.sampled_from(DIFFERENTIAL_ORDERS))))
+        else:  # mixed denominators whose lcm may exceed the cap
+            dens = st.integers(1, MAX_DENOMINATOR)
+        pairs = draw(st.lists(st.tuples(st.integers(0, 359), dens), max_size=max_dim))
+        return Spectrum.of(rot(k, d) for k, d in pairs)
+
+    return spectrum(), spectrum()
+
+
+def outcome(functor, *spectra):
+    try:
+        return functor(*spectra)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_under_orders())
+@example((S(""), S("")))
+@example((S(""), S("1/7, 2/9")))
+@example((S("1/16, 1/45"), S("0")))
+@example((S("1/16, 1/45"), S("1/16, 15/16")))
+@example((S("1/8, 1/9, 1/5"), S("1/360")))
+def test_sym2_and_tensor_match_rotation_number_sums(pair):
+    a, b = pair
+    assert outcome(sym2, a) == outcome(ref.sym2, a)
+    assert outcome(tensor, a, b) == outcome(ref.tensor, a, b)
+    assert outcome(tensor, b, a) == outcome(ref.tensor, b, a)
+
+
+def test_tensor_over_an_order_above_the_cap():
+    # the lcm of the orders is 720, but every entry sum reduces to a
+    # denominator <= 360, so tensor answers; sym2 meets 1/16 + 1/45 = 61/720
+    a = S("1/16, 1/45")
+    assert tensor(a, S("0")) == a
+    assert tensor(S("0, 0"), a) == S("1/16, 1/16, 1/45, 1/45")
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        sym2(a)

@@ -277,9 +277,10 @@ def test_numeric_angles_returns_sorted_float64_array():
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
-# The memo table of run_oracle_cases: each distinct signature and ordered
-# pair is checked once per run, and every case keeps the verdict, and the
-# first OracleFailure, of a call with a fresh table.
+# The memo table of run_oracle_cases: each distinct eigenvalue problem
+# (a signature's own spectrum, the Sym^2 of a first signature, the tensor
+# of an ordered pair) is solved once per run, and every case keeps the
+# verdict, and the first OracleFailure, of a call with a fresh table.
 
 
 def _drawn(samples, seed):
@@ -303,13 +304,25 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
+def _count_rows(monkeypatch):
+    """Count the matrices numeric_angles solves, one per row of a stack."""
+    solved = {"rows": 0}
+    original = oracle.numeric_angles
+
+    def counted(m):
+        solved["rows"] += len(m) if isinstance(m, np.ndarray) else 1
+        return original(m)
+
+    monkeypatch.setattr(oracle, "numeric_angles", counted)
+    return solved
+
+
 @pytest.mark.parametrize("seed", [3, 8])
 def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     counts = _count_calls(
-        monkeypatch,
-        ["crosscheck_functor", "realize", "sym2_matrix", "numeric_angles",
-         "sym2", "tensor"],
+        monkeypatch, ["crosscheck_functor", "realize", "sym2_matrix", "sym2", "tensor"]
     )
+    solved = _count_rows(monkeypatch)
     cases = run_oracle_cases(200, seed=seed)
     assert all(case["ok"] for case in cases)  # so no check short-circuits
     drawn = _drawn(200, seed)
@@ -321,7 +334,7 @@ def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     assert counts["realize"] == len(signatures)
     assert counts["sym2_matrix"] == counts["sym2"] == len(firsts)
     assert counts["tensor"] == len(pairs)
-    assert counts["numeric_angles"] == len(signatures) + len(firsts) + len(pairs)
+    assert solved["rows"] == len(signatures) + len(firsts) + len(pairs)
 
 
 def _log_steps(monkeypatch):
@@ -422,3 +435,99 @@ def test_memo_keeps_the_first_failure(monkeypatch, step):
     memoized = _first_failure(lambda: run_oracle_cases(200, seed=4))
     assert memoized == plain
     assert calls["crosscheck_functor"] == plain_calls
+
+
+# The stacked solve: same-size problems share one eigvals call of at most
+# STACK_ENTRIES matrix entries, with rows equal to the single-matrix solves.
+
+
+def test_stacked_rows_equal_single_matrix_solves(monkeypatch):
+    original = oracle.numeric_angles
+    stacked = {"calls": 0, "rows": 0}
+
+    def compared(m):
+        rows = original(m)
+        if isinstance(m, np.ndarray):
+            stacked["calls"] += 1
+            stacked["rows"] += len(m)
+            eigenvalues = np.linalg.eigvals(m.astype(np.float64))
+            for i, single in enumerate(m):
+                assert np.array_equal(
+                    np.linalg.eigvals(single.astype(np.float64)), eigenvalues[i]
+                )
+                assert np.array_equal(original(IntegerMatrix(len(single), single, 1)), rows[i])
+        return rows
+
+    monkeypatch.setattr(oracle, "numeric_angles", compared)
+    problems = 0
+    for seed in range(5):
+        drawn = _drawn(200, seed)
+        problems += (len({sig for pair in drawn for sig in pair})
+                     + len({a for a, _ in drawn}) + len(set(drawn)))
+        run_oracle_cases(200, seed=seed)
+    assert stacked["rows"] == problems
+    assert stacked["calls"] < problems // 10
+
+
+def test_no_stack_exceeds_the_entry_cap(monkeypatch):
+    original = np.linalg.eigvals
+    sizes = []
+
+    def counted(a):
+        sizes.append(a.size)
+        return original(a)
+
+    monkeypatch.setattr(oracle.np.linalg, "eigvals", counted)
+    run_oracle_cases(300, seed=3, max_degree=12)
+    assert max(sizes) <= oracle.STACK_ENTRIES
+    assert sum(sizes) > 4 * oracle.STACK_ENTRIES  # so the cap splits stacks
+
+
+@pytest.mark.parametrize("cap", [1, 50, 400])
+def test_stack_cap_leaves_the_cases_unchanged(monkeypatch, cap):
+    # matrices larger than a small cap are solved one per stack
+    expected = run_oracle_cases(200, seed=6, tol=3e-16)
+    monkeypatch.setattr(oracle, "STACK_ENTRIES", cap)
+    assert run_oracle_cases(200, seed=6, tol=3e-16) == expected
+
+
+def test_failed_stack_keeps_the_first_failure(monkeypatch):
+    # one recurring first signature's Sym^2 matrix is scaled off the unit
+    # circle, so every stack holding it fails and its problems recur alone
+    drawn = _drawn(200, 4)
+    firsts = [a for a, _ in drawn]
+    bad = next(a for a in firsts if firsts.count(a) > 2 and realize(a).n > 1)
+    bad_entries = realize(bad).entries
+    original = oracle.sym2_matrix
+
+    def scaled(m):
+        out = original(m)
+        return 2 * out if np.array_equal(m, bad_entries) else out
+
+    monkeypatch.setattr(oracle, "sym2_matrix", scaled)
+    solve = oracle.numeric_angles
+    failed_stacks = []
+
+    def recorded(m):
+        try:
+            return solve(m)
+        except OracleFailure:
+            if isinstance(m, np.ndarray):
+                failed_stacks.append(len(m))
+            raise
+
+    monkeypatch.setattr(oracle, "numeric_angles", recorded)
+    calls = _count_calls(monkeypatch, ["crosscheck_functor"])
+
+    def per_case():
+        for a, b in drawn:
+            oracle.crosscheck_functor(a, b)
+
+    plain = _first_failure(per_case)
+    plain_calls = calls["crosscheck_functor"]
+    assert "off the unit circle" in plain and not failed_stacks
+    calls["crosscheck_functor"] = 0
+    stacked = _first_failure(lambda: run_oracle_cases(200, seed=4))
+    assert stacked == plain
+    assert calls["crosscheck_functor"] == plain_calls
+    assert len(failed_stacks) == 1 and failed_stacks[0] > 1
