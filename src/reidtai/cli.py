@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
@@ -151,12 +150,28 @@ def _chart(task: tuple) -> criterion.SweepResult:
 
 def sweep_charts(tasks: list[tuple], jobs: int) -> list[criterion.SweepResult]:
     """Sweep each (h, r, order_divides, mode, include_age_one) chart, in
-    task order, on at most one worker process per job, chart and CPU."""
+    task order, on at most one worker process per job, chart and CPU.
+
+    The pool class is read as this module's ``ProcessPoolExecutor``
+    attribute, which imports it, and with it multiprocessing, only when
+    more than one worker runs, so serial sweeps and the oracle never pay
+    for it."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_chart(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    with pool_class(max_workers=workers) as pool:
         return list(pool.map(_chart, tasks))
+
+
+def __getattr__(name: str) -> Any:
+    """``ProcessPoolExecutor``, imported on first use; patching the module
+    attribute replaces the pool that :func:`sweep_charts` starts."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _echo_config(args: argparse.Namespace, command: str) -> dict:

@@ -6,8 +6,8 @@ tolerance of the exact rotation numbers, both for the realized matrix and
 for the induced symmetric-square and tensor operators built from it.
 
 A run solves each distinct eigenvalue problem once, in stacks of
-same-size matrices, and then checks its cases one by one against the
-stored verdicts.
+same-size matrices, snaps each stack's angles to their exact grids in one
+pass, and then checks its cases one by one against the stored verdicts.
 """
 
 from __future__ import annotations
@@ -81,18 +81,17 @@ def companion(coeffs: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IntegerMatrix:
-    """A square integer matrix certified to have finite order."""
+    """A square integer matrix and its size."""
 
     n: int
     entries: np.ndarray
-    order: int
 
 
 def realize(sig: OrbitSignature) -> IntegerMatrix:
     """Block-diagonal companion realization of a signature.
 
-    The matrix has size total_degree and exact order lcm of the parts;
-    the order is verified by exact integer powering.
+    The matrix has size total_degree; its exact order, the lcm of the
+    parts, is verified by exact integer powering.
     """
     size = sig.total_degree
     m = np.zeros((size, size), dtype=np.int64)
@@ -106,7 +105,7 @@ def realize(sig: OrbitSignature) -> IntegerMatrix:
         np.linalg.matrix_power(m, order), np.eye(size, dtype=np.int64)
     ):
         raise OracleFailure(f"realization of {sig} is not of order {order}")
-    return IntegerMatrix(size, m, order)
+    return IntegerMatrix(size, m)
 
 
 def numeric_angles(m: IntegerMatrix | np.ndarray) -> np.ndarray:
@@ -131,9 +130,9 @@ def numeric_angles(m: IntegerMatrix | np.ndarray) -> np.ndarray:
 
 def match_angles(
     angles: Sequence[float] | np.ndarray,
-    exact: Spectrum,
+    exact: Spectrum | Sequence[Spectrum],
     tol: float = DEFAULT_TOLERANCE,
-) -> bool:
+) -> bool | list[bool | None]:
     """True iff the numeric angles pair off one-to-one with the exact entries,
     each within tol under circular distance.
 
@@ -145,25 +144,53 @@ def match_angles(
     tol, and the snap finds it while the grid spacing 1/L stays well above
     2*tol.  A grid finer than that (tol*L > 1/4, so L above 250 000; the
     CLI's order bound keeps L <= 360) raises ValueError.
+
+    ``angles`` is one row with ``exact`` one spectrum, or, as
+    :func:`numeric_angles` returns them, a 2-D array of k rows with
+    ``exact`` a sequence of k spectra.  A stack is snapped in one pass, each
+    row against its own L, and gives a list of k verdicts, with None for a
+    row whose grid is too fine; one row is the stack of one, whose None
+    raises.  Each verdict equals the one its row gets alone.
     """
     if not 0.0 < tol <= MAX_MATCH_TOLERANCE:
         raise ValueError(
             f"tolerance must be in (0, {MAX_MATCH_TOLERANCE}], got {tol}"
         )
-    if len(angles) != exact.dim:
-        return False
-    big = element_order(exact)
-    if 4 * tol * big > 1:
-        raise ValueError(f"grid 1/{big} too fine to snap angles at tolerance {tol}")
+    if isinstance(exact, Spectrum):
+        [verdict] = match_angles(np.asarray(angles, dtype=np.float64)[None], [exact], tol)
+        if verdict is None:
+            big = element_order(exact)
+            raise ValueError(f"grid 1/{big} too fine to snap angles at tolerance {tol}")
+        return verdict
     x = np.asarray(angles, dtype=np.float64)
+    verdicts: list[bool | None] = [None] * len(exact)
+    snapped, orders, numerators = [], [], []
+    for i, spectrum in enumerate(exact):
+        if spectrum.dim != x.shape[1]:
+            verdicts[i] = False
+            continue
+        big = element_order(spectrum)
+        if 4 * tol * big > 1:
+            continue
+        snapped.append(i)
+        orders.append(big)
+        numerators.append(sorted(q.num * (big // q.den) for q in spectrum.entries))
+    if not snapped:
+        return verdicts
+    x = x[snapped]
+    big = np.array(orders, dtype=np.float64)[:, None]
     k = np.rint(x * big) % big
     d = np.abs(x - k / big) % 1.0
-    if not np.all(np.minimum(d, 1.0 - d) <= tol):
-        return False
-    return np.array_equal(
-        np.sort(k.astype(np.int64)),
-        sorted(q.num * (big // q.den) for q in exact.entries),
+    close = np.all(np.minimum(d, 1.0 - d) <= tol, axis=1)
+    same = np.zeros_like(close)
+    # orders past int64 make the exact numerators an object array
+    same[close] = np.all(
+        np.sort(k[close].astype(np.int64), axis=1) == np.array(numerators)[close],
+        axis=1,
     )
+    for i, ok in zip(snapped, same):
+        verdicts[i] = bool(ok)
+    return verdicts
 
 
 def sym2_matrix(m: np.ndarray) -> np.ndarray:
@@ -178,6 +205,13 @@ def sym2_matrix(m: np.ndarray) -> np.ndarray:
     off = k < l
     out[off] += m[l[off]][:, k] * m[k[off]][:, l]
     return out
+
+
+def kron_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square matrices: entry (i*m + k, j*m + l)
+    is a[i,j]*b[k,l], for b of size m."""
+    n, m = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
 
 
 def _realized(sig: OrbitSignature) -> tuple[IntegerMatrix, Spectrum]:
@@ -198,7 +232,7 @@ def _sym2_entries(mat: IntegerMatrix) -> np.ndarray:
 
 
 def _kron_entries(a_mat: IntegerMatrix, b_mat: IntegerMatrix) -> np.ndarray:
-    kron = np.kron(a_mat.entries, b_mat.entries)
+    kron = kron_matrix(a_mat.entries, b_mat.entries)
     if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
         raise OracleFailure("tensor-product dimension mismatch")
     return kron
@@ -207,12 +241,7 @@ def _kron_entries(a_mat: IntegerMatrix, b_mat: IntegerMatrix) -> np.ndarray:
 def check_sym2(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
     """The induced symmetric square matches the exact sym2 spectrum."""
     sym = _sym2_entries(mat)
-    sym_exact = sym2(exact)
-    return match_angles(
-        numeric_angles(IntegerMatrix(len(sym), sym, element_order(sym_exact))),
-        sym_exact,
-        tol,
-    )
+    return match_angles(numeric_angles(IntegerMatrix(len(sym), sym)), sym2(exact), tol)
 
 
 def check_tensor(
@@ -224,11 +253,8 @@ def check_tensor(
 ) -> bool:
     """The Kronecker product matches the exact tensor spectrum."""
     kron = _kron_entries(a_mat, b_mat)
-    tens = tensor(a_exact, b_exact)
     return match_angles(
-        numeric_angles(IntegerMatrix(kron.shape[0], kron, element_order(tens))),
-        tens,
-        tol,
+        numeric_angles(IntegerMatrix(len(kron), kron)), tensor(a_exact, b_exact), tol
     )
 
 
@@ -339,13 +365,15 @@ def solve_stacked(
     :func:`crosscheck_functor`.
 
     The problems of one matrix size are solved in chunks of at most
-    STACK_ENTRIES matrix entries (one matrix if it alone is larger), one
-    :func:`numeric_angles` call per chunk, and each chunk's matrices are
-    built only when it is solved.  Only verdicts that came out are stored:
-    a problem that failed its realization, a dimension check or its exact
-    side (a ValueError), or sat in a chunk whose solve failed, stays out of
-    the table, so the case that first needs it recomputes it alone and
-    raises there.
+    STACK_ENTRIES matrix entries (one matrix if it alone is larger), and
+    each chunk's matrices are built only when it is solved.  A chunk takes
+    one :func:`numeric_angles` call for its angle rows and one
+    :func:`match_angles` call that snaps them all to their exact grids.
+    Only verdicts that came out are stored: a problem that failed its
+    realization, a dimension check or its exact side (a ValueError), whose
+    grid is too fine for the tolerance, or that sat in a chunk whose solve
+    failed, stays out of the table, so the case that first needs it
+    recomputes it alone and raises there.
     """
     realized = {}
     for sig in dict.fromkeys(sig for pair in drawn for sig in pair):
@@ -373,11 +401,21 @@ def _solve_chunk(chunk: list, tol: float, memo: dict) -> None:
         rows = numeric_angles(np.stack(stack))
     except OracleFailure:
         return
-    for (key, exact), row in zip(built, rows):
+    kept, keys, spectra = [], [], []
+    for i, (key, exact) in enumerate(built):
         try:
-            memo[key] = match_angles(row, exact(), tol)
+            spectra.append(exact())
         except ValueError:
-            pass
+            continue
+        kept.append(i)
+        keys.append(key)
+    try:
+        verdicts = match_angles(rows[kept], spectra, tol)
+    except ValueError:  # a tolerance out of range: every case raises alone
+        return
+    for key, verdict in zip(keys, verdicts):
+        if verdict is not None:
+            memo[key] = verdict
 
 
 def run_oracle_cases(

@@ -9,8 +9,6 @@ coefficient.  Both are slow but a direct reading of their definitions;
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from reidtai.functors import sym2, tensor
@@ -87,11 +85,8 @@ def crosscheck_functor(
     expected_dim = a_mat.n * (a_mat.n + 1) // 2
     if sym.shape != (expected_dim, expected_dim):
         raise OracleFailure("symmetric-square dimension mismatch")
-    sym_order = math.lcm(1, *(q.den for q in sym2(a_exact).entries))
     if not match_angles(
-        numeric_angles(IntegerMatrix(expected_dim, sym, sym_order)),
-        sym2(a_exact),
-        tol,
+        numeric_angles(IntegerMatrix(expected_dim, sym)), sym2(a_exact), tol
     ):
         return False
 
@@ -99,9 +94,6 @@ def crosscheck_functor(
     if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
         raise OracleFailure("tensor-product dimension mismatch")
     tens = tensor(a_exact, b_exact)
-    tens_order = math.lcm(1, *(q.den for q in tens.entries))
-    if not match_angles(
-        numeric_angles(IntegerMatrix(kron.shape[0], kron, tens_order)), tens, tol
-    ):
+    if not match_angles(numeric_angles(IntegerMatrix(kron.shape[0], kron)), tens, tol):
         return False
     return True

@@ -1,5 +1,7 @@
 """Driver behavior: flags, exit codes, report formats, determinism."""
 
+import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -288,7 +290,8 @@ def test_fan_out_capped_at_cpu_count(monkeypatch, cpus, expected):
 
     # eight small charts, the four with r < 4 violating the order-2 claim
     tasks = [(1, r, 12, "integral-both", False) for r in range(8)]
-    monkeypatch.setattr(reidtai.cli, "ProcessPoolExecutor", RecordingPool)
+    # sweep_charts imports the pool from here only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(reidtai.cli.os, "cpu_count", lambda: cpus)
     serial = sweep_charts(tasks, 1)
     assert sweep_charts(tasks, 1000) == serial
@@ -353,3 +356,36 @@ def test_cli_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr or "numpy was imported"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only sweep_charts with more than one worker starts a pool
+    script = (
+        "import sys, reidtai.cli; "
+        "sys.exit(bool({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr or "the process pool was imported"
+
+
+# SHA-256 of the benchmark's oracle reports (oracle --samples 1000 --format
+# json) at the first three seeds, as pinned in perfbench/workloads.py.
+ORACLE_DIGESTS = {
+    0: "af24f73e2561fc513293d708eb6114ec697f3b1bffa7f4cdf724504947b58096",
+    1: "4b11a4aa1a414fd4ad40460555bacb1ebec61683fb7e15ff545ed29e7f462bf7",
+    2: "d6b55305cc69519c3730d62959e374ed1a1ce8fb042f47331c171395dc39b3a2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_DIGESTS))
+def test_oracle_reports_match_the_pinned_digests(capsys, seed):
+    code, out, _ = run_cli(
+        capsys, "oracle", "--samples", "1000", "--seed", str(seed), "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[seed]

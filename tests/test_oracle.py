@@ -1,11 +1,13 @@
 """Numeric eigenvalue cross-checks of the exact calculus."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_oracle as ref
 from reidtai import oracle
@@ -18,6 +20,7 @@ from reidtai.oracle import (
     companion,
     crosscheck_functor,
     cyclotomic_polynomial,
+    kron_matrix,
     match_angles,
     numeric_angles,
     random_signature,
@@ -109,7 +112,7 @@ def test_sym2_matrix_small():
     m = realize(OrbitSignature.of([4])).entries
     induced = sym2_matrix(m)
     assert induced.shape == (3, 3)
-    angles = numeric_angles(IntegerMatrix(3, induced, 2))
+    angles = numeric_angles(IntegerMatrix(3, induced))
     assert match_angles(angles, S("1/2, 0, 1/2"))
 
 
@@ -151,7 +154,7 @@ def test_zero_samples():
 
 
 def test_numeric_angles_rejects_non_unit_matrix():
-    stretched = IntegerMatrix(1, np.array([[2]], dtype=np.int64), 1)
+    stretched = IntegerMatrix(1, np.array([[2]], dtype=np.int64))
     with pytest.raises(OracleFailure):
         numeric_angles(stretched)
 
@@ -417,13 +420,13 @@ def test_memo_keeps_the_first_failure(monkeypatch, step):
 
         monkeypatch.setattr(oracle, "sym2_matrix", faulty)
     else:
-        original = np.kron
+        original = oracle.kron_matrix
 
         def faulty(x, y):
             out = original(x, y)
             return out[:-1] if np.array_equal(y, bad_entries) else out
 
-        monkeypatch.setattr(oracle.np, "kron", faulty)
+        monkeypatch.setattr(oracle, "kron_matrix", faulty)
 
     def per_case():
         for a, b in drawn:
@@ -455,7 +458,7 @@ def test_stacked_rows_equal_single_matrix_solves(monkeypatch):
                 assert np.array_equal(
                     np.linalg.eigvals(single.astype(np.float64)), eigenvalues[i]
                 )
-                assert np.array_equal(original(IntegerMatrix(len(single), single, 1)), rows[i])
+                assert np.array_equal(original(IntegerMatrix(len(single), single)), rows[i])
         return rows
 
     monkeypatch.setattr(oracle, "numeric_angles", compared)
@@ -531,3 +534,109 @@ def test_failed_stack_keeps_the_first_failure(monkeypatch):
     assert stacked == plain
     assert calls["crosscheck_functor"] == plain_calls
     assert len(failed_stacks) == 1 and failed_stacks[0] > 1
+
+
+# The stacked snap: one match_angles call per stack gives each row the
+# verdict it gets alone, and the broadcast Kronecker product is np.kron.
+
+
+def _single(row, exact, tol):
+    """The verdict of one row alone, None where its grid is too fine."""
+    try:
+        return match_angles(row, exact, tol)
+    except ValueError:
+        return None
+
+
+@functools.cache
+def _stacks_of_seeds():
+    """Every distinct problem of the 200-case runs at seeds 0-4, as one
+    stack of angle rows and its exact spectra per matrix size."""
+    drawn = [pair for seed in range(5) for pair in _drawn(200, seed)]
+    realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
+    return [
+        (numeric_angles(np.stack([matrix() for _, matrix, _ in problems])),
+         [exact() for _, _, exact in problems])
+        for problems in oracle._problems(drawn, realized).values()
+    ]
+
+
+@pytest.mark.parametrize("tol", [MAX_MATCH_TOLERANCE, DEFAULT_TOLERANCE, 3e-16, 1e-16])
+def test_stacked_snap_matches_rows_alone(tol):
+    verdicts = []
+    for rows, spectra in _stacks_of_seeds():
+        stacked = match_angles(rows, spectra, tol)
+        assert stacked == [_single(r, e, tol) for r, e in zip(rows, spectra)]
+        assert stacked == [ref.match_angles(tuple(r), e, tol) for r, e in zip(rows, spectra)]
+        verdicts += stacked
+    # the two loose tolerances pass every problem, the two tight ones split
+    assert True in verdicts
+    assert all(verdicts) == (tol >= DEFAULT_TOLERANCE)
+
+
+def test_stacked_snap_edge_rows():
+    # a matching row, a grid too fine to snap, a length mismatch, a wrong
+    # multiplicity and a row off its grid, in one stack of three angles
+    fine = parse_spectrum("1/359, 1/358, 1/357")
+    spectra = [S("0, 1/3, 2/3"), fine, S("0, 1/2"), S("0, 0, 1/3"), S("0, 1/3, 2/3")]
+    rows = np.array([
+        [0.0, 1 / 3, 2 / 3],
+        [float(q.fraction) for q in fine.entries],
+        [0.0, 0.5, 0.5],
+        [0.0, 1 / 3, 2 / 3],
+        [0.0, 1 / 3 + 1e-5, 2 / 3],
+    ])
+    got = match_angles(rows, spectra, MAX_MATCH_TOLERANCE)
+    assert got == [True, None, False, False, False]
+    for row, exact, verdict in zip(rows, spectra, got):
+        assert _single(row, exact, MAX_MATCH_TOLERANCE) == verdict
+    with pytest.raises(ValueError):
+        match_angles(rows[1], fine, MAX_MATCH_TOLERANCE)
+    assert match_angles(rows[:0], [], DEFAULT_TOLERANCE) == []
+    with pytest.raises(ValueError):
+        match_angles(rows, spectra, 0.0)
+
+
+def _memo_of(drawn, tol):
+    memo = {}
+    oracle.solve_stacked(drawn, tol, memo)
+    return {key: verdict for key, verdict in memo.items() if key[0] != "realize"}
+
+
+@pytest.mark.parametrize("fault", ["raises", "too fine"])
+def test_exact_side_fault_leaves_the_problem_out(monkeypatch, fault):
+    # one first signature's exact Sym^2 raises, or lands on a grid too fine
+    # for the tolerance: its problem stays out of the memo, every other
+    # problem keeps its verdict, and the case that needs it raises alone
+    drawn = _drawn(200, 2)
+    clean = _memo_of(drawn, MAX_MATCH_TOLERANCE)
+    bad = next(a for a, _ in drawn if realize(a).n == 2)
+    original = oracle.sym2
+
+    def faulty(exact):
+        if exact == bad.spectrum():
+            if fault == "raises":
+                raise ValueError("forced exact-side failure")
+            return parse_spectrum("1/359, 1/358, 1/357")
+        return original(exact)
+
+    monkeypatch.setattr(oracle, "sym2", faulty)
+    memo = _memo_of(drawn, MAX_MATCH_TOLERANCE)
+    assert ("sym2", bad) in clean
+    assert memo == {key: v for key, v in clean.items() if key != ("sym2", bad)}
+    b = next(b for a, b in drawn if a == bad)
+    with pytest.raises(ValueError):
+        crosscheck_functor(bad, b, MAX_MATCH_TOLERANCE)
+
+
+SQUARES = st.integers(0, 5).flatmap(
+    lambda n: hnp.arrays(np.int64, (n, n), elements=st.integers(-(2**63), 2**63 - 1))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SQUARES, SQUARES)
+def test_kron_matrix_is_np_kron(a, b):
+    got, want = kron_matrix(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
