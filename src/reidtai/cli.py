@@ -141,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _chart(task: tuple) -> criterion.SweepResult:
     """Sweep one chart; a violating chart returns its result instead of
     raising, so the other charts still run and the report lists every row
-    (the exception does not survive pickling back from a worker)."""
+    (the exception does not survive pickling back from a worker).  The
+    result holds integer records only, so a worker sends back tuples of
+    ints, not Fractions, spectra or classes."""
     try:
         return criterion.sweep_v(*task)
     except criterion.PropositionViolation as exc:

@@ -16,7 +16,7 @@ unique exceptional shape.  A failed check raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -35,7 +35,7 @@ from .enumeration import (
     spectrum_state,
 )
 from .functors import age, fixed_multiplicity, forms_spectrum
-from .rotations import HALF, ZERO, RotationNumber, Spectrum, galois_orbit, totient
+from .rotations import HALF, ZERO, Spectrum, galois_orbit, residue_keys, totient
 
 ONE = Fraction(1)
 
@@ -94,25 +94,82 @@ def rst_verdict(tangent_of: Callable[[int], Spectrum], order: int) -> Verdict:
     return Verdict(kind, k, min_age)
 
 
-@dataclass(frozen=True, slots=True)
-class ExceptionRecord:
-    """One class at or below the age threshold, with its component ages."""
+def _fields(*names: str) -> Callable[[type], type]:
+    """Name a tuple subclass's fields: one read-only property per position."""
 
-    element: ElementClass
-    age_sym2: Fraction
-    age_tensor: Fraction
-    age_v: Fraction
-    matches_iii: bool
+    def name_fields(cls: type) -> type:
+        for i, name in enumerate(names):
+            setattr(cls, name, property(lambda self, i=i: self[i]))
+        cls._fields = names
+        return cls
+
+    return name_fields
 
 
-@dataclass(frozen=True, slots=True)
-class ViolationRecord:
-    """A machine-checked claim that failed, with the offending class."""
+def _element(
+    xs: tuple[int, ...], ys: tuple[int, ...], n: int, kernel: bool = False
+) -> ElementClass:
+    """The class of a pair given by its numerators over n.  The kernel flag
+    is the pair's age (zero), not the +-1 rule it is checked against."""
+    order = n // gcd(n, *xs, *ys)
+    return ElementClass(len(xs), len(ys), as_spectrum(xs, n), as_spectrum(ys, n), order, kernel)
 
-    rule: str  # "kernel" | "order-2" | "exception-shape"
-    element: ElementClass
-    age_v: Fraction
-    v_order: int
+
+class _Pair(tuple):
+    """A reported (W, Lambda) pair as a tuple of integers over N, which
+    pickles and sorts as plain tuples; the subclasses name the fields.
+
+    Each record leads with its ordering key, ``ElementClass.sort_key`` of
+    the pair, so records sort by it.  The class and the Fraction ages are
+    built only when read.
+    """
+
+    __slots__ = ()
+    sort_key: tuple
+    xs: tuple[int, ...]  # W numerators over n, canonical order
+    ys: tuple[int, ...]  # Lambda numerators over n, canonical order
+    n: int
+    av: int  # n * chart age
+
+    h = property(lambda self: self.sort_key[0])
+    r = property(lambda self: self.sort_key[1])
+
+    @property
+    def element(self) -> ElementClass:
+        return _element(self.xs, self.ys, self.n, self.av == 0)
+
+    @property
+    def age_v(self) -> Fraction:
+        return Fraction(self.av, self.n)
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + tuple.__repr__(self)
+
+
+@_fields("sort_key", "xs", "ys", "n", "a2", "av", "matches_iii")
+class ExceptionRecord(_Pair):
+    """One class at or below the age threshold, with its component ages:
+    (sort key, xs, ys, n, n * Sym^2 age, n * chart age, shape flag)."""
+
+    __slots__ = ()
+
+    @property
+    def age_sym2(self) -> Fraction:
+        return Fraction(self.a2, self.n)
+
+    @property
+    def age_tensor(self) -> Fraction:
+        return Fraction(self.av - self.a2, self.n)
+
+
+@_fields("rule", "sort_key", "xs", "ys", "n", "av", "v_order")
+class ViolationRecord(_Pair):
+    """A machine-checked claim that failed, with the offending class:
+    (rule, sort key, xs, ys, n, n * chart age, order on the chart), so
+    violations sort by rule, then by class.  The rule is "kernel",
+    "order-2" or "exception-shape"."""
+
+    __slots__ = ()
 
 
 class PropositionViolation(Exception):
@@ -131,18 +188,37 @@ class PropositionViolation(Exception):
         return "; ".join(lines) or "proposition violation"
 
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
+@_fields("h", "r", "classes_seen", "n", "best", "witness_rows", "exceptions", "violations")
+class SweepResult(tuple):
     """Result of a chart sweep: the minimum age with its witnesses and the
-    rows at or below the threshold."""
+    rows at or below the threshold, as integers over N = n.
 
-    h: int
-    r: int
-    classes_seen: int
-    min_age: Fraction | None
-    witnesses: tuple[ElementClass, ...]
-    exceptions: tuple[ExceptionRecord, ...]
-    violations: tuple[ViolationRecord, ...]
+    best is n times the minimum age (None when no pair moves the chart),
+    and each witness row is (sort key, xs, ys) like a record's head.  The
+    records are :class:`ExceptionRecord` and :class:`ViolationRecord`
+    tuples, so a result pickles as integers.  ``min_age`` and
+    ``witnesses`` build the Fraction and the classes when read.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    @property
+    def min_age(self) -> Fraction | None:
+        return None if self.best is None else Fraction(self.best, self.n)
+
+    @property
+    def witnesses(self) -> tuple[ElementClass, ...]:
+        return tuple(_element(xs, ys, self.n) for _, xs, ys in self.witness_rows)
+
+    def replace(self, **fields: object) -> SweepResult:
+        """This result with the named fields replaced."""
+        if not fields.keys() <= set(self._fields):
+            raise TypeError(f"SweepResult fields are {self._fields}, got {sorted(fields)}")
+        return SweepResult(fields.get(name, value) for name, value in zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        return "SweepResult" + tuple.__repr__(self)
 
 
 def exceptional_shape(element: ElementClass) -> bool:
@@ -170,44 +246,38 @@ def central_twin(element: ElementClass) -> ElementClass:
     return ElementClass.build(_shifted(element.w_spec), _shifted(element.lambda_spec))
 
 
-def twin_sort_key(element: ElementClass, keys: dict[RotationNumber, tuple]) -> tuple:
-    """``central_twin(element).sort_key`` without building the twin: each
-    entry q gives the key of q + 1/2, cached in keys.  The keys are a
-    Fraction's terms, so the twin's orders may exceed MAX_DENOMINATOR."""
-    w, lam = element.w_spec.entries, element.lambda_spec.entries
-    for q in w + lam:
-        if q not in keys:
-            f = (q.fraction + Fraction(1, 2)) % 1
-            keys[q] = (f.denominator, f.numerator)
-    twin = (tuple(sorted(map(keys.__getitem__, s))) for s in (w, lam))
-    return (element.h, element.r, *twin)
+def twin_sort_key(rec: ExceptionRecord) -> tuple:
+    """``central_twin(rec.element).sort_key`` without building the twin:
+    each entry x/n is keyed as x/n + 1/2 from the per-n table.  The twin's
+    orders may exceed MAX_DENOMINATOR."""
+    keys = residue_keys(rec.n, True).__getitem__
+    return (*rec.sort_key[:2], tuple(sorted(map(keys, rec.xs))), tuple(sorted(map(keys, rec.ys))))
 
 
-def dedupe_exceptions(
-    records: Iterable[ExceptionRecord],
-) -> tuple[ExceptionRecord, ...]:
-    """One exception record per chart germ.
+def dedupe_exceptions(records: Iterable[ExceptionRecord]) -> tuple[ExceptionRecord, ...]:
+    """One exception record per chart germ, in sort-key order.
 
     The two central lifts of a class always score the same ages, so the
     catalog keeps a single row per lift pair: the lift with the canonical
     below-1 shape when one of the two has it, otherwise the lift that
-    sorts first.  Lifts that age differently raise ValueError.
+    sorts first.  A pair is grouped by the smaller of its sort key and its
+    twin's, both read off the integer records.  Lifts that age differently
+    raise ValueError.
     """
     groups: dict[tuple, list[ExceptionRecord]] = {}
-    twin_keys: dict[RotationNumber, tuple] = {}  # per entry, shared by the records
     for rec in records:
-        key = min(rec.element.sort_key, twin_sort_key(rec.element, twin_keys))
-        groups.setdefault(key, []).append(rec)
+        groups.setdefault(min(rec.sort_key, twin_sort_key(rec)), []).append(rec)
     out = []
     for group in groups.values():
-        if len({r.age_v for r in group}) > 1:
+        first = group[0]
+        if any(r.av * first.n != first.av * r.n for r in group):
             raise ValueError(
                 "central lifts must age equally: "
                 + "; ".join(f"{r.element} ages {r.age_v}" for r in group)
             )
         shaped = [r for r in group if r.matches_iii]
-        out.append(shaped[0] if shaped else min(group, key=lambda r: r.element.sort_key))
-    return tuple(sorted(out, key=lambda r: r.element.sort_key))
+        out.append(shaped[0] if shaped else min(group))
+    return tuple(sorted(out))
 
 
 def finalize_sweep(result: SweepResult) -> SweepResult:
@@ -216,7 +286,7 @@ def finalize_sweep(result: SweepResult) -> SweepResult:
     The enumeration stream itself stays two-to-one per germ; only the
     reported catalog is folded down.
     """
-    return replace(result, exceptions=dedupe_exceptions(result.exceptions))
+    return result.replace(exceptions=dedupe_exceptions(result.exceptions))
 
 
 def chart_order(xs: Sequence[int], ys: Sequence[int], n: int) -> int:
@@ -235,6 +305,13 @@ def _plus_minus_one(xs: tuple[int, ...], ys: tuple[int, ...], n: int) -> bool:
     return len(values) <= 1 and all(2 * v % n == 0 for v in values)
 
 
+def _exceptional(xs: tuple[int, ...], ys: tuple[int, ...], n: int) -> bool:
+    """:func:`exceptional_shape` on numerators over n: W = {1/2} and Lambda
+    one 0 with r - 1 halves."""
+    half = n // 2
+    return n % 2 == 0 and xs == (half,) and ys.count(0) == 1 and ys.count(half) == len(ys) - 1
+
+
 def fold_chart(
     cfg: EnumerationConfig,
     w_states: Iterable[State],
@@ -250,11 +327,12 @@ def fold_chart(
     the state's Sym^2 age plus its tensor costs at Lambda's entries.  Age 0
     means the pair acts trivially on the chart (the kernel) and is skipped;
     the identity pair is not counted.  The kernel must be +-1: a zero-age
-    pair that is not becomes a ``kernel`` violation.  Spectra, classes,
-    Fractions and the order-2 check are built only for the rows the result
-    reports: the minimum's witnesses and the rows below 1 (or at 1 with
-    include_age_one).  Violations are collected, not raised;
-    :func:`sweep_v` decides.
+    pair that is not becomes a ``kernel`` violation.  The result reports
+    the minimum's witnesses and the rows below 1 (or at 1 with
+    include_age_one) as integer records over N, each with its sort key
+    computed once from the per-N table ``residue_keys(N)``; the order-2
+    check runs on those rows only, and no spectrum, class or Fraction is
+    built.  Violations are collected, not raised; :func:`sweep_v` decides.
 
     With lams = [Spectrum()] the chart is Sym^2 W alone and the kernel is
     +-1: the interior, the Sym^2 table and the torus forms space.
@@ -292,42 +370,43 @@ def fold_chart(
         if low <= limit:
             rows.extend((xs, j, a2, av) for j, av in enumerate(ages) if 0 < av <= limit)
 
-    spectra: dict[tuple[int, ...], Spectrum] = {}  # one per W, shared by its rows
+    keys = residue_keys(n).__getitem__
+    w_keys: dict[tuple[int, ...], tuple] = {}  # one per W, shared by its rows
+    lam_heads: dict[int, tuple] = {}  # (numerators, key) per Lambda index
 
-    def lam_nums(j: int) -> tuple[int, ...]:  # from the columns: a kept list raises peak RSS
-        return tuple(map(residues.__getitem__, lam_cols[j]))
+    def head(xs: tuple[int, ...], j: int) -> tuple:
+        """(sort key, xs, ys) of a reported pair, its key parts shared."""
+        if j not in lam_heads:  # from the columns: a kept list raises peak RSS
+            ys = tuple(map(residues.__getitem__, lam_cols[j]))
+            lam_heads[j] = ys, tuple(map(keys, ys))
+        if xs not in w_keys:
+            w_keys[xs] = tuple(map(keys, xs))
+        ys, lam_key = lam_heads[j]
+        return (len(xs), len(ys), w_keys[xs], lam_key), xs, ys
 
-    def element(xs: tuple[int, ...], j: int, kernel: bool = False) -> ElementClass:
-        # the kernel flag is the age's (zero), not the +-1 rule it is checked against
-        if xs not in spectra:
-            spectra[xs] = as_spectrum(xs, n)
-        ys = lam_nums(j)
-        order = n // gcd(n, *xs, *ys)
-        return ElementClass(len(xs), len(ys), spectra[xs], lams[j], order, kernel)
-
-    exceptions: list[ExceptionRecord] = []
-    violations = [
-        ViolationRecord("kernel", element(xs, j, True), Fraction(0), 1)
-        for xs, j in kernel
-        if not _plus_minus_one(xs, lam_nums(j), n)
-    ]
+    violations = []
+    for xs, j in kernel:
+        key, _, ys = head(xs, j)
+        if not _plus_minus_one(xs, ys, n):
+            violations.append(ViolationRecord(("kernel", key, xs, ys, n, 0, 1)))
+    exceptions = []
     for xs, j, a2, av in rows:
-        c, age_v = element(xs, j), Fraction(av, n)
-        a_sym2, a_tensor = Fraction(a2, n), Fraction(av - a2, n)
-        exceptions.append(ExceptionRecord(c, a_sym2, a_tensor, age_v, exceptional_shape(c)))
+        key, _, ys = head(xs, j)
+        exceptions.append(ExceptionRecord((key, xs, ys, n, a2, av, _exceptional(xs, ys, n))))
         if av < n:
-            v_order = chart_order(xs, lam_nums(j), n)
+            v_order = chart_order(xs, ys, n)
             if v_order != 2:
-                violations.append(ViolationRecord("order-2", c, age_v, v_order))
-    return SweepResult(
+                violations.append(ViolationRecord(("order-2", key, xs, ys, n, av, v_order)))
+    return SweepResult((
         cfg.h,
         cfg.r,
         seen,
-        None if best is None else Fraction(best, n),
-        tuple(sorted((element(xs, j) for xs, j in witnesses), key=lambda c: c.sort_key)),
-        tuple(sorted(exceptions, key=lambda e: e.element.sort_key)),
-        tuple(sorted(violations, key=lambda v: (v.rule, v.element.sort_key))),
-    )
+        n,
+        best,
+        tuple(sorted(head(xs, j) for xs, j in witnesses)),
+        tuple(sorted(exceptions)),
+        tuple(sorted(violations)),
+    ))
 
 
 def sweep_v(
@@ -362,16 +441,14 @@ def check_exception_catalog(result: SweepResult) -> SweepResult:
     rows sitting exactly at 1 (threshold=terminal runs) are exempt.
     Returns the result with any failures appended as violations.
     """
-    bad = []
-    for rec in result.exceptions:
-        if rec.age_v < ONE and not (rec.matches_iii and rec.age_v == Fraction(1, 2)):
-            c, n = rec.element, rec.element.order
-            order = chart_order(numerators(c.w_spec, n), numerators(c.lambda_spec, n), n)
-            bad.append(ViolationRecord("exception-shape", c, rec.age_v, order))
+    bad = [
+        ViolationRecord(("exception-shape", key, xs, ys, n, av, chart_order(xs, ys, n)))
+        for key, xs, ys, n, _, av, shaped in result.exceptions
+        if av < n and not (shaped and 2 * av == n)
+    ]
     if not bad:
         return result
-    merged = sorted(result.violations + tuple(bad), key=lambda v: (v.rule, v.element.sort_key))
-    return replace(result, violations=tuple(merged))
+    return result.replace(violations=tuple(sorted(result.violations + tuple(bad))))
 
 
 def _sym2_minimum(
@@ -385,8 +462,8 @@ def _sym2_minimum(
     result = fold_chart(EnumerationConfig(dim, 0, order_divides), states, [Spectrum()])
     kernel = tuple(v for v in result.violations if v.rule == "kernel")
     if kernel:
-        raise PropositionViolation(replace(result, violations=kernel))
-    return result.min_age, tuple(c.w_spec for c in result.witnesses)
+        raise PropositionViolation(result.replace(violations=kernel))
+    return result.min_age, tuple(as_spectrum(xs, result.n) for _, xs, _ in result.witness_rows)
 
 
 def sweep_sym2(

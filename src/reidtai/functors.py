@@ -25,17 +25,30 @@ def _numerators(s: Spectrum, big: int) -> list[int]:
     return [q.num * (big // q.den) for q in s.entries]
 
 
+# (sort key, rotation number) of each residue k over big, per big, as
+# the sums meet them
+_ENTRIES: dict[int, dict[int, tuple[tuple[int, int], RotationNumber]]] = {}
+
+
 def _spectrum_over(sums: Iterable[int], big: int) -> Spectrum:
     """The spectrum {k/big mod 1 : k in sums}.
 
     Only the distinct sums are reduced, in order of first occurrence, so a
     sum whose reduced denominator exceeds the cap raises the ValueError that
-    adding the entries one pair at a time raises first.
+    adding the entries one pair at a time raises first; the reduced entries
+    are cached per (k, big).
     """
     counts = Counter(k % big for k in sums)
-    distinct = sorted(((rot(k, big), c) for k, c in counts.items()),
-                      key=lambda qc: qc[0].sort_key)
-    return Spectrum(tuple(q for q, c in distinct for _ in range(c)))
+    cache = _ENTRIES.setdefault(big, {})
+    distinct = []
+    for k, c in counts.items():
+        if k not in cache:
+            q = rot(k, big)
+            cache[k] = (q.sort_key, q)
+        distinct.append((cache[k], c))
+    # distinct residues have distinct keys, so the sort never compares q
+    distinct.sort()
+    return Spectrum(tuple(q for (_, q), c in distinct for _ in range(c)))
 
 
 def sym2(a: Spectrum) -> Spectrum:

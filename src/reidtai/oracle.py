@@ -300,6 +300,12 @@ def crosscheck_functor(
     )
 
 
+@lru_cache(maxsize=None)
+def _orbit_degrees(order_divides: int) -> tuple[tuple[int, int], ...]:
+    """(d, phi(d)) for every orbit order d dividing the bound."""
+    return tuple((d, totient(d)) for d in divisors(order_divides))
+
+
 def random_signature(
     rng: random.Random,
     max_degree: int,
@@ -311,7 +317,7 @@ def random_signature(
         raise ValueError("max_degree below min_degree")
     parts: list[int] = []
     degree = 0
-    options = [(d, totient(d)) for d in divisors(order_divides)]
+    options = _orbit_degrees(order_divides)
     while True:
         # degree only grows, so the orders that still fit only shrink
         options = [(d, phi) for d, phi in options if degree + phi <= max_degree]

@@ -4,12 +4,16 @@ Reports are plain data: a config echo, min-age rows, exception rows and
 violation rows, all pre-sorted with every rational rendered as "num/den".
 Identical configs therefore produce byte-identical output; timing never
 enters the canonical form.
+
+Chart rows arrive as integers over N (``criterion`` records) and become
+strings here, from per-N and per-(numerator, N) caches.  The JSON writer
+knows the report's fixed schema and produces the text of
+``json.dumps(report, sort_keys=True, indent=2)`` with the C encoder's leaf
+functions.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +26,7 @@ from .criterion import (
     ViolationRecord,
     age_kind,
 )
-from .rotations import Spectrum
+from .rotations import Spectrum, residue_keys
 
 
 def fraction_str(value: Fraction | None) -> str | None:
@@ -32,7 +36,28 @@ def fraction_str(value: Fraction | None) -> str | None:
 
 
 def spectrum_strs(s: Spectrum) -> list[str]:
+    """The entries of a Sym^2 or torus witness (the r = 0 rows)."""
     return [str(q) for q in s.entries]
+
+
+_ENTRY_STRS: dict[int, tuple[str, ...]] = {}
+_AGE_STRS: dict[tuple[int, int], str] = {}
+
+
+def _entries(nums: tuple[int, ...], n: int) -> list[str]:
+    """Spectrum entries x/n as "num/den", from the per-n table."""
+    if n not in _ENTRY_STRS:
+        _ENTRY_STRS[n] = tuple(f"{num}/{den}" for den, num in residue_keys(n))
+    return list(map(_ENTRY_STRS[n].__getitem__, nums))
+
+
+def _age(x: int | None, n: int) -> str | None:
+    """The age x/n (None for none) as reduced "num/den", cached per (x, n)."""
+    if x is None:
+        return None
+    if (x, n) not in _AGE_STRS:
+        _AGE_STRS[x, n] = fraction_str(Fraction(x, n))
+    return _AGE_STRS[x, n]
 
 
 @dataclass
@@ -58,43 +83,44 @@ class Report:
 
 
 def exception_row(rec: ExceptionRecord) -> dict:
+    key, xs, ys, n, a2, av, matches_iii = rec
     return {
-        "h": rec.element.h,
-        "r": rec.element.r,
-        "w_spec": spectrum_strs(rec.element.w_spec),
-        "lambda_spec": spectrum_strs(rec.element.lambda_spec),
-        "age_sym2": fraction_str(rec.age_sym2),
-        "age_tensor": fraction_str(rec.age_tensor),
-        "age_v": fraction_str(rec.age_v),
-        "matches_iii": rec.matches_iii,
+        "h": key[0],
+        "r": key[1],
+        "w_spec": _entries(xs, n),
+        "lambda_spec": _entries(ys, n),
+        "age_sym2": _age(a2, n),
+        "age_tensor": _age(av - a2, n),
+        "age_v": _age(av, n),
+        "matches_iii": matches_iii,
     }
 
 
 def violation_row(v: ViolationRecord) -> dict:
+    rule, key, xs, ys, n, av, v_order = v
     return {
-        "rule": v.rule,
-        "h": v.element.h,
-        "r": v.element.r,
-        "w_spec": spectrum_strs(v.element.w_spec),
-        "lambda_spec": spectrum_strs(v.element.lambda_spec),
-        "age_v": fraction_str(v.age_v),
-        "v_order": v.v_order,
+        "rule": rule,
+        "h": key[0],
+        "r": key[1],
+        "w_spec": _entries(xs, n),
+        "lambda_spec": _entries(ys, n),
+        "age_v": _age(av, n),
+        "v_order": v_order,
     }
 
 
 def sweep_rows(result: SweepResult) -> tuple[dict, list[dict], list[dict]]:
-    """Minima row, exception rows and violation rows for one chart sweep."""
+    """Minima row, exception rows and violation rows for one chart sweep,
+    built from its integer records: no class, spectrum or Fraction."""
+    n = result.n
     minima = {
         "h": result.h,
         "r": result.r,
         "classes": result.classes_seen,
-        "min_age": fraction_str(result.min_age),
+        "min_age": _age(result.best, n),
         "witnesses": [
-            {
-                "w_spec": spectrum_strs(c.w_spec),
-                "lambda_spec": spectrum_strs(c.lambda_spec),
-            }
-            for c in result.witnesses
+            {"w_spec": _entries(xs, n), "lambda_spec": _entries(ys, n)}
+            for _, xs, ys in result.witness_rows
         ],
     }
     return (
@@ -148,12 +174,136 @@ def chart_verdict_row(result: SweepResult) -> dict:
         "h": result.h,
         "r": result.r,
         "kind": age_kind(result.min_age),
-        "min_age": fraction_str(result.min_age),
+        "min_age": _age(result.best, result.n),
     }
 
 
+# The JSON writer.  Leaves go through the C encoder's own functions; each
+# exception, violation and oracle-case row is one template at its fixed
+# depth in the report (row at 4 spaces, keys at 6, list items at 8), and
+# every other object through _object, keys sorted as json.dumps sorts them.
+_quote = json.encoder.encode_basestring_ascii  # the C function; loaded by json
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _leaf(value: str | int | float | bool | None) -> str:
+    return _LEAVES[type(value)](value)
+
+
+def _items(values: list, pad: str, item=None) -> str:
+    """A JSON list, its items at pad plus two spaces: leaves, or written by
+    item(value, item pad)."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    parts = map(_leaf, values) if item is None else [item(v, inner) for v in values]
+    return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+
+
+def _object(obj: dict, pad: str, fields: dict | None = None) -> str:
+    """A JSON object, keys sorted; fields maps a key to its writer."""
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    fields = fields or {}
+    return "{\n" + ",\n".join([
+        f"{inner}{_quote(key)}: {fields.get(key, _value)(obj[key], inner)}"
+        for key in sorted(obj)
+    ]) + f"\n{pad}}}"
+
+
+def _value(value, pad: str) -> str:
+    if type(value) is dict:
+        return _object(value, pad)
+    if type(value) is list:
+        return _items(value, pad, _value)
+    return _leaf(value)
+
+
+def _strings(values: list[str]) -> str:
+    """A row's spectrum entries, at 8 spaces."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_quote, values)) + "\n      ]"
+
+
+_EXCEPTION = """{{
+      "age_sym2": {},
+      "age_tensor": {},
+      "age_v": {},
+      "h": {},
+      "lambda_spec": {},
+      "matches_iii": {},
+      "r": {},
+      "w_spec": {}
+    }}"""
+
+
+def _exception(row: dict, pad: str) -> str:
+    return _EXCEPTION.format(
+        _leaf(row["age_sym2"]), _leaf(row["age_tensor"]), _leaf(row["age_v"]),
+        _leaf(row["h"]), _strings(row["lambda_spec"]), _leaf(row["matches_iii"]),
+        _leaf(row["r"]), _strings(row["w_spec"]),
+    )
+
+
+_VIOLATION = """{{
+      "age_v": {},
+      "h": {},
+      "lambda_spec": {},
+      "r": {},
+      "rule": {},
+      "v_order": {},
+      "w_spec": {}
+    }}"""
+
+
+def _violation(row: dict, pad: str) -> str:
+    return _VIOLATION.format(
+        _leaf(row["age_v"]), _leaf(row["h"]), _strings(row["lambda_spec"]),
+        _leaf(row["r"]), _leaf(row["rule"]), _leaf(row["v_order"]),
+        _strings(row["w_spec"]),
+    )
+
+
+_CASE = """{{
+        "a_signature": {},
+        "b_signature": {},
+        "index": {},
+        "ok": {}
+      }}"""
+
+
+def _case(case: dict, pad: str) -> str:
+    return _CASE.format(
+        _items(case["a_signature"], "        "), _items(case["b_signature"], "        "),
+        _leaf(case["index"]), _leaf(case["ok"]),
+    )
+
+
+_SECTIONS = {
+    "exceptions": lambda rows, pad: _items(rows, pad, _exception),
+    "violations": lambda rows, pad: _items(rows, pad, _violation),
+    "oracle": lambda oracle, pad: _object(
+        oracle, pad, {"cases": lambda cases, pad: _items(cases, pad, _case)}
+    ),
+}
+
+
 def render_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The report as ``json.dumps(report.to_dict(), sort_keys=True,
+    indent=2)`` would write it, plus a newline, in one pass over the
+    report's fixed schema: config, minima and verdicts as sorted objects,
+    exception, violation and oracle-case rows as templates, and every leaf
+    through the C encoder's functions (``encode_basestring_ascii``,
+    ``int.__repr__``, ``float.__repr__``)."""
+    return _object(report.to_dict(), "", _SECTIONS) + "\n"
 
 
 def parse_json(text: str) -> Report:
@@ -170,6 +320,9 @@ def parse_json(text: str) -> Report:
 
 def render_csv(report: Report) -> str:
     """Exception catalog as CSV (the other sections live in json/text)."""
+    import csv  # only this format needs it
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     columns = ["h", "r", "w_spec", "lambda_spec", "age_sym2", "age_tensor", "age_v"]

@@ -181,6 +181,17 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def residue_keys(n: int, half_turn: bool = False) -> tuple[tuple[int, int], ...]:
+    """The ``RotationNumber.sort_key`` (den, num) of x/n, or of x/n + 1/2
+    with half_turn, for each residue x mod n.  No rotation number is
+    built, so a key's denominator may exceed the cap (2n for odd n)."""
+    if half_turn:
+        keys = residue_keys(2 * n)
+        return tuple(keys[(2 * x + n) % (2 * n)] for x in range(n))
+    return tuple((n // g, x // g) for x in range(n) for g in (math.gcd(x, n),))
+
+
+@lru_cache(maxsize=None)
 def galois_orbit(n: int) -> Spectrum:
     """All primitive n-th roots of unity: {k/n : gcd(k, n) = 1}.
 

@@ -5,6 +5,11 @@ Fraction ages for every (W, Lambda) pair: slow, but a direct reading of
 V = Sym^2 W + W (x) Lambda.  ``reidtai.criterion.fold_chart`` must agree
 with it result for result.
 
+The reference builds its results from the public fields alone (``Row``,
+``Violation``, ``Sweep``); :func:`public` reads the same fields off a
+library result, whose records are integers over N, so the two compare
+field for field.
+
 The per-W integer ages below recompute, for one whole spectrum, what the
 W stream builds block by block: the reference for its states.  The chart
 order and the central-lift pairing are read off built spectra and twin
@@ -14,7 +19,7 @@ classes here; the library reads them off integers.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,13 +27,78 @@ from reidtai.criterion import (
     ONE,
     ExceptionRecord,
     SweepResult,
-    ViolationRecord,
     central_twin,
     exceptional_shape,
 )
-from reidtai.enumeration import ElementClass, EnumerationConfig, lattice_factor_classes
+from reidtai.enumeration import (
+    ElementClass,
+    EnumerationConfig,
+    lattice_factor_classes,
+    numerators,
+)
 from reidtai.functors import age, sym2, tensor, v_spectrum
 from reidtai.rotations import Spectrum, element_order
+
+
+@dataclass(frozen=True)
+class Row:
+    """The public fields of an ``ExceptionRecord``."""
+
+    element: ElementClass
+    age_sym2: Fraction
+    age_tensor: Fraction
+    age_v: Fraction
+    matches_iii: bool
+
+
+@dataclass(frozen=True)
+class Violation:
+    """The public fields of a ``ViolationRecord``."""
+
+    rule: str
+    element: ElementClass
+    age_v: Fraction
+    v_order: int
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """The public fields of a ``SweepResult``."""
+
+    h: int
+    r: int
+    classes_seen: int
+    min_age: Fraction | None
+    witnesses: tuple[ElementClass, ...]
+    exceptions: tuple[Row, ...]
+    violations: tuple[Violation, ...]
+
+
+def public(result: SweepResult) -> Sweep:
+    """Every public field of a library sweep result, its records' included."""
+    return Sweep(
+        result.h,
+        result.r,
+        result.classes_seen,
+        result.min_age,
+        result.witnesses,
+        tuple(
+            Row(e.element, e.age_sym2, e.age_tensor, e.age_v, e.matches_iii)
+            for e in result.exceptions
+        ),
+        tuple(Violation(v.rule, v.element, v.age_v, v.v_order) for v in result.violations),
+    )
+
+
+def exception_record(
+    element: ElementClass, age_sym2: Fraction, age_v: Fraction, matches_iii: bool
+) -> ExceptionRecord:
+    """The integer record of an object-built row, over the least N that
+    holds the class's entries and both ages."""
+    n = math.lcm(element.order, age_sym2.denominator, age_v.denominator)
+    xs, ys = numerators(element.w_spec, n), numerators(element.lambda_spec, n)
+    a2, av = int(age_sym2 * n), int(age_v * n)
+    return ExceptionRecord((element.sort_key, xs, ys, n, a2, av, matches_iii))
 
 
 def spectrum_numerators(s: Spectrum, n: int) -> tuple[int, ...]:
@@ -69,7 +139,7 @@ def sweep_over(
     r: int,
     classes: Iterable[ElementClass],
     include_age_one: bool = False,
-) -> SweepResult:
+) -> Sweep:
     """Fold ages over an explicit class stream.
 
     Kernel-flagged classes are skipped.  Violations are collected, not
@@ -77,8 +147,8 @@ def sweep_over(
     """
     min_age: Fraction | None = None
     witnesses: list[ElementClass] = []
-    exceptions: list[ExceptionRecord] = []
-    violations: list[ViolationRecord] = []
+    exceptions: list[Row] = []
+    violations: list[Violation] = []
     seen = 0
     for c in classes:
         seen += 1
@@ -95,14 +165,12 @@ def sweep_over(
         elif av == min_age:
             witnesses.append(c)
         if av < ONE or (include_age_one and av == ONE):
-            exceptions.append(
-                ExceptionRecord(c, a2, at, av, exceptional_shape(c))
-            )
+            exceptions.append(Row(c, a2, at, av, exceptional_shape(c)))
         if av < ONE:
             v_order = math.lcm(element_order(sym2_spec), element_order(tensor_spec))
             if v_order != 2:
-                violations.append(ViolationRecord("order-2", c, av, v_order))
-    return SweepResult(
+                violations.append(Violation("order-2", c, av, v_order))
+    return Sweep(
         h,
         r,
         seen,
@@ -118,11 +186,11 @@ def chart_order(element: ElementClass) -> int:
     return element_order(v_spectrum(element.w_spec, element.lambda_spec))
 
 
-def dedupe_exceptions(records: Iterable[ExceptionRecord]) -> tuple[ExceptionRecord, ...]:
+def dedupe_exceptions(records: Iterable[Row]) -> tuple[Row, ...]:
     """One row per lift pair, each twin built as a class by ``central_twin``
     (through ``ElementClass.build``): the shaped lift if either has the
     shape, else the one sorting first."""
-    groups: dict[tuple, list[ExceptionRecord]] = {}
+    groups: dict[tuple, list[Row]] = {}
     for rec in records:
         key = min(rec.element.sort_key, central_twin(rec.element).sort_key)
         groups.setdefault(key, []).append(rec)
@@ -135,5 +203,5 @@ def dedupe_exceptions(records: Iterable[ExceptionRecord]) -> tuple[ExceptionReco
     return tuple(sorted(kept, key=lambda r: r.element.sort_key))
 
 
-def finalize_sweep(result: SweepResult) -> SweepResult:
+def finalize_sweep(result: Sweep) -> Sweep:
     return replace(result, exceptions=dedupe_exceptions(result.exceptions))

@@ -4,11 +4,14 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reidtai.cli
 import reidtai.oracle
@@ -389,3 +392,148 @@ def test_oracle_reports_match_the_pinned_digests(capsys, seed):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[seed]
+
+
+# SHA-256 of the benchmark's two sweep reports, as pinned in
+# perfbench/workloads.py: the catalog (exceptions --g 7) and the relaxed
+# run (exceptions --g 5, unconstrained, terminal), which exits 3.
+CATALOG_DIGEST = "2252619f8dfbbd8ce82034a9726548355082146cc37330828599edc3f469869b"
+RELAXED_DIGEST = "1291ff37c433d19883cb5856a9b55ca826a0d5a56d38e7ab5ee33ba10868da2e"
+RELAXED = ("exceptions", "--g", "5", "--mode", "unconstrained", "--threshold", "terminal")
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (("exceptions", "--g", "7"), 0, CATALOG_DIGEST),
+        ((*RELAXED, "--jobs", "1"), 3, RELAXED_DIGEST),
+        ((*RELAXED, "--jobs", "2"), 3, RELAXED_DIGEST),
+    ],
+    ids=["catalog", "relaxed-jobs1", "relaxed-jobs2"],
+)
+def test_sweep_reports_match_the_pinned_digests(capsys, argv, code, digest):
+    got, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pool_results_carry_no_objects():
+    # a chart's result crosses the --jobs pool as integers: its pickle
+    # names no Fraction, rotation number, spectrum or class
+    result = reidtai.cli._chart((1, 4, 12, "unconstrained", True))
+    assert result.exceptions and result.violations
+    data = pickle.dumps(result)
+    for name in (b"fractions", b"RotationNumber", b"Spectrum", b"ElementClass"):
+        assert name not in data
+    assert pickle.loads(data) == result
+
+
+# Reports of the fixed schema, for the writer against json.dumps.  Strings
+# cover quotes, backslashes, control and non-ASCII characters.
+_text = st.text(max_size=12)
+_entry = st.one_of(st.sampled_from(["0/1", "1/2", "5/6", "1/1"]), _text)
+_age = st.one_of(st.none(), _entry)
+_spec = st.lists(_entry, max_size=4)
+_config = st.one_of(
+    st.fixed_dictionaries({
+        "command": st.sampled_from(["sweep", "exceptions"]),
+        "order_divides": st.integers(1, 360),
+        "mode": _text,
+        "threshold": _text,
+        "h": st.one_of(st.none(), st.integers(0, 9)),
+        "r": st.one_of(st.none(), st.integers(0, 9)),
+        "g": st.one_of(st.none(), st.integers(-3, 9)),
+        "interior": st.booleans(),
+    }),
+    st.fixed_dictionaries({
+        "command": st.just("oracle"),
+        "samples": st.integers(0, 10**6),
+        "seed": st.integers(-(2**70), 2**70),
+        "max_degree": st.integers(1, 9),
+        "order_divides": st.integers(1, 360),
+        "tol": st.one_of(st.just(1e-09), st.floats(5e-324, 1e-6)),
+    }),
+)
+_witness = st.one_of(
+    st.fixed_dictionaries({"w_spec": _spec, "lambda_spec": _spec}),
+    st.fixed_dictionaries({"w_spec": _spec}),
+    st.fixed_dictionaries({"lambda_spec": _spec}),
+)
+_minimum = st.fixed_dictionaries(
+    {
+        "h": st.integers(0, 9),
+        "r": st.one_of(st.none(), st.integers(0, 9)),
+        "min_age": _age,
+        "witnesses": st.lists(_witness, max_size=3),
+    },
+    optional={"classes": st.integers(0, 10**7)},
+)
+_exception = st.fixed_dictionaries({
+    "h": st.integers(1, 9),
+    "r": st.integers(0, 9),
+    "w_spec": _spec,
+    "lambda_spec": _spec,
+    "age_sym2": _age,
+    "age_tensor": _age,
+    "age_v": _age,
+    "matches_iii": st.booleans(),
+})
+_violation = st.fixed_dictionaries({
+    "rule": st.sampled_from(["kernel", "order-2", "exception-shape"]),
+    "h": st.integers(1, 9),
+    "r": st.integers(0, 9),
+    "w_spec": _spec,
+    "lambda_spec": _spec,
+    "age_v": _age,
+    "v_order": st.integers(1, 360),
+})
+_verdict = st.one_of(
+    st.fixed_dictionaries({
+        "stratum": st.just("boundary-chart"), "h": st.integers(1, 9),
+        "r": st.integers(0, 9), "kind": _text, "min_age": _age,
+    }),
+    st.fixed_dictionaries({
+        "stratum": st.just("interior"), "g": st.integers(1, 9), "kind": _text, "min_age": _age,
+    }),
+)
+_case = st.fixed_dictionaries({
+    "index": st.integers(0, 10**4),
+    "a_signature": st.lists(st.integers(1, 360), max_size=5),
+    "b_signature": st.lists(st.integers(1, 360), max_size=5),
+    "ok": st.booleans(),
+})
+_oracle = st.fixed_dictionaries(
+    {
+        "cases": st.lists(_case, max_size=3),
+        "passes": st.integers(0, 10**4),
+        "failures": st.integers(0, 10**4),
+    },
+    optional={"error": _text},
+)
+_reports = st.builds(
+    Report,
+    config=_config,
+    minima=st.lists(_minimum, max_size=3),
+    exceptions=st.lists(_exception, max_size=3),
+    violations=st.lists(_violation, max_size=3),
+    verdicts=st.lists(_verdict, max_size=3),
+    oracle=st.one_of(st.none(), _oracle),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=_reports)
+def test_json_writer_matches_json_dumps(report):
+    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert render_json(report) == expected
+
+
+def test_json_writer_escapes_an_oracle_error():
+    report = Report(config={"command": "oracle", "tol": 1e-09})
+    report.oracle = {
+        "cases": [], "passes": 0, "failures": 1,
+        "error": 'angle "3/7" off by 1e-3 \\ ¿qué? \u2603\n\t\U0001f600',
+    }
+    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert render_json(report) == expected
+    assert parse_json(render_json(report)) == report

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from reference_enumeration import multiset_count, ppav_series
+from reference_enumeration import lattice_series, multiset_count, ppav_series
+from reference_fold import exception_record
 from reidtai import criterion, enumeration, functors
 from reidtai.cli import main
 from reidtai.criterion import (
-    ExceptionRecord,
     PropositionViolation,
     SweepResult,
     boundary_moved_count,
@@ -187,22 +187,21 @@ def test_dedupe_prefers_canonical_shape():
     shaped = ElementClass.build(S("1/2"), S("0, 1/2, 1/2, 1/2"))
     other = central_twin(shaped)
     records = [
-        ExceptionRecord(other, age(sym2(other.w_spec)),
-                        age(tensor(other.w_spec, other.lambda_spec)), F(1, 2),
-                        exceptional_shape(other)),
-        ExceptionRecord(shaped, F(0), F(1, 2), F(1, 2), exceptional_shape(shaped)),
+        exception_record(other, age(sym2(other.w_spec)), F(1, 2), exceptional_shape(other)),
+        exception_record(shaped, F(0), F(1, 2), exceptional_shape(shaped)),
     ]
     kept = dedupe_exceptions(records)
     assert len(kept) == 1
     assert kept[0].element == shaped
+    assert age(tensor(other.w_spec, other.lambda_spec)) == records[0].age_tensor
 
 
 def _unequal_lifts():
     shaped = ElementClass.build(S("1/2"), S("0, 1/2, 1/2, 1/2"))
     other = central_twin(shaped)
     return [
-        ExceptionRecord(shaped, F(0), F(1, 2), F(1, 2), True),
-        ExceptionRecord(other, F(0), F(3, 4), F(3, 4), False),
+        exception_record(shaped, F(0), F(1, 2), True),
+        exception_record(other, F(0), F(3, 4), False),
     ]
 
 
@@ -241,11 +240,9 @@ def test_check_exception_catalog():
     assert clean.violations == ()
     # a crafted off-shape record must be flagged
     bad_element = ElementClass.build(S("1/2"), S("1/3, 2/3, 0"))
-    bad = SweepResult(
-        1, 3, 1, F(5, 6), (bad_element,),
-        (ExceptionRecord(bad_element, F(0), F(5, 6), F(5, 6), False),),
-        (),
-    )
+    rec = exception_record(bad_element, F(0), F(5, 6), False)
+    bad = SweepResult((1, 3, 1, rec.n, rec.av, (rec[:3],), (rec,), ()))
+    assert (bad.min_age, bad.witnesses) == (F(5, 6), (bad_element,))
     flagged = check_exception_catalog(bad)
     assert len(flagged.violations) == 1
     assert flagged.violations[0].rule == "exception-shape"
@@ -392,10 +389,12 @@ def test_tensor_padding_additivity():
 
 
 # The benchmark's traced replay counts the W stream by wrapping
-# ``enumeration.abelian_factor_classes`` on the module.  A sweep that
-# reaches the stream under another name (an imported alias, a renamed
-# stream) would silently drop out of that count, so the contract is held
-# here: one open per chart, with that chart's config, yielding exactly the
+# ``enumeration.abelian_factor_classes`` on the module, and the Lambda
+# stream by wrapping ``lattice_factor_classes`` both there and where
+# ``criterion`` binds it.  A sweep that reaches a stream under another name
+# (an imported alias, a renamed stream) or stops a stream early would drop
+# out of that count or fail it, so the contract is held here: one open per
+# chart and stream, with that chart's config, yielding exactly the
 # generating-function count.
 
 
@@ -405,19 +404,41 @@ def _w_count(cfg):
     return multiset_count(cfg.h, cfg.order_divides)
 
 
+def _lambda_count(cfg):
+    if cfg.constraint_mode == "unconstrained":
+        return multiset_count(cfg.r, cfg.order_divides)
+    return lattice_series(cfg.order_divides, cfg.r)[cfg.r]
+
+
+def _streams(cfg):
+    return [["w", cfg, _w_count(cfg)], ["lambda", cfg, _lambda_count(cfg)]]
+
+
 @pytest.fixture
 def opened_w_streams(monkeypatch):
+    """Every W and Lambda stream opened, in call order, as
+    [kind, config, items yielded]."""
     opened = []
-    stream = enumeration.abelian_factor_classes
 
-    def counting(cfg):
-        entry = [cfg, 0]
-        opened.append(entry)
-        for state in stream(cfg):
-            entry[1] += 1
-            yield state
+    def counting(kind, stream):
+        def wrapper(cfg):
+            entry = [kind, cfg, 0]
+            opened.append(entry)
 
-    monkeypatch.setattr(enumeration, "abelian_factor_classes", counting)
+            def items():
+                for item in stream(cfg):
+                    entry[2] += 1
+                    yield item
+
+            return items()
+
+        return wrapper
+
+    w_stream = counting("w", enumeration.abelian_factor_classes)
+    monkeypatch.setattr(enumeration, "abelian_factor_classes", w_stream)
+    lambda_stream = counting("lambda", enumeration.lattice_factor_classes)
+    for owner in (enumeration, criterion):
+        monkeypatch.setattr(owner, "lattice_factor_classes", lambda_stream)
     return opened
 
 
@@ -428,8 +449,7 @@ def test_sweep_v_opens_the_w_stream_once(opened_w_streams, h, r, n, mode):
         sweep_v(h, r, n, mode)
     except PropositionViolation:
         pass  # the relaxed modes meet below-1 classes of other orders
-    cfg = EnumerationConfig(h, r, n, mode)
-    assert opened_w_streams == [[cfg, _w_count(cfg)]]
+    assert opened_w_streams == _streams(EnumerationConfig(h, r, n, mode))
 
 
 @pytest.mark.parametrize("h, n", [(1, 12), (5, 12), (3, 36)])
@@ -437,15 +457,25 @@ def test_sweep_sym2_opens_the_w_stream_once(opened_w_streams, h, n):
     sweep_sym2(h, n)
     interior_verdict(h, n)
     cfg = EnumerationConfig(h, 0, n)
-    assert opened_w_streams == [[cfg, _w_count(cfg)]] * 2
+    assert opened_w_streams == [["w", cfg, _w_count(cfg)]] * 2
 
 
 def test_catalog_opens_one_w_stream_per_chart(opened_w_streams):
     assert main(["exceptions", "--g", "5", "--format", "json"]) == 0
     assert opened_w_streams == [
-        [EnumerationConfig(h, 5 - h), _w_count(EnumerationConfig(h, 5 - h))]
-        for h in range(1, 6)
+        stream for h in range(1, 6) for stream in _streams(EnumerationConfig(h, 5 - h))
     ]
+
+
+def test_catalog_g7_opens_every_stream_once_in_full(opened_w_streams, capsys):
+    # the benchmark's catalog workload: each W and Lambda stream of
+    # h + r = 7 opens once and yields its generating-function count
+    assert main(["exceptions", "--g", "7", "--format", "json"]) == 0
+    capsys.readouterr()
+    expected = [stream for h in range(1, 8) for stream in _streams(EnumerationConfig(h, 7 - h))]
+    assert opened_w_streams == expected
+    sizes = [count for _, _, count in expected]
+    assert sum(w * lam - 1 for w, lam in zip(sizes[::2], sizes[1::2])) == 32367
 
 
 # The r = 0 folds (interior, Sym^2 table, torus) check the kernel law too:

@@ -2,8 +2,9 @@
 
 ``fold_chart`` computes every age as an integer over N and builds objects
 only for the rows it reports; ``reference_fold.sweep_over`` builds them for
-every pair.  The two must return equal ``SweepResult``s on every chart,
-order bound, mode and threshold checked here.  The Sym^2 table and the
+every pair.  The two must agree on every public field of the result and
+of its records (``reference_fold.public``) on every chart, order bound,
+mode and threshold checked here.  The Sym^2 table and the
 torus run the same fold at r = 0, so they are checked against the
 reference on the r = 0 chart.  The W stream's integer states, built block
 by block, are checked against the per-W ages of ``reference_fold``, and
@@ -20,17 +21,20 @@ from hypothesis import strategies as st
 
 import reference_fold
 from reference_fold import (
+    Violation,
     classes_for,
+    public,
     spectrum_numerators,
     sweep_over,
     sym2_age_num,
     tensor_costs,
 )
 from reidtai.criterion import (
-    ViolationRecord,
+    ExceptionRecord,
     central_twin,
     chart_order,
     check_exception_catalog,
+    exceptional_shape,
     finalize_sweep,
     fold_chart,
     sweep_sym2,
@@ -50,7 +54,7 @@ from reidtai.enumeration import (
     spectrum_state,
 )
 from reidtai.functors import age, sym2, tensor, v_spectrum
-from reidtai.rotations import Spectrum, rot
+from reidtai.rotations import Spectrum, residue_keys, rot
 
 # (order bound, largest genus).  The reference costs about 0.1 ms per pair,
 # so charts with more pairs than this are checked on an every-k-th slice
@@ -86,8 +90,14 @@ def test_fold_matches_object_route(cfg):
     for include_age_one in (False, True):
         expected = sweep_over(cfg.h, cfg.r, classes, include_age_one)
         folded = fold_chart(cfg, states, lattice_factor_classes(cfg), include_age_one)
-        assert folded == expected
-        assert finalize_sweep(folded) == reference_fold.finalize_sweep(expected)
+        assert public(folded) == expected
+        assert public(finalize_sweep(folded)) == reference_fold.finalize_sweep(expected)
+        # each row's integer key is its class's key, so the sorts agree too
+        keyed = [*folded.exceptions, *folded.violations]
+        assert all(rec.sort_key == rec.element.sort_key for rec in keyed)
+        assert [key for key, _, _ in folded.witness_rows] == [
+            c.sort_key for c in folded.witnesses
+        ]
 
 
 def _reference_sym2_minimum(dim, spectra):
@@ -151,12 +161,16 @@ def test_row_facts_match_the_spectrum_route(data):
     xs, ys = numerators(w, n), numerators(lam, n)
     c = ElementClass.build(w, lam)
     assert chart_order(xs, ys, n) == reference_fold.chart_order(c)
-    m = c.order  # check_exception_catalog's route: numerators over the class order
-    assert chart_order(numerators(w, m), numerators(lam, m), m) == chart_order(xs, ys, n)
-    assert twin_sort_key(c, {}) == central_twin(c).sort_key
     _, a2, cost = spectrum_state(w, n, tuple(range(n)))
-    zero_age = a2 + sum(cost[y] for y in ys) == 0
-    assert zero_age == v_spectrum(w, lam).is_identity() == c.kernel_on_v
+    av = a2 + sum(cost[y] for y in ys)
+    assert (av == 0) == v_spectrum(w, lam).is_identity() == c.kernel_on_v
+    # the fold's per-N key table gives the class's key, and a record over n
+    # gives back the class and its twin's key
+    keys = residue_keys(n)
+    assert (c.h, c.r, tuple(keys[x] for x in xs), tuple(keys[y] for y in ys)) == c.sort_key
+    rec = ExceptionRecord((c.sort_key, xs, ys, n, a2, av, exceptional_shape(c)))
+    assert rec.element == replace(c, kernel_on_v=av == 0)
+    assert twin_sort_key(rec) == central_twin(c).sort_key
 
 
 @pytest.mark.parametrize("n", (9, 12, 24))
@@ -178,7 +192,8 @@ def test_twin_key_leaves_the_rotation_cap():
     # at an odd bound above 180 a twin has order 2N > 360, which no
     # RotationNumber can hold; the key needs no twin, so dedupe still pairs
     c = ElementClass.build(Spectrum.of([rot(1, 359)]), Spectrum.of([rot(0, 1)]))
-    assert twin_sort_key(c, {}) == (1, 1, ((718, 361),), ((2, 1),))
+    rec = ExceptionRecord((c.sort_key, (1,), (0,), 359, 2, 3, False))
+    assert twin_sort_key(rec) == (1, 1, ((718, 361),), ((2, 1),))
     with pytest.raises(ValueError):
         central_twin(c)
 
@@ -223,7 +238,7 @@ def test_fold_records_a_zero_age_pair_that_is_not_plus_minus_one():
     # spectrum route's, which knows the pair moves the chart
     c = ElementClass(1, 1, w, lam, 4, True)
     assert ElementClass.build(w, lam) == replace(c, kernel_on_v=False)
-    assert result.violations == (ViolationRecord("kernel", c, Fraction(0), 1),)
+    assert public(result).violations == (Violation("kernel", c, Fraction(0), 1),)
     assert result.min_age is None
     # the true -1 pair has age 0 too, and is the kernel: no violation
     result = fold_chart(cfg, [((6,), 0, (6, 0))], [lam])

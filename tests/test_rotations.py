@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -18,6 +19,7 @@ from reidtai.rotations import (
     element_order,
     galois_orbit,
     parse_spectrum,
+    residue_keys,
     rot,
     rot_from_str,
     totient,
@@ -214,3 +216,11 @@ def test_orbit_signature():
         OrbitSignature((3, 2))
     with pytest.raises(ValueError):
         OrbitSignature((0,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 12, 35, 36, 359, 360])
+def test_residue_keys_are_rotation_sort_keys(n):
+    # the per-N tables behind the integer records' keys and twin keys
+    assert residue_keys(n) == tuple(rot(x, n).sort_key for x in range(n))
+    twin = [(Fraction(x, n) + Fraction(1, 2)) % 1 for x in range(n)]
+    assert residue_keys(n, True) == tuple((f.denominator, f.numerator) for f in twin)
