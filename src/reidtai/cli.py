@@ -150,30 +150,26 @@ def _chart(task: tuple) -> criterion.SweepResult:
         return exc.result
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep_charts(tasks: list[tuple], jobs: int) -> list[criterion.SweepResult]:
     """Sweep each (h, r, order_divides, mode, include_age_one) chart, in
-    task order, on at most one worker process per job, chart and CPU.
-
-    The pool class is read as this module's ``ProcessPoolExecutor``
-    attribute, which imports it, and with it multiprocessing, only when
-    more than one worker runs, so serial sweeps and the oracle never pay
-    for it."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
+    task order, on at most one forked worker per job, chart and usable CPU
+    (:func:`reidtai.fanout.fork_map`: charts handed out one at a time, the
+    first task first).  One worker, or a platform without ``os.fork``,
+    sweeps the charts here instead."""
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
         return [_chart(task) for task in tasks]
-    pool_class = sys.modules[__name__].ProcessPoolExecutor
-    with pool_class(max_workers=workers) as pool:
-        return list(pool.map(_chart, tasks))
+    from .fanout import fork_map  # loaded, with pickle, only by a fanned-out run
 
-
-def __getattr__(name: str) -> Any:
-    """``ProcessPoolExecutor``, imported on first use; patching the module
-    attribute replaces the pool that :func:`sweep_charts` starts."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return fork_map(_chart, tasks, workers)
 
 
 def _echo_config(args: argparse.Namespace, command: str) -> dict:

@@ -1,10 +1,10 @@
 """Driver behavior: flags, exit codes, report formats, determinism."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -243,8 +243,8 @@ def test_deterministic_outputs(tmp_path, capsys):
 
 
 def test_jobs_do_not_change_bytes(tmp_path, capsys):
-    # the exceptions run fans its five charts out over a real pool, and
-    # its violation rows come back through it
+    # the exceptions run fans its five charts out over forked workers, and
+    # its violation rows come back through their pipes
     cases = [
         (("sweep", "--h", "1", "--r", "4"), "3", 0),
         (("exceptions", "--g", "5", "--mode", "unconstrained",
@@ -273,35 +273,118 @@ def test_oracle_accepts_the_bounds(capsys):
 
 @pytest.mark.parametrize("cpus, expected", [(2, 2), (None, 1), (64, 8)])
 def test_fan_out_capped_at_cpu_count(monkeypatch, cpus, expected):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the pool size and
-        runs the tasks in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
     # eight small charts, the four with r < 4 violating the order-2 claim
     tasks = [(1, r, 12, "integral-both", False) for r in range(8)]
-    # sweep_charts imports the pool from here only when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(reidtai.cli.os, "cpu_count", lambda: cpus)
     serial = sweep_charts(tasks, 1)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert sweep_charts(tasks, 1000) == serial
-    # a pool of min(jobs, charts, cpus), and none when that is 1
-    assert sizes == ([] if expected == 1 else [expected])
+    # min(jobs, charts, usable cpus) workers, and no fork when that is 1
+    assert len(forks) == (0 if expected == 1 else expected)
     assert sweep_charts(tasks[:1], 1000) == serial[:1]
-    assert sizes == ([] if expected == 1 else [expected])
+    assert len(forks) == (0 if expected == 1 else expected)
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    # pinned to one core of many: one worker, not one per core
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert reidtai.cli._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert reidtai.cli._usable_cpus() == 64
+
+
+def test_fan_out_without_fork_runs_serially(monkeypatch):
+    tasks = [(1, r, 12, "integral-both", False) for r in range(3)]
+    serial = sweep_charts(tasks, 1)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(reidtai.cli, "_usable_cpus", lambda: 2)
+    assert sweep_charts(tasks, 2) == serial
+
+
+def test_fan_out_returns_payloads_larger_than_a_pipe_buffer():
+    # chart (1, 3) at N = 24 pickles to about 273 KB, four 64 KiB pipe buffers
+    tasks = [(1, 3, 24, "unconstrained", True), (2, 2, 24, "unconstrained", True)]
+    assert sweep_charts(tasks, 2) == sweep_charts(tasks, 1)
+
+
+# Ways a fanned-out sweep fails: a worker raises on one chart, a worker is
+# killed outright, or this process is interrupted while a worker is stuck.
+_FAILURES = {
+    "raises": ("raise RuntimeError('chart failed on purpose')", "", "RuntimeError"),
+    "killed": ("os.kill(os.getpid(), signal.SIGKILL)", "", "RuntimeError"),
+    "interrupted": ("time.sleep(30)", """
+def interrupted(fd, *size):
+    if os.getpid() == parent:
+        raise KeyboardInterrupt
+    return read(fd, *size)
+
+fanout._read = interrupted
+""", "KeyboardInterrupt"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_fan_out_failure_raises_and_reaps_every_worker(failure):
+    # in a subprocess, so a hang fails the test through the timeout
+    in_worker, in_parent, expected = _FAILURES[failure]
+    script = f"""
+import os, signal, sys, time
+import reidtai.cli as cli
+import reidtai.fanout as fanout
+
+chart, read, parent = cli._chart, fanout._read, os.getpid()
+
+def failing(task):
+    if task[1] == 2:
+        {in_worker}
+    return chart(task)
+
+cli._chart = failing
+cli._usable_cpus = lambda: 2
+{in_parent}
+tasks = [(1, r, 12, "integral-both", False) for r in range(4)]
+started = time.monotonic()
+try:
+    cli.sweep_charts(tasks, 2)
+except {expected} as exc:
+    print(exc)
+else:
+    sys.exit("no error raised")
+# a stuck worker is killed, not waited for
+assert time.monotonic() - started < 15, "waited for a stuck worker"
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    sys.exit("a worker was left unreaped")
+"""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    if failure == "raises":
+        assert "worker failed: exited with 1" in done.stdout
+        assert "chart failed on purpose" in done.stderr
+    elif failure == "killed":
+        assert f"worker failed: got signal {signal.SIGKILL:d}" in done.stdout
 
 
 def test_jobs_env_default(tmp_path, capsys, monkeypatch):
@@ -362,18 +445,32 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # only sweep_charts with more than one worker starts a pool
-    script = (
-        "import sys, reidtai.cli; "
-        "sys.exit(bool({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    )
+    # neither the import nor a fanned-out run loads a process pool, and the
+    # run leaves no worker behind; only a fanned-out run loads the fan-out
+    script = """
+import contextlib, io, os, sys
+import reidtai.cli
+assert not {"pickle", "reidtai.fanout"} & set(sys.modules)
+argv = ["exceptions", "--g", "5", "--mode", "unconstrained", "--threshold",
+        "terminal", "--jobs", "2", "--format", "json"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert reidtai.cli.main(argv) == 3
+loaded = {"concurrent.futures.process", "multiprocessing"} & set(sys.modules)
+assert not loaded, loaded
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    sys.exit("a worker was left unreaped")
+"""
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert done.returncode == 0, done.stderr or "the process pool was imported"
+    assert done.returncode == 0, done.stderr
 
 
 # SHA-256 of the benchmark's oracle reports (oracle --samples 1000 --format
@@ -418,8 +515,8 @@ def test_sweep_reports_match_the_pinned_digests(capsys, argv, code, digest):
 
 
 def test_pool_results_carry_no_objects():
-    # a chart's result crosses the --jobs pool as integers: its pickle
-    # names no Fraction, rotation number, spectrum or class
+    # a chart's result comes back from a --jobs worker as integers: its
+    # pickle names no Fraction, rotation number, spectrum or class
     result = reidtai.cli._chart((1, 4, 12, "unconstrained", True))
     assert result.exceptions and result.violations
     data = pickle.dumps(result)
