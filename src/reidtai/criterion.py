@@ -31,11 +31,11 @@ from .enumeration import (
     lattice_factor_classes,
     lattice_residues,
     multiset_states,
-    numerators,
+    orbit_residues,
     spectrum_state,
 )
 from .functors import age, fixed_multiplicity, forms_spectrum
-from .rotations import HALF, ZERO, Spectrum, galois_orbit, residue_keys, totient
+from .rotations import HALF, ZERO, Spectrum, residue_keys, totient
 
 ONE = Fraction(1)
 
@@ -315,13 +315,14 @@ def _exceptional(xs: tuple[int, ...], ys: tuple[int, ...], n: int) -> bool:
 def fold_chart(
     cfg: EnumerationConfig,
     w_states: Iterable[State],
-    lams: Iterable[Spectrum],
+    lams: Iterable[tuple[int, ...]],
     include_age_one: bool = False,
 ) -> SweepResult:
-    """Fold chart ages over every (W, Lambda) pair, W from the integer
-    states w_states (costs indexed by ``lattice_residues(cfg)``, as
-    ``enumeration.abelian_factor_classes(cfg)`` yields them) and Lambda
-    from lams.
+    """Fold chart ages over every (W, Lambda) pair, both sides integer:
+    W from the states w_states (costs indexed by ``lattice_residues(cfg)``,
+    as ``enumeration.abelian_factor_classes(cfg)`` yields them) and Lambda
+    from lams, numerators over N in canonical order (as
+    ``enumeration.lattice_factor_classes(cfg)`` yields them).
 
     Ages are integers over N = cfg.order_divides: a pair's chart age is
     the state's Sym^2 age plus its tensor costs at Lambda's entries.  Age 0
@@ -334,15 +335,14 @@ def fold_chart(
     check runs on those rows only, and no spectrum, class or Fraction is
     built.  Violations are collected, not raised; :func:`sweep_v` decides.
 
-    With lams = [Spectrum()] the chart is Sym^2 W alone and the kernel is
-    +-1: the interior, the Sym^2 table and the torus forms space.
+    With lams = [()] the chart is Sym^2 W alone and the kernel is +-1:
+    the interior, the Sym^2 table and the torus forms space.
     """
     n = cfg.order_divides
     lams = list(lams)
-    residues = lattice_residues(cfg)
-    position = {y: k for k, y in enumerate(residues)}
-    lam_cols = [tuple(position[y] for y in numerators(b, n)) for b in lams]
-    identity_lam = any(b.is_identity() for b in lams)
+    position = {y: k for k, y in enumerate(lattice_residues(cfg))}
+    lam_cols = [tuple(map(position.__getitem__, ys)) for ys in lams]
+    identity_lam = any(not any(ys) for ys in lams)
     limit = n if include_age_one else n - 1
     seen = 0
     best: int | None = None
@@ -372,17 +372,16 @@ def fold_chart(
 
     keys = residue_keys(n).__getitem__
     w_keys: dict[tuple[int, ...], tuple] = {}  # one per W, shared by its rows
-    lam_heads: dict[int, tuple] = {}  # (numerators, key) per Lambda index
+    lam_keys: dict[int, tuple] = {}  # one per Lambda index
 
     def head(xs: tuple[int, ...], j: int) -> tuple:
         """(sort key, xs, ys) of a reported pair, its key parts shared."""
-        if j not in lam_heads:  # from the columns: a kept list raises peak RSS
-            ys = tuple(map(residues.__getitem__, lam_cols[j]))
-            lam_heads[j] = ys, tuple(map(keys, ys))
+        ys = lams[j]
+        if j not in lam_keys:
+            lam_keys[j] = tuple(map(keys, ys))
         if xs not in w_keys:
             w_keys[xs] = tuple(map(keys, xs))
-        ys, lam_key = lam_heads[j]
-        return (len(xs), len(ys), w_keys[xs], lam_key), xs, ys
+        return (len(xs), len(ys), w_keys[xs], lam_keys[j]), xs, ys
 
     violations = []
     for xs, j in kernel:
@@ -459,7 +458,7 @@ def _sym2_minimum(
     r = 0, which reads no costs, so none are needed.  A zero-age state
     that is not +-1 raises :class:`PropositionViolation` with its
     ``kernel`` records; the order-2 law is not claimed at r = 0."""
-    result = fold_chart(EnumerationConfig(dim, 0, order_divides), states, [Spectrum()])
+    result = fold_chart(EnumerationConfig(dim, 0, order_divides), states, [()])
     kernel = tuple(v for v in result.violations if v.rule == "kernel")
     if kernel:
         raise PropositionViolation(result.replace(violations=kernel))
@@ -520,7 +519,7 @@ def torus_summary(
         states = multiset_states(r, order_divides)
     else:
         cfg = EnumerationConfig(0, r, order_divides, constraint_mode)
-        states = (spectrum_state(s, order_divides) for s in lattice_factor_classes(cfg))
+        states = (spectrum_state(ys, order_divides) for ys in lattice_factor_classes(cfg))
     min_age, witnesses = _sym2_minimum(r, order_divides, states)
     return TorusSummary(r, min_age, witnesses)
 
@@ -552,8 +551,8 @@ def reduction_support(n: int, h_max: int) -> Fraction:
         raise ValueError(
             f"orbit degree {degree} exceeds the homology budget {2 * h_max}"
         )
-    pairs = [(q, -q) for q in galois_orbit(n).entries if 2 * q.num < q.den]
-    states = (spectrum_state(Spectrum.of(c), n) for c in product(*pairs))
+    pairs = [(x, n - x) for x in orbit_residues(n, n) if 2 * x < n]
+    states = (spectrum_state(tuple(sorted(c)), n) for c in product(*pairs))
     best, _ = _sym2_minimum(degree // 2, n, states)
     if best is None:
         raise ValueError(f"order {n} yields no candidate spectrum")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add
 from typing import Iterator, Sequence
 
@@ -22,7 +22,7 @@ from .rotations import (
     Spectrum,
     divisors,
     element_order,
-    galois_orbit,
+    residue_keys,
     rot,
     totient,
 )
@@ -80,14 +80,6 @@ class ElementClass:
         return f"(h={self.h}, r={self.r}, w={self.w_spec}, lambda={self.lambda_spec})"
 
 
-def rotation_universe(order_divides: int) -> tuple[RotationNumber, ...]:
-    """All rotation numbers with denominator dividing the bound, sorted."""
-    if order_divides < 1:
-        raise ValueError("order bound must be >= 1")
-    seen = {rot(k, order_divides) for k in range(order_divides)}
-    return tuple(sorted(seen, key=lambda q: q.sort_key))
-
-
 # An integer state (entries, a2, cost) stands for one spectrum W over the
 # order bound N: entries are its numerators over N in canonical order, a2
 # is N * age(Sym^2 W), and cost[k] is N * age(W (x) y) for the k-th lattice
@@ -116,6 +108,19 @@ def as_spectrum(entries: tuple[int, ...], n: int) -> Spectrum:
     return Spectrum(tuple(map(_rotations(n).__getitem__, entries)))
 
 
+@lru_cache(maxsize=None)
+def keyed_residues(n: int) -> tuple[int, ...]:
+    """Every residue mod n, in the canonical (den, num) order of x/n."""
+    if n < 1:
+        raise ValueError("order bound must be >= 1")
+    return tuple(sorted(range(n), key=residue_keys(n).__getitem__))
+
+
+def rotation_universe(order_divides: int) -> tuple[RotationNumber, ...]:
+    """All rotation numbers with denominator dividing the bound, sorted."""
+    return tuple(map(_rotations(order_divides).__getitem__, keyed_residues(order_divides)))
+
+
 def _block_ages(
     block: tuple[int, ...], n: int, ys: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
@@ -124,16 +129,17 @@ def _block_ages(
     return a2, tuple(sum((x + y) % n for x in block) for y in ys)
 
 
-def spectrum_state(s: Spectrum, n: int, residues: tuple[int, ...] = ()) -> State:
-    """The state of an explicit spectrum, taken whole as one block, with
-    its costs at the given residues."""
-    entries = numerators(s, n)
+def spectrum_state(entries: tuple[int, ...], n: int, residues: tuple[int, ...] = ()) -> State:
+    """The state of a spectrum given by its numerators over n (canonical
+    order), taken whole as one block, with its costs at the residues."""
     return (entries, *_block_ages(entries, n, residues))
 
 
-def _orbit_residues(d: int, n: int) -> tuple[int, ...]:
-    """The order-d residues over n (d | n), ascending."""
-    return tuple(q.num * (n // d) for q in galois_orbit(d).entries)
+@lru_cache(maxsize=None)
+def orbit_residues(d: int, n: int) -> tuple[int, ...]:
+    """The order-d residues over n (d | n), ascending: the numerators of
+    the Galois orbit of order d."""
+    return tuple(k * (n // d) for k in range(d) if math.gcd(k, d) == 1)
 
 
 def lattice_residues(cfg: EnumerationConfig) -> tuple[int, ...]:
@@ -146,7 +152,7 @@ def lattice_residues(cfg: EnumerationConfig) -> tuple[int, ...]:
     if cfg.constraint_mode == "unconstrained":
         return tuple(range(n))
     return tuple(
-        sorted(x for d in divisors(n) if totient(d) <= cfg.r for x in _orbit_residues(d, n))
+        sorted(x for d in divisors(n) if totient(d) <= cfg.r for x in orbit_residues(d, n))
     )
 
 
@@ -259,7 +265,7 @@ def ppav_states(
     # an order-d orbit fills phi(d)/2 entries of W (the doubled homology
     # holds the whole orbit), so orders with phi(d) > 2h cannot occur
     levels = [
-        _orbit_residues(d, order_divides)
+        orbit_residues(d, order_divides)
         for d in divisors(order_divides)
         if totient(d) <= 2 * h
     ]
@@ -271,7 +277,7 @@ def multiset_states(
 ) -> Iterator[State]:
     """The states of every dim-multiset over the rotation universe, with
     costs at the given residues: one level per universe entry."""
-    levels = [(q.num * (order_divides // q.den),) for q in rotation_universe(order_divides)]
+    levels = [(x,) for x in keyed_residues(order_divides)]
     yield from _assemble(levels, dim, order_divides, residues)
 
 
@@ -327,17 +333,23 @@ def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[State]:
     yield from states(cfg.h, cfg.order_divides, lattice_residues(cfg))
 
 
-def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[Spectrum]:
-    """The lattice-side stream for a config (validity filter per mode)."""
+def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[tuple[int, ...]]:
+    """The lattice-side stream for a config (validity filter per mode): each
+    spectrum as its numerators over N = cfg.order_divides in canonical
+    order, in the order of ``all_spectra`` (unconstrained) or of
+    ``lattice_classes`` (integral modes)."""
+    n = cfg.order_divides
     if cfg.constraint_mode == "unconstrained":
-        yield from all_spectra(cfg.r, cfg.order_divides)
+        yield from combinations_with_replacement(keyed_residues(n), cfg.r)
     else:
-        yield from lattice_classes(cfg.r, cfg.order_divides)
+        keys = residue_keys(n).__getitem__
+        for sig in cyclotomic_signatures(cfg.r, n):
+            yield tuple(sorted((x for d in sig.parts for x in orbit_residues(d, n)), key=keys))
 
 
 def element_classes(cfg: EnumerationConfig) -> Iterator[ElementClass]:
     """Every non-identity class for the config, kernel classes flagged."""
-    lams = list(lattice_factor_classes(cfg))
+    lams = [as_spectrum(ys, cfg.order_divides) for ys in lattice_factor_classes(cfg)]
     for w in _spectra(abelian_factor_classes(cfg), cfg.order_divides):
         for b in lams:
             if w.is_identity() and b.is_identity():

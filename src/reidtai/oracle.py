@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
@@ -79,16 +78,9 @@ def companion(coeffs: tuple[int, ...]) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class IntegerMatrix:
-    """A square integer matrix and its size."""
-
-    n: int
-    entries: np.ndarray
-
-
-def realize(sig: OrbitSignature) -> IntegerMatrix:
-    """Block-diagonal companion realization of a signature.
+def realize(sig: OrbitSignature) -> np.ndarray:
+    """Block-diagonal companion realization of a signature, as an int64
+    array.
 
     The matrix has size total_degree; its exact order, the lcm of the
     parts, is verified by exact integer powering.
@@ -105,22 +97,21 @@ def realize(sig: OrbitSignature) -> IntegerMatrix:
         np.linalg.matrix_power(m, order), np.eye(size, dtype=np.int64)
     ):
         raise OracleFailure(f"realization of {sig} is not of order {order}")
-    return IntegerMatrix(size, m)
+    return m
 
 
-def numeric_angles(m: IntegerMatrix | np.ndarray) -> np.ndarray:
+def numeric_angles(m: np.ndarray) -> np.ndarray:
     """Eigenvalue arguments over 2*pi, each folded into [0, 1), as a sorted
     float64 array.
 
-    ``m`` is one matrix, or an integer array of k same-size square matrices
-    whose angles come back as k sorted rows; one failed extraction or one
-    eigenvalue off the unit circle fails the whole stack.
+    ``m`` is one integer matrix, or an integer array of k same-size square
+    matrices whose angles come back as k sorted rows; one failed extraction
+    or one eigenvalue off the unit circle fails the whole stack.
     """
-    entries = m if isinstance(m, np.ndarray) else m.entries
-    if entries.shape[-1] == 0:
-        return np.empty(entries.shape[:-1])
+    if m.shape[-1] == 0:
+        return np.empty(m.shape[:-1])
     try:
-        eigenvalues = np.linalg.eigvals(entries.astype(np.float64))
+        eigenvalues = np.linalg.eigvals(m.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise OracleFailure(f"eigenvalue extraction failed: {exc}") from exc
     if np.any(np.abs(np.abs(eigenvalues) - 1.0) > 1e-6):
@@ -214,48 +205,45 @@ def kron_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
 
 
-def _realized(sig: OrbitSignature) -> tuple[IntegerMatrix, Spectrum]:
+def _realized(sig: OrbitSignature) -> tuple[np.ndarray, Spectrum]:
     return realize(sig), sig.spectrum()
 
 
-def check_spectrum(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
+def check_spectrum(mat: np.ndarray, exact: Spectrum, tol: float) -> bool:
     """The realized matrix's own eigenvalues match its exact spectrum."""
     return match_angles(numeric_angles(mat), exact, tol)
 
 
-def _sym2_entries(mat: IntegerMatrix) -> np.ndarray:
-    sym = sym2_matrix(mat.entries)
-    expected_dim = mat.n * (mat.n + 1) // 2
+def _sym2_entries(mat: np.ndarray) -> np.ndarray:
+    sym = sym2_matrix(mat)
+    expected_dim = len(mat) * (len(mat) + 1) // 2
     if sym.shape != (expected_dim, expected_dim):
         raise OracleFailure("symmetric-square dimension mismatch")
     return sym
 
 
-def _kron_entries(a_mat: IntegerMatrix, b_mat: IntegerMatrix) -> np.ndarray:
-    kron = kron_matrix(a_mat.entries, b_mat.entries)
-    if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
+def _kron_entries(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
+    kron = kron_matrix(a_mat, b_mat)
+    if kron.shape != (len(a_mat) * len(b_mat),) * 2:
         raise OracleFailure("tensor-product dimension mismatch")
     return kron
 
 
-def check_sym2(mat: IntegerMatrix, exact: Spectrum, tol: float) -> bool:
+def check_sym2(mat: np.ndarray, exact: Spectrum, tol: float) -> bool:
     """The induced symmetric square matches the exact sym2 spectrum."""
-    sym = _sym2_entries(mat)
-    return match_angles(numeric_angles(IntegerMatrix(len(sym), sym)), sym2(exact), tol)
+    return match_angles(numeric_angles(_sym2_entries(mat)), sym2(exact), tol)
 
 
 def check_tensor(
-    a_mat: IntegerMatrix,
+    a_mat: np.ndarray,
     a_exact: Spectrum,
-    b_mat: IntegerMatrix,
+    b_mat: np.ndarray,
     b_exact: Spectrum,
     tol: float,
 ) -> bool:
     """The Kronecker product matches the exact tensor spectrum."""
     kron = _kron_entries(a_mat, b_mat)
-    return match_angles(
-        numeric_angles(IntegerMatrix(len(kron), kron)), tensor(a_exact, b_exact), tol
-    )
+    return match_angles(numeric_angles(kron), tensor(a_exact, b_exact), tol)
 
 
 def crosscheck_functor(
@@ -333,26 +321,24 @@ def random_signature(
 
 def _problems(
     drawn: Sequence[tuple[OrbitSignature, OrbitSignature]],
-    realized: dict[OrbitSignature, tuple[IntegerMatrix, Spectrum]],
+    realized: dict[OrbitSignature, tuple[np.ndarray, Spectrum]],
 ) -> dict[int, list[tuple[tuple, Callable, Callable]]]:
     """Each distinct eigenvalue problem of the drawn pairs whose signatures
     are realized, once, as (memo key, a function making its matrix, one
     making its exact spectrum), grouped by matrix size."""
     by_size: dict[int, list] = defaultdict(list)
     for sig, (mat, exact) in realized.items():
-        by_size[mat.n].append(
-            (("spectrum", sig), lambda m=mat: m.entries, lambda e=exact: e)
-        )
+        by_size[len(mat)].append((("spectrum", sig), lambda m=mat: m, lambda e=exact: e))
     for a in dict.fromkeys(a for a, _ in drawn):
         if a in realized:
             mat, exact = realized[a]
-            by_size[mat.n * (mat.n + 1) // 2].append(
+            by_size[len(mat) * (len(mat) + 1) // 2].append(
                 (("sym2", a), partial(_sym2_entries, mat), partial(sym2, exact))
             )
     for a, b in dict.fromkeys(drawn):
         if a in realized and b in realized:
             (a_mat, a_exact), (b_mat, b_exact) = realized[a], realized[b]
-            by_size[a_mat.n * b_mat.n].append((
+            by_size[len(a_mat) * len(b_mat)].append((
                 ("tensor", a, b),
                 partial(_kron_entries, a_mat, b_mat),
                 partial(tensor, a_exact, b_exact),

@@ -33,6 +33,7 @@ from reidtai.criterion import (
 from reidtai.enumeration import (
     ElementClass,
     EnumerationConfig,
+    as_spectrum,
     lattice_factor_classes,
     numerators,
 )
@@ -125,7 +126,7 @@ def classes_for(
 ) -> list[ElementClass]:
     """The classes of the chart whose W lies in w_subset, with every Lambda
     of the config's lattice stream; the identity pair is skipped."""
-    lams = list(lattice_factor_classes(cfg))
+    lams = [as_spectrum(ys, cfg.order_divides) for ys in lattice_factor_classes(cfg)]
     return [
         ElementClass.build(w, b)
         for w in w_subset

@@ -15,7 +15,6 @@ from reidtai.functors import sym2, tensor
 from reidtai.oracle import (
     DEFAULT_TOLERANCE,
     MAX_MATCH_TOLERANCE,
-    IntegerMatrix,
     OracleFailure,
     numeric_angles,
     realize,
@@ -81,19 +80,16 @@ def crosscheck_functor(
     if not match_angles(numeric_angles(b_mat), b_exact, tol):
         return False
 
-    sym = sym2_matrix(a_mat.entries)
-    expected_dim = a_mat.n * (a_mat.n + 1) // 2
+    sym = sym2_matrix(a_mat)
+    expected_dim = len(a_mat) * (len(a_mat) + 1) // 2
     if sym.shape != (expected_dim, expected_dim):
         raise OracleFailure("symmetric-square dimension mismatch")
-    if not match_angles(
-        numeric_angles(IntegerMatrix(expected_dim, sym)), sym2(a_exact), tol
-    ):
+    if not match_angles(numeric_angles(sym), sym2(a_exact), tol):
         return False
 
-    kron = np.kron(a_mat.entries, b_mat.entries)
-    if kron.shape != (a_mat.n * b_mat.n, a_mat.n * b_mat.n):
+    kron = np.kron(a_mat, b_mat)
+    if kron.shape != (len(a_mat) * len(b_mat),) * 2:
         raise OracleFailure("tensor-product dimension mismatch")
-    tens = tensor(a_exact, b_exact)
-    if not match_angles(numeric_angles(IntegerMatrix(kron.shape[0], kron)), tens, tol):
+    if not match_angles(numeric_angles(kron), tensor(a_exact, b_exact), tol):
         return False
     return True

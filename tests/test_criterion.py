@@ -36,7 +36,13 @@ from reidtai.enumeration import (
     rotation_universe,
 )
 from reidtai.functors import age, power, sym2, tensor, v_spectrum
-from reidtai.rotations import Spectrum, element_order, galois_orbit, parse_spectrum
+from reidtai.rotations import (
+    RotationNumber,
+    Spectrum,
+    element_order,
+    galois_orbit,
+    parse_spectrum,
+)
 
 S = parse_spectrum
 F = Fraction
@@ -519,7 +525,7 @@ def test_r0_sweeps_do_not_claim_the_order_two_law(capsys):
     # the interior at g = 2 has rows below 1 of order 4 and 6 on Sym^2: the
     # fold records them, and the r = 0 sweeps do not report them
     cfg = EnumerationConfig(2, 0, 12)
-    result = criterion.fold_chart(cfg, enumeration.abelian_factor_classes(cfg), [Spectrum()])
+    result = criterion.fold_chart(cfg, enumeration.abelian_factor_classes(cfg), [()])
     assert {(v.rule, v.v_order) for v in result.violations} == {("order-2", 4), ("order-2", 6)}
     assert interior_verdict(2).min_age == Fraction(1, 2)
     assert main(["sweep", "--interior", "--g", "2", "--format", "json"]) == 0
@@ -529,8 +535,11 @@ def test_r0_sweeps_do_not_claim_the_order_two_law(capsys):
 def test_catalog_builds_no_chart_spectrum_or_class(monkeypatch):
     # every reported row's chart order, kernel flag and twin come from
     # integers: neither v_spectrum (under any name binding it) nor
-    # ElementClass.build runs on a catalog with violations
-    calls = {"v_spectrum": 0, "build": 0}
+    # ElementClass.build runs on a catalog with violations; and once a
+    # warm-up run has filled the per-N caches, the relaxed and catalog
+    # chart paths build no Spectrum or RotationNumber and call no
+    # as_spectrum, since both fold inputs are numerators over N
+    calls = dict.fromkeys(["v_spectrum", "build", "Spectrum", "RotationNumber", "as_spectrum"], 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -539,20 +548,33 @@ def test_catalog_builds_no_chart_spectrum_or_class(monkeypatch):
 
         return wrapper
 
-    v_spectrum_fn = functors.v_spectrum
-    owners = [
-        module for module_name, module in list(sys.modules.items())
-        if module_name.split(".")[0] == "reidtai"
-        and getattr(module, "v_spectrum", None) is v_spectrum_fn
-    ]
-    assert {functors, enumeration} <= set(owners)
-    for owner in owners:
-        monkeypatch.setattr(owner, "v_spectrum", counting("v_spectrum", v_spectrum_fn))
+    def patch_everywhere(name, fn):
+        owners = [
+            module for module_name, module in list(sys.modules.items())
+            if module_name.split(".")[0] == "reidtai" and getattr(module, name, None) is fn
+        ]
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting(name, fn))
+        return set(owners)
+
+    assert {functors, enumeration} <= patch_everywhere("v_spectrum", functors.v_spectrum)
     build = vars(ElementClass)["build"].__func__
     monkeypatch.setattr(ElementClass, "build", classmethod(counting("build", build)))
-    argv = ["exceptions", "--g", "5", "--mode", "unconstrained", "--threshold", "terminal"]
-    assert main([*argv, "--jobs", "1"]) == 3
-    assert calls == {"v_spectrum": 0, "build": 0}
-    # the wrappers are live: the public twin builds a class and its spectrum
-    central_twin(ElementClass(1, 0, S("1/2"), Spectrum(), 2, True))
-    assert calls == {"v_spectrum": 1, "build": 1}
+    relaxed = ["exceptions", "--g", "5", "--mode", "unconstrained", "--threshold", "terminal"]
+    runs = [([*relaxed, "--jobs", "1"], 3), (["exceptions", "--g", "7"], 0)]
+    for argv, code in runs:
+        assert main(argv) == code
+    assert not any(calls.values())
+    for cls in (Spectrum, RotationNumber):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    assert {enumeration, criterion} <= patch_everywhere("as_spectrum", enumeration.as_spectrum)
+    for argv, code in runs:
+        assert main(argv) == code
+    assert not any(calls.values()), calls
+    # the wrappers are live: a record's class reads its spectra through
+    # as_spectrum, and the public twin builds a class, spectra and entries
+    rec = sweep_v(1, 4).exceptions[0]
+    central_twin(rec.element)
+    assert calls["v_spectrum"] == calls["build"] == 1
+    assert calls["as_spectrum"] == 2
+    assert calls["Spectrum"] and calls["RotationNumber"]

@@ -1,6 +1,7 @@
 """Class-stream generation: completeness, canonicity, closure."""
 
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -157,7 +158,7 @@ _REFERENCE_W = {
 
 
 @pytest.mark.parametrize("mode", CONSTRAINT_MODES)
-@pytest.mark.parametrize("order_divides, max_h", [(12, 4), (24, 3), (36, 3)])
+@pytest.mark.parametrize("order_divides, max_h", [(9, 3), (12, 4), (24, 3), (36, 3)])
 def test_state_stream_views_match_reference_streams(order_divides, max_h, mode):
     # the W stream's states, read as spectra, are the reference stream
     # element by element, whatever lattice residues their costs carry
@@ -168,6 +169,18 @@ def test_state_stream_views_match_reference_streams(order_divides, max_h, mode):
             assert [as_spectrum(xs, order_divides) for xs, _, _ in states] == list(
                 _REFERENCE_W[mode](h, order_divides)
             )
+    # the Lambda stream's numerators, read as spectra (which checks their
+    # canonical order), are the combinations: all of them in their order
+    # when unconstrained, else the integral ones, each once
+    for r in range(5):
+        lams = lattice_factor_classes(EnumerationConfig(0, r, order_divides, mode))
+        lams = [as_spectrum(ys, order_divides) for ys in lams]
+        combinations = all_spectra_by_combinations(r, order_divides)
+        if mode == "unconstrained":
+            assert lams == list(combinations)
+        else:
+            assert len(set(lams)) == len(lams)
+            assert Counter(lams) == Counter(filter(validate_integral, combinations))
 
 
 def test_lattice_residues():
