@@ -14,7 +14,6 @@ from .criterion import (
     check_exception_catalog,
     dedupe_exceptions,
     exceptional_shape,
-    finalize_sweep,
     fold_chart,
     interior_verdict,
     reduction_support,

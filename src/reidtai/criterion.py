@@ -16,11 +16,9 @@ unique exceptional shape.  A failed check raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import enumeration
 from .enumeration import (
@@ -35,30 +33,30 @@ from .enumeration import (
     spectrum_state,
 )
 from .functors import age, fixed_multiplicity, forms_spectrum
-from .rotations import HALF, ZERO, Spectrum, residue_keys, totient
+from .rotations import HALF, ZERO, Frozen, Spectrum, residue_keys, totient
 
-ONE = Fraction(1)
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-def age_kind(min_age: Fraction | None) -> str:
-    """The age criterion on a minimum age: above 1 is terminal, exactly 1
-    canonical, below 1 neither; no age at all is empty."""
-    if min_age is None:
+def age_kind(x: Fraction | int | None, n: int = 1) -> str:
+    """The age criterion on a minimum age x/n: above 1 is terminal, exactly
+    1 canonical, below 1 neither; no age at all is empty.  x is a chart's
+    integer over N or a Fraction over 1: either compares exactly, no float."""
+    if x is None:
         return "empty"
-    if min_age > ONE:
+    if x > n:
         return "terminal"
-    if min_age == ONE:
+    if x == n:
         return "canonical"
     return "not-canonical"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Frozen):
     """Classification of a cyclic germ with the witnessing power and age."""
 
-    kind: str  # terminal | canonical-not-terminal | not-canonical | quasi-reflection
-    witness_power: int
-    witness_age: Fraction
+    # kind: terminal | canonical-not-terminal | not-canonical | quasi-reflection
+    __slots__ = ("kind", "witness_power", "witness_age")
 
 
 def rst_verdict(tangent_of: Callable[[int], Spectrum], order: int) -> Verdict:
@@ -140,6 +138,7 @@ class _Pair(tuple):
 
     @property
     def age_v(self) -> Fraction:
+        from fractions import Fraction  # built only when an age is read
         return Fraction(self.av, self.n)
 
     def __repr__(self) -> str:
@@ -155,10 +154,12 @@ class ExceptionRecord(_Pair):
 
     @property
     def age_sym2(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.a2, self.n)
 
     @property
     def age_tensor(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.av - self.a2, self.n)
 
 
@@ -205,6 +206,7 @@ class SweepResult(tuple):
 
     @property
     def min_age(self) -> Fraction | None:
+        from fractions import Fraction  # built only when an age is read
         return None if self.best is None else Fraction(self.best, self.n)
 
     @property
@@ -278,15 +280,6 @@ def dedupe_exceptions(records: Iterable[ExceptionRecord]) -> tuple[ExceptionReco
         shaped = [r for r in group if r.matches_iii]
         out.append(shaped[0] if shaped else min(group))
     return tuple(sorted(out))
-
-
-def finalize_sweep(result: SweepResult) -> SweepResult:
-    """Collapse central-lift duplicates among the exception rows.
-
-    The enumeration stream itself stays two-to-one per germ; only the
-    reported catalog is folded down.
-    """
-    return result.replace(exceptions=dedupe_exceptions(result.exceptions))
 
 
 def chart_order(xs: Sequence[int], ys: Sequence[int], n: int) -> int:
@@ -427,7 +420,8 @@ def sweep_v(
     # Looked up on the module, where perfbench/spans.py wraps the W stream.
     w_specs = enumeration.abelian_factor_classes(cfg)
     lams = lattice_factor_classes(cfg)
-    result = finalize_sweep(fold_chart(cfg, w_specs, lams, include_age_one))
+    result = fold_chart(cfg, w_specs, lams, include_age_one)
+    result = result.replace(exceptions=dedupe_exceptions(result.exceptions))
     if result.violations:
         raise PropositionViolation(result)
     return result
@@ -477,14 +471,11 @@ def sweep_sym2(
     return _sym2_minimum(h, order_divides, states)
 
 
-@dataclass(frozen=True, slots=True)
-class InteriorSummary:
+class InteriorSummary(Frozen):
     """Verdict for the moduli interior at genus g via the tangent action."""
 
-    g: int
-    min_age: Fraction | None
-    kind: str  # terminal | canonical | not-canonical | empty
-    witnesses: tuple[Spectrum, ...]
+    # kind: terminal | canonical | not-canonical | empty
+    __slots__ = ("g", "min_age", "kind", "witnesses")
 
 
 def interior_verdict(g: int, order_divides: int = 12) -> InteriorSummary:
@@ -497,17 +488,14 @@ def interior_verdict(g: int, order_divides: int = 12) -> InteriorSummary:
     return InteriorSummary(g, min_age, age_kind(min_age), witnesses)
 
 
-@dataclass(frozen=True, slots=True)
-class TorusSummary:
+class TorusSummary(Frozen):
     """Ages on the bilinear-forms space for the h = 0 stratum.
 
     Reported separately: with no abelian factor the chart carries no
     age test of its own, and these numbers are informational only.
     """
 
-    r: int
-    min_age: Fraction | None
-    witnesses: tuple[Spectrum, ...]
+    __slots__ = ("r", "min_age", "witnesses")
 
 
 def torus_summary(

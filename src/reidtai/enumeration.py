@@ -9,7 +9,6 @@ trivially" apart from "not enumerated".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from operator import add
@@ -17,9 +16,11 @@ from typing import Iterator, Sequence
 
 from .functors import v_spectrum
 from .rotations import (
+    Frozen,
     OrbitSignature,
     RotationNumber,
     Spectrum,
+    _set_field,
     divisors,
     element_order,
     residue_keys,
@@ -30,14 +31,19 @@ from .rotations import (
 CONSTRAINT_MODES = ("integral-both", "integral-lambda-only", "unconstrained")
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationConfig:
+class EnumerationConfig(Frozen):
     """Shape of one enumeration run: dimensions, order bound, filters."""
 
-    h: int
-    r: int
-    order_divides: int = 12
-    constraint_mode: str = "integral-both"
+    __slots__ = ("h", "r", "order_divides", "constraint_mode")
+
+    def __init__(
+        self, h: int, r: int, order_divides: int = 12, constraint_mode: str = "integral-both"
+    ) -> None:
+        _set_field(self, "h", h)
+        _set_field(self, "r", r)
+        _set_field(self, "order_divides", order_divides)
+        _set_field(self, "constraint_mode", constraint_mode)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.h < 0 or self.r < 0:
@@ -48,18 +54,12 @@ class EnumerationConfig:
             raise ValueError(f"unknown constraint mode {self.constraint_mode!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ElementClass:
+class ElementClass(Frozen):
     """A conjugacy-class candidate: spectra on the abelian factor (dim h)
     and on the complexified lattice (rank r), with the combined order and
     a flag marking classes that act trivially on the boundary chart."""
 
-    h: int
-    r: int
-    w_spec: Spectrum
-    lambda_spec: Spectrum
-    order: int
-    kernel_on_v: bool
+    __slots__ = ("h", "r", "w_spec", "lambda_spec", "order", "kernel_on_v")
 
     @classmethod
     def build(cls, w_spec: Spectrum, lambda_spec: Spectrum) -> ElementClass:

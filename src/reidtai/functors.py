@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .rotations import RotationNumber, Spectrum, element_order, rot
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def age(s: Spectrum) -> Fraction:
     """Sum of the rotation numbers in [0, 1); eigenvalue 1 contributes 0."""
+    from fractions import Fraction  # imported here: the chart path reads no age
     return sum((q.fraction for q in s.entries), Fraction(0))
 
 

@@ -15,8 +15,8 @@ functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
+from typing import TYPE_CHECKING
 
 from .criterion import (
     ExceptionRecord,
@@ -27,6 +27,9 @@ from .criterion import (
     age_kind,
 )
 from .rotations import Spectrum, residue_keys
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def fraction_str(value: Fraction | None) -> str | None:
@@ -52,22 +55,34 @@ def _entries(nums: tuple[int, ...], n: int) -> list[str]:
 
 
 def _age(x: int | None, n: int) -> str | None:
-    """The age x/n (None for none) as reduced "num/den", cached per (x, n)."""
+    """The age x/n (n > 0, None for none) as "num/den" reduced by the gcd, cached per (x, n)."""
     if x is None:
         return None
     if (x, n) not in _AGE_STRS:
-        _AGE_STRS[x, n] = fraction_str(Fraction(x, n))
+        g = gcd(x, n)
+        _AGE_STRS[x, n] = f"{x // g}/{n // g}"
     return _AGE_STRS[x, n]
 
 
-@dataclass
 class Report:
-    config: dict
-    minima: list[dict] = field(default_factory=list)
-    exceptions: list[dict] = field(default_factory=list)
-    violations: list[dict] = field(default_factory=list)
-    verdicts: list[dict] = field(default_factory=list)
-    oracle: dict | None = None
+    """A report's sections as plain data; equal sections, equal reports."""
+
+    __slots__ = ("config", "minima", "exceptions", "violations", "verdicts", "oracle")
+
+    def __init__(
+        self, config: dict, minima: list[dict] | None = None,
+        exceptions: list[dict] | None = None, violations: list[dict] | None = None,
+        verdicts: list[dict] | None = None, oracle: dict | None = None,
+    ) -> None:
+        self.config = config
+        self.minima = [] if minima is None else minima
+        self.exceptions = [] if exceptions is None else exceptions
+        self.violations = [] if violations is None else violations
+        self.verdicts = [] if verdicts is None else verdicts
+        self.oracle = oracle
+
+    def __eq__(self, other: object) -> bool:
+        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
 
     def to_dict(self) -> dict:
         data = {
@@ -173,7 +188,7 @@ def chart_verdict_row(result: SweepResult) -> dict:
         "stratum": "boundary-chart",
         "h": result.h,
         "r": result.r,
-        "kind": age_kind(result.min_age),
+        "kind": age_kind(result.best, result.n),
         "min_age": _age(result.best, result.n),
     }
 

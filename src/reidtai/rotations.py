@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Every order used by the sweeps divides a configurable bound <= 360, so
 # numerators and denominators stay tiny; construction enforces the cap.
@@ -28,17 +29,60 @@ DEFAULT_TOLERANCE = 1e-9
 # Smallest total degree of a sampled signature; --max-degree may not go below.
 MIN_DEGREE = 1
 
+_set_field = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class RotationNumber:
+
+class Frozen:
+    """Immutable value: the fields are the ``__slots__``, set once by
+    ``__init__`` (a subclass with defaults or validation sets them with
+    ``_set_field`` and calls ``__post_init__``).  Equality and hash go by
+    exact type and fields, so a value never equals a tuple or another
+    class's value; pickling and copying rebuild through the constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            _set_field(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class RotationNumber(Frozen):
     """A reduced rational in [0, 1); 0 is stored as 0/1.
 
     Direct construction demands an already-reduced pair; use :func:`rot`
     to build one from arbitrary integers.
     """
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int) -> None:
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.den <= 0:
@@ -56,8 +100,17 @@ class RotationNumber:
     def is_zero(self) -> bool:
         return self.num == 0
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction  # built only when an age is read
         return Fraction(self.num, self.den)
 
     @property
@@ -102,20 +155,29 @@ ZERO = rot(0, 1)
 HALF = rot(1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class Spectrum:
+class Spectrum(Frozen):
     """A multiset of rotation numbers, stored canonically sorted.
 
     Sorting is by (den, num), so structurally equal spectra compare equal;
     use :meth:`of` unless the entries are known to be in canonical order.
     """
 
-    entries: tuple[RotationNumber, ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[RotationNumber, ...] = ()) -> None:
+        _set_field(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         keys = [q.sort_key for q in self.entries]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValueError("entries not canonically sorted; use Spectrum.of")
+
+    def __eq__(self, other: object) -> bool:
+        return self.entries == other.entries if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @classmethod
     def of(cls, entries: Iterable[RotationNumber]) -> Spectrum:
@@ -235,21 +297,30 @@ def validate_ppav(a: Spectrum) -> bool:
     return validate_integral(Spectrum.of(a.entries + a.negated().entries))
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitSignature:
+class OrbitSignature(Frozen):
     """A multiset of orbit orders n_j, stored sorted.
 
     The signature {n_j} encodes the integral conjugacy-class datum "one
     complete Galois orbit per part"; its total degree is sum of phi(n_j).
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        _set_field(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if any(n <= 0 for n in self.parts):
             raise ValueError("orbit orders must be positive")
         if any(a > b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("parts not sorted; use OrbitSignature.of")
+
+    def __eq__(self, other: object) -> bool:
+        return self.parts == other.parts if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def of(cls, parts: Iterable[int]) -> OrbitSignature:

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from reidtai.criterion import (
-    ONE,
     ExceptionRecord,
     SweepResult,
     central_twin,
@@ -165,9 +164,9 @@ def sweep_over(
             witnesses = [c]
         elif av == min_age:
             witnesses.append(c)
-        if av < ONE or (include_age_one and av == ONE):
+        if av < 1 or (include_age_one and av == 1):
             exceptions.append(Row(c, a2, at, av, exceptional_shape(c)))
-        if av < ONE:
+        if av < 1:
             v_order = math.lcm(element_order(sym2_spec), element_order(tensor_spec))
             if v_order != 2:
                 violations.append(Violation("order-2", c, av, v_order))

@@ -12,7 +12,6 @@ the facts each reported row carries (chart order, kernel flag, twin sort
 key) against the spectrum and twin-class route kept there.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,8 +33,8 @@ from reidtai.criterion import (
     central_twin,
     chart_order,
     check_exception_catalog,
+    dedupe_exceptions,
     exceptional_shape,
-    finalize_sweep,
     fold_chart,
     sweep_sym2,
     torus_summary,
@@ -91,7 +90,8 @@ def test_fold_matches_object_route(cfg):
         expected = sweep_over(cfg.h, cfg.r, classes, include_age_one)
         folded = fold_chart(cfg, states, lattice_factor_classes(cfg), include_age_one)
         assert public(folded) == expected
-        assert public(finalize_sweep(folded)) == reference_fold.finalize_sweep(expected)
+        deduped = folded.replace(exceptions=dedupe_exceptions(folded.exceptions))
+        assert public(deduped) == reference_fold.finalize_sweep(expected)
         # each row's integer key is its class's key, so the sorts agree too
         keyed = [*folded.exceptions, *folded.violations]
         assert all(rec.sort_key == rec.element.sort_key for rec in keyed)
@@ -170,7 +170,7 @@ def test_row_facts_match_the_spectrum_route(data):
     keys = residue_keys(n)
     assert (c.h, c.r, tuple(keys[x] for x in xs), tuple(keys[y] for y in ys)) == c.sort_key
     rec = ExceptionRecord((c.sort_key, xs, ys, n, a2, av, exceptional_shape(c)))
-    assert rec.element == replace(c, kernel_on_v=av == 0)
+    assert rec.element == ElementClass(c.h, c.r, c.w_spec, c.lambda_spec, c.order, av == 0)
     assert twin_sort_key(rec) == central_twin(c).sort_key
 
 
@@ -182,7 +182,8 @@ def test_violation_orders_match_the_spectrum_route(n):
     for h in range(1, 5):
         cfg = EnumerationConfig(h, 4 - h, n, "unconstrained")
         folded = fold_chart(cfg, abelian_factor_classes(cfg), lattice_factor_classes(cfg))
-        result = check_exception_catalog(finalize_sweep(folded))
+        result = folded.replace(exceptions=dedupe_exceptions(folded.exceptions))
+        result = check_exception_catalog(result)
         for v in result.violations:
             rules.add(v.rule)
             assert v.v_order == reference_fold.chart_order(v.element), v
@@ -236,7 +237,7 @@ def test_fold_records_a_zero_age_pair_that_is_not_plus_minus_one():
     # the class carries the fold's kernel flag (its age is 0), not the
     # spectrum route's, which knows the pair moves the chart
     c = ElementClass(1, 1, w, lam, 4, True)
-    assert ElementClass.build(w, lam) == replace(c, kernel_on_v=False)
+    assert ElementClass.build(w, lam) == ElementClass(1, 1, w, lam, 4, False)
     assert public(result).violations == (Violation("kernel", c, Fraction(0), 1),)
     assert result.min_age is None
     # the true -1 pair has age 0 too, and is the kernel: no violation

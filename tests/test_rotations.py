@@ -1,14 +1,23 @@
 """Rotation-number arithmetic and Galois-orbit certification."""
 
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
-from reidtai.enumeration import cyclotomic_signatures, rotation_universe
+from reidtai.criterion import InteriorSummary, TorusSummary, Verdict
+from reidtai.enumeration import (
+    ElementClass,
+    EnumerationConfig,
+    cyclotomic_signatures,
+    rotation_universe,
+)
 from reidtai.functors import power
 from reidtai.rotations import (
     MAX_DENOMINATOR,
@@ -224,3 +233,80 @@ def test_residue_keys_are_rotation_sort_keys(n):
     assert residue_keys(n) == tuple(rot(x, n).sort_key for x in range(n))
     twin = [(Fraction(x, n) + Fraction(1, 2)) % 1 for x in range(n)]
     assert residue_keys(n, True) == tuple((f.denominator, f.numerator) for f in twin)
+
+
+_HALF_SPEC = Spectrum.of([rot(1, 2)])
+# (class, field names, field values) of one instance of each immutable class
+VALUE_CLASSES = [
+    (RotationNumber, ("num", "den"), (1, 6)),
+    (Spectrum, ("entries",), ((rot(0, 1), rot(1, 2)),)),
+    (OrbitSignature, ("parts",), ((1, 2, 6),)),
+    (
+        EnumerationConfig,
+        ("h", "r", "order_divides", "constraint_mode"),
+        (1, 4, 12, "unconstrained"),
+    ),
+    (
+        ElementClass,
+        ("h", "r", "w_spec", "lambda_spec", "order", "kernel_on_v"),
+        (1, 1, _HALF_SPEC, _HALF_SPEC, 2, True),
+    ),
+    (Verdict, ("kind", "witness_power", "witness_age"), ("terminal", 3, Fraction(7, 6))),
+    (
+        InteriorSummary,
+        ("g", "min_age", "kind", "witnesses"),
+        (2, Fraction(1, 2), "not-canonical", (_HALF_SPEC,)),
+    ),
+    (TorusSummary, ("r", "min_age", "witnesses"), (1, None, ())),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names, values", VALUE_CLASSES, ids=[cls.__name__ for cls, _, _ in VALUE_CLASSES]
+)
+def test_value_class_semantics(cls, names, values):
+    value = cls(*values)
+    assert tuple(getattr(value, name) for name in names) == values
+    # equality and hash go by exact type and fields
+    twin = cls(*values)
+    assert value == twin and hash(value) == hash(twin)
+    assert value != values and values != value
+    other = SimpleNamespace(**dict(zip(names, values)))
+    assert value != other and other != value
+    assert Spectrum() != OrbitSignature() and OrbitSignature() != Spectrum()
+    # immutable
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == values
+    # pickling and copying give back an equal value
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value
+    fields = ", ".join(f"{name}={v!r}" for name, v in zip(names, values))
+    assert repr(value) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RotationNumber(1, 0), "denominator must be positive, got 0"),
+        (lambda: RotationNumber(1, 361), "denominator 361 exceeds the cap 360"),
+        (lambda: RotationNumber(3, 2), "3/2 is not reduced mod 1"),
+        (lambda: RotationNumber(2, 4), "2/4 is not in lowest terms"),
+        (
+            lambda: Spectrum((rot(1, 2), rot(0, 1))),
+            "entries not canonically sorted; use Spectrum.of",
+        ),
+        (lambda: OrbitSignature((0,)), "orbit orders must be positive"),
+        (lambda: OrbitSignature((3, 2)), "parts not sorted; use OrbitSignature.of"),
+        (lambda: EnumerationConfig(1, -1), "dimensions must be non-negative"),
+        (lambda: EnumerationConfig(1, 1, 0), "order bound must be >= 1"),
+        (lambda: EnumerationConfig(1, 1, 12, "nonsense"), "unknown constraint mode 'nonsense'"),
+    ],
+)
+def test_value_class_validation(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
