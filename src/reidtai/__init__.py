@@ -10,10 +10,8 @@ from .criterion import (
     Verdict,
     ViolationRecord,
     boundary_moved_count,
-    central_twin,
     check_exception_catalog,
     dedupe_exceptions,
-    exceptional_shape,
     fold_chart,
     interior_verdict,
     reduction_support,
@@ -26,12 +24,10 @@ from .enumeration import (
     CONSTRAINT_MODES,
     ElementClass,
     EnumerationConfig,
-    all_spectra,
     cyclotomic_signatures,
     element_classes,
     lattice_classes,
     ppav_classes,
-    rotation_universe,
 )
 from .functors import (
     age,
@@ -55,8 +51,6 @@ from .rotations import (
     rot,
     rot_from_str,
     totient,
-    validate_integral,
-    validate_ppav,
 )
 
 __version__ = "0.1.0"

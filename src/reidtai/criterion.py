@@ -33,7 +33,7 @@ from .enumeration import (
     spectrum_state,
 )
 from .functors import age, fixed_multiplicity, forms_spectrum
-from .rotations import HALF, ZERO, Frozen, Spectrum, residue_keys, totient
+from .rotations import Frozen, Spectrum, residue_keys, totient
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -223,35 +223,13 @@ class SweepResult(tuple):
         return "SweepResult" + tuple.__repr__(self)
 
 
-def exceptional_shape(element: ElementClass) -> bool:
-    """The unique below-1 shape: h = 1, the abelian factor acting by -1,
-    the lattice fixing one basis vector and negating the other r-1."""
-    if element.h != 1 or element.r < 1:
-        return False
-    if element.w_spec != Spectrum.of([HALF]):
-        return False
-    counts = element.lambda_spec.counts()
-    return counts[ZERO] == 1 and counts[HALF] == element.r - 1
-
-
-def _shifted(s: Spectrum) -> Spectrum:
-    return Spectrum.of(q + HALF for q in s.entries)
-
-
-def central_twin(element: ElementClass) -> ElementClass:
-    """The other lift of the same chart transformation.
-
-    Multiplying a class by the central involution shifts every eigenvalue
-    by 1/2 on both factors and leaves the induced chart action unchanged,
-    so classes come in lift pairs inducing identical germs.
-    """
-    return ElementClass.build(_shifted(element.w_spec), _shifted(element.lambda_spec))
-
-
 def twin_sort_key(rec: ExceptionRecord) -> tuple:
-    """``central_twin(rec.element).sort_key`` without building the twin:
-    each entry x/n is keyed as x/n + 1/2 from the per-n table.  The twin's
-    orders may exceed MAX_DENOMINATOR."""
+    """The sort key of the record's central twin, the other lift of the
+    same chart transformation (every eigenvalue shifted by 1/2 on both
+    factors), without building the twin: each entry x/n is keyed as
+    x/n + 1/2 from the per-n table.  The twin's orders may exceed
+    MAX_DENOMINATOR.  ``central_twin`` in ``tests/reference_fold.py``
+    builds the twin as a class."""
     keys = residue_keys(rec.n, True).__getitem__
     return (*rec.sort_key[:2], tuple(sorted(map(keys, rec.xs))), tuple(sorted(map(keys, rec.ys))))
 
@@ -299,8 +277,10 @@ def _plus_minus_one(xs: tuple[int, ...], ys: tuple[int, ...], n: int) -> bool:
 
 
 def _exceptional(xs: tuple[int, ...], ys: tuple[int, ...], n: int) -> bool:
-    """:func:`exceptional_shape` on numerators over n: W = {1/2} and Lambda
-    one 0 with r - 1 halves."""
+    """The unique below-1 shape on numerators over n: h = 1 with W = {1/2}
+    (the abelian factor acting by -1), and Lambda one 0 with r - 1 halves.
+    ``exceptional_shape`` in ``tests/reference_fold.py`` reads it off a
+    class."""
     half = n // 2
     return n % 2 == 0 and xs == (half,) and ys.count(0) == 1 and ys.count(half) == len(ys) - 1
 

@@ -91,13 +91,6 @@ class ElementClass(Frozen):
 State = tuple[tuple[int, ...], int, Sequence[int]]
 
 
-def numerators(s: Spectrum, n: int) -> tuple[int, ...]:
-    """The entries of s as numerators over the common denominator n."""
-    if any(n % q.den for q in s.entries):
-        raise ValueError(f"{s} has an order not dividing {n}")
-    return tuple(q.num * (n // q.den) for q in s.entries)
-
-
 @lru_cache(maxsize=None)
 def _rotations(n: int) -> tuple[RotationNumber, ...]:
     return tuple(rot(k, n) for k in range(n))
@@ -114,11 +107,6 @@ def keyed_residues(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("order bound must be >= 1")
     return tuple(sorted(range(n), key=residue_keys(n).__getitem__))
-
-
-def rotation_universe(order_divides: int) -> tuple[RotationNumber, ...]:
-    """All rotation numbers with denominator dividing the bound, sorted."""
-    return tuple(map(_rotations(order_divides).__getitem__, keyed_residues(order_divides)))
 
 
 def _block_ages(
@@ -158,7 +146,7 @@ def lattice_residues(cfg: EnumerationConfig) -> tuple[int, ...]:
 
 def _blocks(level: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
     """The non-empty blocks a spectrum with room entries left can take at
-    one level, each sorted, in the lexicographic order of ``all_spectra``.
+    one level, each sorted, in the lexicographic order of the sorted entries.
 
     A single-residue level (orders 1 and 2 of the integral stream, every
     entry of the unconstrained one) takes plain copies of its residue.  An
@@ -286,16 +274,10 @@ def _spectra(states: Iterator[State], n: int) -> Iterator[Spectrum]:
         yield as_spectrum(entries, n)
 
 
-def all_spectra(dim: int, order_divides: int) -> Iterator[Spectrum]:
-    """Every multiset of the given size over the rotation universe, in
-    lexicographic order."""
-    yield from _spectra(multiset_states(dim, order_divides), order_divides)
-
-
 def ppav_classes(h: int, order_divides: int) -> Iterator[Spectrum]:
     """All dimension-h spectra of order dividing the bound that extend to an
-    integral action on the doubled homology; duplicate-free, in the order
-    of ``all_spectra`` (lexicographic in the sorted entries)."""
+    integral action on the doubled homology; duplicate-free, in the
+    lexicographic order of the sorted entries."""
     yield from _spectra(ppav_states(h, order_divides), order_divides)
 
 
@@ -336,8 +318,8 @@ def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[State]:
 def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[tuple[int, ...]]:
     """The lattice-side stream for a config (validity filter per mode): each
     spectrum as its numerators over N = cfg.order_divides in canonical
-    order, in the order of ``all_spectra`` (unconstrained) or of
-    ``lattice_classes`` (integral modes)."""
+    order, in the lexicographic order of the sorted entries (unconstrained)
+    or of ``lattice_classes`` (integral modes)."""
     n = cfg.order_divides
     if cfg.constraint_mode == "unconstrained":
         yield from combinations_with_replacement(keyed_residues(n), cfg.r)

@@ -32,12 +32,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def fraction_str(value: Fraction | None) -> str | None:
-    if value is None:
-        return None
-    return f"{value.numerator}/{value.denominator}"
-
-
 def spectrum_strs(s: Spectrum) -> list[str]:
     """The entries of a Sym^2 or torus witness (the r = 0 rows)."""
     return [str(q) for q in s.entries]
@@ -62,6 +56,11 @@ def _age(x: int | None, n: int) -> str | None:
         g = gcd(x, n)
         _AGE_STRS[x, n] = f"{x // g}/{n // g}"
     return _AGE_STRS[x, n]
+
+
+def fraction_str(value: Fraction | None) -> str | None:
+    """A Fraction age (a Sym^2 or interior row) through the same cache."""
+    return None if value is None else _age(value.numerator, value.denominator)
 
 
 class Report:
@@ -319,18 +318,6 @@ def render_json(report: Report) -> str:
     through the C encoder's functions (``encode_basestring_ascii``,
     ``int.__repr__``, ``float.__repr__``)."""
     return _object(report.to_dict(), "", _SECTIONS) + "\n"
-
-
-def parse_json(text: str) -> Report:
-    data = json.loads(text)
-    return Report(
-        config=data["config"],
-        minima=data["minima"],
-        exceptions=data["exceptions"],
-        violations=data["violations"],
-        verdicts=data["verdicts"],
-        oracle=data.get("oracle"),
-    )
 
 
 def render_csv(report: Report) -> str:

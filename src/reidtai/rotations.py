@@ -2,8 +2,8 @@
 
 A rotation number num/den stands for the root of unity exp(2*pi*i*num/den).
 A spectrum is a finite multiset of rotation numbers: the eigenvalue data of
-a finite-order semisimple operator.  Whether a spectrum can come from an
-integer matrix is decided by decomposing it into complete Galois orbits.
+a finite-order semisimple operator.  A spectrum that comes from an integer
+matrix splits into complete Galois orbits, which ``OrbitSignature`` lists.
 """
 
 from __future__ import annotations
@@ -151,10 +151,6 @@ def rot_from_str(text: str) -> RotationNumber:
     return rot(int(text), 1)
 
 
-ZERO = rot(0, 1)
-HALF = rot(1, 2)
-
-
 class Spectrum(Frozen):
     """A multiset of rotation numbers, stored canonically sorted.
 
@@ -267,34 +263,6 @@ def galois_orbit(n: int) -> Spectrum:
 def element_order(s: Spectrum) -> int:
     """lcm of the denominators; 1 for the empty or all-zero spectrum."""
     return math.lcm(*(q.den for q in s.entries)) if s.entries else 1
-
-
-def validate_integral(s: Spectrum) -> bool:
-    """True iff the multiset splits into complete Galois orbits.
-
-    A finite-order integer matrix has characteristic polynomial a product
-    of cyclotomics, so each primitive n-th root must appear with the same
-    multiplicity as all of its conjugates.  An entry of denominator n can
-    only belong to the order-n orbit, which makes the check local to each
-    denominator.
-    """
-    counts = s.counts()
-    for n in {q.den for q in s.entries}:
-        orbit = galois_orbit(n).entries
-        m = counts[orbit[0]]
-        if any(counts[q] != m for q in orbit[1:]):
-            return False
-    return True
-
-
-def validate_ppav(a: Spectrum) -> bool:
-    """True iff a, together with its negation, is integral.
-
-    A finite-order automorphism of an abelian h-fold acts on the rank-2h
-    integral homology with spectrum a plus its complex conjugate, so the
-    doubled multiset must split into complete Galois orbits.
-    """
-    return validate_integral(Spectrum.of(a.entries + a.negated().entries))
 
 
 class OrbitSignature(Frozen):

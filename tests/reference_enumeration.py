@@ -1,8 +1,14 @@
 """Reference routes for the W and Lambda streams of ``reidtai.enumeration``.
 
+- ``rotation_universe`` and ``all_spectra``: the rotation numbers of order
+  dividing the bound, and every multiset over them read off the assembled
+  ``multiset_states``;
 - ``all_spectra_by_combinations``: every multiset straight from
   ``itertools.combinations_with_replacement``, the reference for the
   assembled ``all_spectra``;
+- ``validate_integral`` and ``validate_ppav``: the integrality tests,
+  whether a multiset (or it with its negation) splits into complete Galois
+  orbits;
 - ``ppav_classes_by_filter``: every multiset through the doubled-spectrum
   integrality test, exhaustive but exponential in h, the reference for the
   orbit assembly in ``ppav_classes``;
@@ -16,8 +22,48 @@ import math
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from reidtai.enumeration import rotation_universe
-from reidtai.rotations import Spectrum, validate_ppav
+from reidtai.enumeration import as_spectrum, keyed_residues, multiset_states
+from reidtai.rotations import RotationNumber, Spectrum, galois_orbit, rot
+
+
+def rotation_universe(order_divides: int) -> tuple[RotationNumber, ...]:
+    """All rotation numbers with denominator dividing the bound, sorted."""
+    return tuple(rot(x, order_divides) for x in keyed_residues(order_divides))
+
+
+def all_spectra(dim: int, order_divides: int) -> Iterator[Spectrum]:
+    """Every multiset of the given size over the rotation universe, in
+    lexicographic order, from the assembled states."""
+    for entries, _, _ in multiset_states(dim, order_divides):
+        yield as_spectrum(entries, order_divides)
+
+
+def validate_integral(s: Spectrum) -> bool:
+    """True iff the multiset splits into complete Galois orbits.
+
+    A finite-order integer matrix has characteristic polynomial a product
+    of cyclotomics, so each primitive n-th root must appear with the same
+    multiplicity as all of its conjugates.  An entry of denominator n can
+    only belong to the order-n orbit, which makes the check local to each
+    denominator.
+    """
+    counts = s.counts()
+    for n in {q.den for q in s.entries}:
+        orbit = galois_orbit(n).entries
+        m = counts[orbit[0]]
+        if any(counts[q] != m for q in orbit[1:]):
+            return False
+    return True
+
+
+def validate_ppav(a: Spectrum) -> bool:
+    """True iff a, together with its negation, is integral.
+
+    A finite-order automorphism of an abelian h-fold acts on the rank-2h
+    integral homology with spectrum a plus its complex conjugate, so the
+    doubled multiset must split into complete Galois orbits.
+    """
+    return validate_integral(Spectrum.of(a.entries + a.negated().entries))
 
 
 def all_spectra_by_combinations(dim: int, order_divides: int) -> Iterator[Spectrum]:

@@ -12,8 +12,9 @@ field for field.
 
 The per-W integer ages below recompute, for one whole spectrum, what the
 W stream builds block by block: the reference for its states.  The chart
-order and the central-lift pairing are read off built spectra and twin
-classes here; the library reads them off integers.
+order, the exceptional shape, the central twin and the lift pairing are
+read off built spectra and twin classes here; the library reads them off
+integers.
 """
 
 from __future__ import annotations
@@ -23,21 +24,18 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from reidtai.criterion import (
-    ExceptionRecord,
-    SweepResult,
-    central_twin,
-    exceptional_shape,
-)
+from reidtai.criterion import ExceptionRecord, SweepResult
 from reidtai.enumeration import (
     ElementClass,
     EnumerationConfig,
     as_spectrum,
     lattice_factor_classes,
-    numerators,
 )
 from reidtai.functors import age, sym2, tensor, v_spectrum
-from reidtai.rotations import Spectrum, element_order
+from reidtai.rotations import Spectrum, element_order, rot
+
+ZERO = rot(0, 1)
+HALF = rot(1, 2)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def exception_record(
     """The integer record of an object-built row, over the least N that
     holds the class's entries and both ages."""
     n = math.lcm(element.order, age_sym2.denominator, age_v.denominator)
-    xs, ys = numerators(element.w_spec, n), numerators(element.lambda_spec, n)
+    xs, ys = spectrum_numerators(element.w_spec, n), spectrum_numerators(element.lambda_spec, n)
     a2, av = int(age_sym2 * n), int(age_v * n)
     return ExceptionRecord((element.sort_key, xs, ys, n, a2, av, matches_iii))
 
@@ -106,6 +104,33 @@ def spectrum_numerators(s: Spectrum, n: int) -> tuple[int, ...]:
     if any(n % q.den for q in s.entries):
         raise ValueError(f"{s} has an order not dividing {n}")
     return tuple(q.num * (n // q.den) for q in s.entries)
+
+
+def exceptional_shape(element: ElementClass) -> bool:
+    """The unique below-1 shape: h = 1, the abelian factor acting by -1,
+    the lattice fixing one basis vector and negating the other r-1; the
+    reference for ``reidtai.criterion._exceptional``."""
+    if element.h != 1 or element.r < 1:
+        return False
+    if element.w_spec != Spectrum.of([HALF]):
+        return False
+    counts = element.lambda_spec.counts()
+    return counts[ZERO] == 1 and counts[HALF] == element.r - 1
+
+
+def _shifted(s: Spectrum) -> Spectrum:
+    return Spectrum.of(q + HALF for q in s.entries)
+
+
+def central_twin(element: ElementClass) -> ElementClass:
+    """The other lift of the same chart transformation, built as a class;
+    the reference for ``reidtai.criterion.twin_sort_key``.
+
+    Multiplying a class by the central involution shifts every eigenvalue
+    by 1/2 on both factors and leaves the induced chart action unchanged,
+    so classes come in lift pairs inducing identical germs.
+    """
+    return ElementClass.build(_shifted(element.w_spec), _shifted(element.lambda_spec))
 
 
 def sym2_age_num(xs: tuple[int, ...], n: int) -> int:

@@ -1,5 +1,6 @@
 """Driver behavior: flags, exit codes, report formats, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import reidtai.cli
 import reidtai.oracle
 from reidtai.cli import main, sweep_charts
-from reidtai.report import Report, parse_json, render_json
+from reidtai.report import Report, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -26,6 +27,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_json(text):
+    """A JSON report read back into a ``Report``."""
+    data = json.loads(text)
+    return Report(
+        config=data["config"],
+        minima=data["minima"],
+        exceptions=data["exceptions"],
+        violations=data["violations"],
+        verdicts=data["verdicts"],
+        oracle=data.get("oracle"),
+    )
 
 
 def test_sweep_exception_chart(capsys):
@@ -228,6 +242,35 @@ def test_report_round_trip():
                    "min_age": "1/1"}],
     )
     assert parse_json(render_json(report)) == report
+
+
+def test_every_package_export_is_run_by_the_program_or_the_gate():
+    # a name reidtai re-exports is referenced in code by another module of
+    # the package, or imported by the acceptance gate; a docstring mention
+    # is not a reference, and a route only the tests run lives in tests/
+    package = SRC / "reidtai"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((package / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    referenced = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    gate = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    gate_imports = {
+        alias.asname or alias.name
+        for node in ast.walk(gate)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(exported - referenced - gate_imports) == []
 
 
 def test_deterministic_outputs(tmp_path, capsys):

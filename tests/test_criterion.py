@@ -11,18 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from reference_enumeration import lattice_series, multiset_count, ppav_series
-from reference_fold import exception_record
+from reference_enumeration import lattice_series, multiset_count, ppav_series, rotation_universe
+from reference_fold import central_twin, exception_record, exceptional_shape
 from reidtai import criterion, enumeration, functors
 from reidtai.cli import main
 from reidtai.criterion import (
     PropositionViolation,
     SweepResult,
     boundary_moved_count,
-    central_twin,
     check_exception_catalog,
     dedupe_exceptions,
-    exceptional_shape,
     interior_verdict,
     reduction_support,
     rst_verdict,
@@ -30,11 +28,7 @@ from reidtai.criterion import (
     sweep_v,
     torus_summary,
 )
-from reidtai.enumeration import (
-    ElementClass,
-    EnumerationConfig,
-    rotation_universe,
-)
+from reidtai.enumeration import ElementClass, EnumerationConfig
 from reidtai.functors import age, power, sym2, tensor, v_spectrum
 from reidtai.rotations import (
     RotationNumber,
@@ -572,7 +566,7 @@ def test_catalog_builds_no_chart_spectrum_or_class(monkeypatch):
         assert main(argv) == code
     assert not any(calls.values()), calls
     # the wrappers are live: a record's class reads its spectra through
-    # as_spectrum, and the public twin builds a class, spectra and entries
+    # as_spectrum, and the reference twin builds a class, spectra and entries
     rec = sweep_v(1, 4).exceptions[0]
     central_twin(rec.element)
     assert calls["v_spectrum"] == calls["build"] == 1

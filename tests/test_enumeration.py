@@ -7,17 +7,20 @@ from itertools import combinations_with_replacement
 import pytest
 
 from reference_enumeration import (
+    all_spectra,
     all_spectra_by_combinations,
     lattice_series,
     ppav_classes_by_filter,
     ppav_series,
+    rotation_universe,
+    validate_integral,
+    validate_ppav,
 )
 from reidtai.enumeration import (
     CONSTRAINT_MODES,
     ElementClass,
     EnumerationConfig,
     abelian_factor_classes,
-    all_spectra,
     as_spectrum,
     cyclotomic_signatures,
     element_classes,
@@ -25,7 +28,6 @@ from reidtai.enumeration import (
     lattice_factor_classes,
     lattice_residues,
     ppav_classes,
-    rotation_universe,
 )
 from reidtai.functors import power, v_spectrum
 from reidtai.rotations import (
@@ -37,8 +39,6 @@ from reidtai.rotations import (
     parse_spectrum,
     rot,
     totient,
-    validate_integral,
-    validate_ppav,
 )
 
 S = parse_spectrum

@@ -10,12 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_functors as ref
-from reidtai.criterion import central_twin
+from reference_enumeration import rotation_universe
+from reference_fold import central_twin
 from reidtai.enumeration import (
     ElementClass,
     lattice_classes,
     ppav_classes,
-    rotation_universe,
 )
 from reidtai.functors import (
     age,

@@ -11,12 +11,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from reference_enumeration import rotation_universe, validate_integral, validate_ppav
 from reidtai.criterion import InteriorSummary, TorusSummary, Verdict
 from reidtai.enumeration import (
     ElementClass,
     EnumerationConfig,
     cyclotomic_signatures,
-    rotation_universe,
 )
 from reidtai.functors import power
 from reidtai.rotations import (
@@ -32,8 +32,6 @@ from reidtai.rotations import (
     rot,
     rot_from_str,
     totient,
-    validate_integral,
-    validate_ppav,
 )
 
 
