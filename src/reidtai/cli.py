@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
-from pathlib import Path
 from typing import Any, Callable
 
 from . import criterion
@@ -59,8 +59,10 @@ def _in_range(
 _order_bound = _in_range(
     int, lambda n: 1 <= n <= MAX_DENOMINATOR, f"must be in 1..{MAX_DENOMINATOR}"
 )
+# the file a path names, as pathlib reads it: trailing "/" and "/." dropped
 _out_path = _in_range(
-    Path, lambda p: p.parent.is_dir() and not p.is_dir(),
+    lambda text: re.sub(r"(/\.?)+$", "", text),
+    lambda p: os.path.isdir(os.path.dirname(p) or ".") and not os.path.isdir(p or "."),
     "must name a file in an existing directory",
 )
 
@@ -301,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.out:
-        args.out.write_text(rendered, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(rendered)
     if code == EXIT_VIOLATION:
         for row in report.violations:
             print(

@@ -7,7 +7,8 @@ for the induced symmetric-square and tensor operators built from it.
 
 A run solves each distinct eigenvalue problem once, in stacks of
 same-size matrices, snaps each stack's angles to their exact grids in one
-pass, and then checks its cases one by one against the stored verdicts.
+pass and stores each problem's verdict, or the first failure of its steps,
+in one table; each case then reads its steps from that table.
 """
 
 from __future__ import annotations
@@ -120,12 +121,14 @@ def numeric_angles(m: np.ndarray) -> np.ndarray:
 
 
 def match_angles(
-    angles: Sequence[float] | np.ndarray,
-    exact: Spectrum | Sequence[Spectrum],
+    angles: np.ndarray,
+    exact: Sequence[Spectrum],
     tol: float = DEFAULT_TOLERANCE,
-) -> bool | list[bool | None]:
-    """True iff the numeric angles pair off one-to-one with the exact entries,
-    each within tol under circular distance.
+) -> list[bool | None]:
+    """For each of k rows of numeric angles, as :func:`numeric_angles`
+    returns them for a stack of k matrices, and its exact spectrum: True iff
+    the row's angles pair off one-to-one with the spectrum's entries, each
+    within tol under circular distance.
 
     Every exact entry lies on the grid k/L, L = element_order(exact).  Each
     angle is snapped to its nearest grid point; the match holds iff every
@@ -133,26 +136,16 @@ def match_angles(
     multiset.  Distinct exact values lie more than 2*tol apart (see
     MAX_MATCH_TOLERANCE), so an angle has at most one exact value within
     tol, and the snap finds it while the grid spacing 1/L stays well above
-    2*tol.  A grid finer than that (tol*L > 1/4, so L above 250 000; the
-    CLI's order bound keeps L <= 360) raises ValueError.
-
-    ``angles`` is one row with ``exact`` one spectrum, or, as
-    :func:`numeric_angles` returns them, a 2-D array of k rows with
-    ``exact`` a sequence of k spectra.  A stack is snapped in one pass, each
-    row against its own L, and gives a list of k verdicts, with None for a
-    row whose grid is too fine; one row is the stack of one, whose None
-    raises.  Each verdict equals the one its row gets alone.
+    2*tol.  A row whose grid is finer than that (tol*L > 1/4, so L above
+    250 000; the CLI's order bound keeps L <= 360) gets None.  The stack is
+    snapped in one pass, each row against its own L, and each verdict
+    depends on its own row and spectrum only.  A tolerance out of range
+    raises ValueError.
     """
     if not 0.0 < tol <= MAX_MATCH_TOLERANCE:
         raise ValueError(
             f"tolerance must be in (0, {MAX_MATCH_TOLERANCE}], got {tol}"
         )
-    if isinstance(exact, Spectrum):
-        [verdict] = match_angles(np.asarray(angles, dtype=np.float64)[None], [exact], tol)
-        if verdict is None:
-            big = element_order(exact)
-            raise ValueError(f"grid 1/{big} too fine to snap angles at tolerance {tol}")
-        return verdict
     x = np.asarray(angles, dtype=np.float64)
     verdicts: list[bool | None] = [None] * len(exact)
     snapped, orders, numerators = [], [], []
@@ -209,11 +202,6 @@ def _realized(sig: OrbitSignature) -> tuple[np.ndarray, Spectrum]:
     return realize(sig), sig.spectrum()
 
 
-def check_spectrum(mat: np.ndarray, exact: Spectrum, tol: float) -> bool:
-    """The realized matrix's own eigenvalues match its exact spectrum."""
-    return match_angles(numeric_angles(mat), exact, tol)
-
-
 def _sym2_entries(mat: np.ndarray) -> np.ndarray:
     sym = sym2_matrix(mat)
     expected_dim = len(mat) * (len(mat) + 1) // 2
@@ -229,23 +217,6 @@ def _kron_entries(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     return kron
 
 
-def check_sym2(mat: np.ndarray, exact: Spectrum, tol: float) -> bool:
-    """The induced symmetric square matches the exact sym2 spectrum."""
-    return match_angles(numeric_angles(_sym2_entries(mat)), sym2(exact), tol)
-
-
-def check_tensor(
-    a_mat: np.ndarray,
-    a_exact: Spectrum,
-    b_mat: np.ndarray,
-    b_exact: Spectrum,
-    tol: float,
-) -> bool:
-    """The Kronecker product matches the exact tensor spectrum."""
-    kron = _kron_entries(a_mat, b_mat)
-    return match_angles(numeric_angles(kron), tensor(a_exact, b_exact), tol)
-
-
 def crosscheck_functor(
     a_sig: OrbitSignature,
     b_sig: OrbitSignature,
@@ -254,38 +225,30 @@ def crosscheck_functor(
 ) -> bool:
     """Numeric agreement for one signature pair.
 
-    Realizes a, then b, and checks the realized matrices themselves, the
-    induced symmetric square of a and the tensor product of the two, in
-    that order, stopping at the first mismatch.  Convergence failures
-    propagate as OracleFailure.
-
-    Each step is a pure function of the signatures it names, so a ``memo``
-    table shared by several calls runs each realization and check once per
-    signature (per ordered pair for the tensor check) and later cases reuse
-    its result; the verdict and the first OracleFailure raised are those of
-    a call with a fresh table.  A table belongs to one tolerance and only
-    stores successful results, so a step missing from it, whether
-    :func:`solve_stacked` left it out or it failed before, runs here alone.
+    Reads the steps of the pair from the ``memo`` table that
+    :func:`solve_stacked` fills, in order: the realization of a, then of b,
+    the realized matrices' own spectra, the induced symmetric square of a
+    and the tensor product of the two.  It returns False at the first
+    mismatch and raises the first stored failure (an OracleFailure, or a
+    ValueError from the exact side or the tolerance), so a failure stored
+    after a mismatch never surfaces.  A step missing from the table is
+    first solved by ``solve_stacked([(a_sig, b_sig)], tol, memo)``; without
+    a table the call is that one-pair solve.  A table belongs to one
+    tolerance.
     """
     if memo is None:
         memo = {}
-
-    def once(key: tuple, step: Callable, *args):
+    for key in (
+        ("realize", a_sig), ("realize", b_sig), ("spectrum", a_sig),
+        ("spectrum", b_sig), ("sym2", a_sig), ("tensor", a_sig, b_sig),
+    ):
         if key not in memo:
-            memo[key] = step(*args)
-        return memo[key]
-
-    a_mat, a_exact = once(("realize", a_sig), _realized, a_sig)
-    b_mat, b_exact = once(("realize", b_sig), _realized, b_sig)
-    return (
-        once(("spectrum", a_sig), check_spectrum, a_mat, a_exact, tol)
-        and once(("spectrum", b_sig), check_spectrum, b_mat, b_exact, tol)
-        and once(("sym2", a_sig), check_sym2, a_mat, a_exact, tol)
-        and once(
-            ("tensor", a_sig, b_sig),
-            check_tensor, a_mat, a_exact, b_mat, b_exact, tol,
-        )
-    )
+            solve_stacked([(a_sig, b_sig)], tol, memo)
+        if isinstance(memo[key], Exception):
+            raise memo[key]
+        if memo[key] is False:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -353,26 +316,31 @@ def solve_stacked(
 ) -> None:
     """Realize every signature of the drawn pairs and check each distinct
     problem of theirs (own spectrum, Sym^2 of a first signature, tensor of a
-    pair) once, storing the results in ``memo`` under the keys of
-    :func:`crosscheck_functor`.
+    pair) once, storing in ``memo``, under the keys
+    :func:`crosscheck_functor` reads, each realization and each problem's
+    verdict, or else the first failure of its steps.
+
+    The failures, in the order a problem meets them: an OracleFailure from
+    :func:`realize` (stored under the realization, so no problem of that
+    signature is posed), a dimension mismatch of the Sym^2 or Kronecker
+    matrix, a failed eigenvalue solve, a ValueError from the exact side, a
+    tolerance out of range, and a grid too fine for the tolerance, stored
+    as a ValueError.
 
     The problems of one matrix size are solved in chunks of at most
     STACK_ENTRIES matrix entries (one matrix if it alone is larger), and
     each chunk's matrices are built only when it is solved.  A chunk takes
     one :func:`numeric_angles` call for its angle rows and one
     :func:`match_angles` call that snaps them all to their exact grids.
-    Only verdicts that came out are stored: a problem that failed its
-    realization, a dimension check or its exact side (a ValueError), whose
-    grid is too fine for the tolerance, or that sat in a chunk whose solve
-    failed, stays out of the table, so the case that first needs it
-    recomputes it alone and raises there.
+    When the stacked solve fails, the chunk's matrices are solved one at a
+    time, so each failure is stored on the problem that caused it.
     """
     realized = {}
     for sig in dict.fromkeys(sig for pair in drawn for sig in pair):
         try:
             realized[sig] = memo[("realize", sig)] = _realized(sig)
-        except OracleFailure:
-            pass
+        except OracleFailure as exc:
+            memo[("realize", sig)] = exc
     for size, problems in sorted(_problems(drawn, realized).items()):
         per_chunk = max(1, STACK_ENTRIES // max(1, size * size))
         for start in range(0, len(problems), per_chunk):
@@ -380,34 +348,43 @@ def solve_stacked(
 
 
 def _solve_chunk(chunk: list, tol: float, memo: dict) -> None:
-    built, stack = [], []
+    built = []
     for key, matrix, exact in chunk:
         try:
-            stack.append(matrix())
-        except OracleFailure:
-            continue
-        built.append((key, exact))
-    if not stack:
+            built.append((key, matrix(), exact))
+        except OracleFailure as exc:
+            memo[key] = exc
+    if not built:
         return
+    stack = np.stack([mat for _, mat, _ in built])
     try:
-        rows = numeric_angles(np.stack(stack))
-    except OracleFailure:
-        return
-    kept, keys, spectra = [], [], []
-    for i, (key, exact) in enumerate(built):
+        rows = numeric_angles(stack)
+    except OracleFailure:  # solve each matrix alone below, to find the culprit
+        rows = None
+    solved, spectra = [], []
+    for i, (key, _, exact) in enumerate(built):
+        try:
+            row = numeric_angles(stack[i]) if rows is None else rows[i]
+        except OracleFailure as exc:
+            memo[key] = exc
+            continue
         try:
             spectra.append(exact())
-        except ValueError:
+        except ValueError as exc:
+            memo[key] = exc
             continue
-        kept.append(i)
-        keys.append(key)
+        solved.append((key, row))
     try:
-        verdicts = match_angles(rows[kept], spectra, tol)
-    except ValueError:  # a tolerance out of range: every case raises alone
-        return
-    for key, verdict in zip(keys, verdicts):
-        if verdict is not None:
-            memo[key] = verdict
+        verdicts = match_angles(np.array([row for _, row in solved]), spectra, tol)
+    except ValueError as exc:  # a tolerance out of range
+        verdicts = [exc] * len(solved)
+    for (key, _), spectrum, verdict in zip(solved, spectra, verdicts):
+        if verdict is None:
+            verdict = ValueError(
+                f"grid 1/{element_order(spectrum)} too fine to snap angles"
+                f" at tolerance {tol}"
+            )
+        memo[key] = verdict
 
 
 def run_oracle_cases(
@@ -422,9 +399,10 @@ def run_oracle_cases(
     The run draws all its signature pairs first, solves each distinct
     eigenvalue problem of theirs once in same-size stacks
     (:func:`solve_stacked`), and then calls :func:`crosscheck_functor` on
-    every case in order with the shared memo table.  Every case reports
-    its own verdict, and a failure surfaces as an OracleFailure at the
-    same case as when each case is checked alone.
+    every case in order with the shared memo table, which solves nothing
+    more.  Every case reports its own verdict, and a failure surfaces at
+    the same case, with the same exception, as when each case is checked
+    alone.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")

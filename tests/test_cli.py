@@ -1,5 +1,6 @@
 """Driver behavior: flags, exit codes, report formats, determinism."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -145,6 +146,29 @@ def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", ".", "/", "dir/", "dir/.", "dir/x.json", "dir/./x.json", "dir/x.json/",
+        "dir/../x.json", "missing/", "missing/x.json", "missing/../x.json",
+        "file", "file/", "file/.", "/nonexistent/d/x.json",
+    ],
+)
+def test_out_path_follows_the_pathlib_rule(tmp_path, monkeypatch, text):
+    # --out takes what pathlib.Path(text) reads as a file in an existing
+    # directory, and names the file that Path would write
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    path = Path(text)
+    if path.parent.is_dir() and not path.is_dir():
+        got = reidtai.cli._out_path(text)
+        assert os.path.normpath(got) == os.path.normpath(path)
+    else:
+        with pytest.raises(argparse.ArgumentTypeError):
+            reidtai.cli._out_path(text)
 
 
 def test_violation_exit_3(capsys):
@@ -478,11 +502,12 @@ def test_golden_reports(capsys, golden, argv):
 def test_cli_import_leaves_numpy_out():
     # only the oracle needs numpy; the sweeps must not pay for its import,
     # nor for dataclasses (with inspect) or fractions: the value classes are
-    # plain slots classes, and a catalog run reads its ages as integers
+    # plain slots classes, and a catalog run reads its ages as integers.
+    # pathlib is left out too; -S keeps site's .pth files from importing it.
     script = """
 import contextlib, io, sys
 import reidtai.cli
-loaded = {"numpy", "dataclasses", "fractions", "inspect"} & set(sys.modules)
+loaded = {"numpy", "dataclasses", "fractions", "inspect", "pathlib"} & set(sys.modules)
 assert not loaded, loaded
 with contextlib.redirect_stdout(io.StringIO()):
     assert reidtai.cli.main(["exceptions", "--g", "7", "--format", "json"]) == 0
@@ -492,7 +517,7 @@ assert "fractions" not in sys.modules, "the catalog run built a Fraction"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     env.pop(reidtai.cli.JOBS_ENV_VAR, None)  # the run is serial
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -40,6 +40,13 @@ from reidtai.rotations import (
 S = parse_spectrum
 
 
+def _match_one(angles, exact, tol=DEFAULT_TOLERANCE):
+    """The verdict of one row of angles, as a stack of one row; None where
+    its grid is too fine for the tolerance."""
+    [verdict] = match_angles(np.asarray(angles, dtype=np.float64)[None], [exact], tol)
+    return verdict
+
+
 @pytest.mark.parametrize(
     "n, coeffs",
     [
@@ -83,18 +90,21 @@ def test_realize_examples():
 @pytest.mark.parametrize("n", [3, 4, 12])
 def test_numeric_angles_single_orbits(n):
     angles = numeric_angles(realize(OrbitSignature.of([n])))
-    assert match_angles(angles, S(", ".join(f"{k}/{n}" for k in range(1, n + 1)
-                                            if np.gcd(k, n) == 1)))
+    assert _match_one(angles, S(", ".join(f"{k}/{n}" for k in range(1, n + 1)
+                                          if np.gcd(k, n) == 1)))
 
 
 def test_match_angles_guards():
     with pytest.raises(ValueError):
-        match_angles((0.0,), S("0"), tol=1e-3)
+        _match_one((0.0,), S("0"), tol=1e-3)
     with pytest.raises(ValueError):
-        match_angles((0.0,), S("0"), tol=0.0)
-    assert not match_angles((0.0, 0.5), S("0"))
+        _match_one((0.0,), S("0"), tol=0.0)
+    assert _match_one((0.0, 0.5), S("0")) is False
     # circular wrap: an angle just below 1 still matches the entry 0
-    assert match_angles((1.0 - 1e-12,), S("0"))
+    assert _match_one((1.0 - 1e-12,), S("0"))
+    # a case with its tolerance out of range raises that failure
+    with pytest.raises(ValueError, match="tolerance must be in"):
+        crosscheck_functor(OrbitSignature.of([2]), OrbitSignature.of([1]), 0.0)
 
 
 def test_companion_rejects_non_monic():
@@ -110,7 +120,7 @@ def test_sym2_matrix_small():
     induced = sym2_matrix(realize(OrbitSignature.of([4])))
     assert induced.shape == (3, 3)
     angles = numeric_angles(induced)
-    assert match_angles(angles, S("1/2, 0, 1/2"))
+    assert _match_one(angles, S("1/2, 0, 1/2"))
 
 
 def test_crosscheck_examples():
@@ -227,7 +237,7 @@ def angle_cases(draw):
 @example(((), parse_spectrum("1/3"), DEFAULT_TOLERANCE))
 def test_match_angles_matches_greedy_reference(case):
     angles, exact, tol = case
-    assert match_angles(angles, exact, tol) == ref.match_angles(angles, exact, tol)
+    assert _match_one(angles, exact, tol) == ref.match_angles(angles, exact, tol)
 
 
 def test_match_angles_refuses_grid_finer_than_tolerance():
@@ -235,10 +245,9 @@ def test_match_angles_refuses_grid_finer_than_tolerance():
     exact = parse_spectrum("1/359, 1/358, 1/357")
     angles = tuple(float(q.fraction) for q in exact.entries)
     assert element_order(exact) == 359 * 358 * 357
-    with pytest.raises(ValueError):
-        match_angles(angles, exact, MAX_MATCH_TOLERANCE)
+    assert _match_one(angles, exact, MAX_MATCH_TOLERANCE) is None
     # at a tolerance the grid still resolves, the snap agrees with greedy
-    assert match_angles(angles, exact) == ref.match_angles(angles, exact) is True
+    assert _match_one(angles, exact) == ref.match_angles(angles, exact) is True
 
 
 @pytest.mark.parametrize(
@@ -280,8 +289,9 @@ def test_numeric_angles_returns_sorted_float64_array():
 
 # The memo table of run_oracle_cases: each distinct eigenvalue problem
 # (a signature's own spectrum, the Sym^2 of a first signature, the tensor
-# of an ordered pair) is solved once per run, and every case keeps the
-# verdict, and the first OracleFailure, of a call with a fresh table.
+# of an ordered pair) is solved once per run and stores its verdict or its
+# first failure, and every case keeps the verdict, and the first failure,
+# of a call with a fresh table.
 
 
 def _drawn(samples, seed):
@@ -338,45 +348,32 @@ def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     assert solved["rows"] == len(signatures) + len(firsts) + len(pairs)
 
 
-def _log_steps(monkeypatch):
-    """Record each realize (by signature), sym2_matrix and numeric_angles
-    call (by matrix size), in call order."""
-    log = []
-    describe = {
-        "realize": lambda sig: sig,
-        "sym2_matrix": lambda m: len(m),
-        "numeric_angles": lambda m: len(m),
-    }
-    for name, key in describe.items():
-        original = getattr(oracle, name)
-
-        def logged(arg, _name=name, _key=key, _original=original):
-            log.append((_name, _key(arg)))
-            return _original(arg)
-
-        monkeypatch.setattr(oracle, name, logged)
-    return log
-
-
-def test_crosscheck_order_and_short_circuit(monkeypatch):
-    a, b = OrbitSignature.of([3]), OrbitSignature.of([4, 1])
-    log = _log_steps(monkeypatch)
-    assert crosscheck_functor(a, b)
-    assert log == [
-        ("realize", a), ("realize", b),
-        ("numeric_angles", 2), ("numeric_angles", 3),
-        ("sym2_matrix", 2), ("numeric_angles", 3), ("numeric_angles", 6),
-    ]
-    # a mismatch on the second signature's own spectrum stops the case
-    # before Sym^2 and tensor
-    log.clear()
-    verdicts = iter([True, False])
-    monkeypatch.setattr(oracle, "match_angles", lambda *args: next(verdicts))
-    c, d = OrbitSignature.of([6]), OrbitSignature.of([12])
-    assert not crosscheck_functor(c, d)
-    assert log == [
-        ("realize", c), ("realize", d), ("numeric_angles", 2), ("numeric_angles", 4),
-    ]
+def test_crosscheck_order_and_short_circuit():
+    # a case reads realize a, realize b, the two own spectra, Sym^2 of a and
+    # a (x) b in that order: a failure stored at a step raises before any
+    # later step is read, and a False step hides a failure stored later
+    a, b = OrbitSignature.of([6]), OrbitSignature.of([12])
+    steps = [("realize", a), ("realize", b), ("spectrum", a), ("spectrum", b),
+             ("sym2", a), ("tensor", a, b)]
+    memo = {}
+    oracle.solve_stacked([(a, b)], DEFAULT_TOLERANCE, memo)
+    assert set(memo) == set(steps)
+    assert crosscheck_functor(a, b, memo=memo)
+    for i, step in enumerate(steps):
+        table = dict(memo)
+        table[step] = OracleFailure(f"failure stored at {step}")
+        for later in steps[i + 1 :]:
+            if later[0] != "realize":
+                table[later] = False
+        with pytest.raises(OracleFailure) as info:
+            crosscheck_functor(a, b, memo=table)
+        assert info.value is table[step]
+        if step[0] != "realize":
+            table = dict(memo)
+            table[step] = False
+            for later in steps[i + 1 :]:
+                table[later] = OracleFailure("failure stored after a mismatch")
+            assert crosscheck_functor(a, b, memo=table) is False
 
 
 def _first_failure(run):
@@ -387,20 +384,38 @@ def _first_failure(run):
     raise AssertionError("no OracleFailure raised")
 
 
-@pytest.mark.parametrize("step", ["realize", "sym2_matrix", "kron"])
-def test_memo_keeps_the_first_failure(monkeypatch, step):
-    # a fault tied to one signature that recurs in the draws, first met as
-    # the b side of a case, and later as the a side
-    drawn = _drawn(200, 4)
+def _recurring(drawn):
+    """A signature that recurs in the draws, first met as the b side of a
+    case and later as the a side."""
     seen = [sig for a, b in drawn for sig in (a, b)]
-    bad = next(
+    firsts = {a for a, _ in drawn}
+    return next(
         sig for sig in seen
-        if seen.count(sig) > 2 and seen.index(sig) % 2 == 1
+        if seen.count(sig) > 2 and seen.index(sig) % 2 == 1 and sig in firsts
     )
-    bad_entries = realize(bad)
-    calls = _count_calls(monkeypatch, ["crosscheck_functor"])
 
-    if step == "realize":
+
+def _on_matrix(build, arg, entries, change):
+    """``build``, with ``change`` applied to its result when its argument
+    number ``arg`` equals ``entries``."""
+
+    def faulty(*args):
+        out = build(*args)
+        return change(out) if np.array_equal(args[arg], entries) else out
+
+    return faulty
+
+
+FAULTS = ["realize", "sym2_matrix", "kron", "sym2 off circle"]
+
+
+def _inject(monkeypatch, fault, bad):
+    """Make one step of signature ``bad`` fail in reidtai.oracle and in the
+    reference alike: its realization raises, its Sym^2 or Kronecker matrix
+    (as the b factor) loses a row, or its Sym^2 matrix is scaled off the
+    unit circle.  The reference binds ``realize`` by name and builds its
+    Kronecker product with ``np.kron``."""
+    if fault == "realize":
         original = oracle.realize
 
         def faulty(sig):
@@ -409,22 +424,26 @@ def test_memo_keeps_the_first_failure(monkeypatch, step):
             return original(sig)
 
         monkeypatch.setattr(oracle, "realize", faulty)
-    elif step == "sym2_matrix":
-        original = oracle.sym2_matrix
+        monkeypatch.setattr(ref, "realize", faulty)
+        return
+    entries = realize(bad)
+    if fault == "kron":
+        drop = lambda out: out[:-1]
+        monkeypatch.setattr(oracle, "kron_matrix", _on_matrix(oracle.kron_matrix, 1, entries, drop))
+        monkeypatch.setattr(np, "kron", _on_matrix(np.kron, 1, entries, drop))
+        return
+    change = (lambda out: out[:-1]) if fault == "sym2_matrix" else (lambda out: 2 * out)
+    for module in (oracle, ref):
+        monkeypatch.setattr(module, "sym2_matrix", _on_matrix(module.sym2_matrix, 0, entries, change))
 
-        def faulty(m):
-            out = original(m)
-            return out[:-1] if np.array_equal(m, bad_entries) else out
 
-        monkeypatch.setattr(oracle, "sym2_matrix", faulty)
-    else:
-        original = oracle.kron_matrix
-
-        def faulty(x, y):
-            out = original(x, y)
-            return out[:-1] if np.array_equal(y, bad_entries) else out
-
-        monkeypatch.setattr(oracle, "kron_matrix", faulty)
+@pytest.mark.parametrize("step", FAULTS[:3])
+def test_memo_keeps_the_first_failure(monkeypatch, step):
+    # a fault tied to one signature that recurs in the draws, first met as
+    # the b side of a case, and later as the a side
+    drawn = _drawn(200, 4)
+    _inject(monkeypatch, step, _recurring(drawn))
+    calls = _count_calls(monkeypatch, ["crosscheck_functor"])
 
     def per_case():
         for a, b in drawn:
@@ -436,6 +455,48 @@ def test_memo_keeps_the_first_failure(monkeypatch, step):
     memoized = _first_failure(lambda: run_oracle_cases(200, seed=4))
     assert memoized == plain
     assert calls["crosscheck_functor"] == plain_calls
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_first_failure_matches_the_reference(monkeypatch, fault):
+    # the same fault in the oracle and in the loop-form reference: the run
+    # raises the exception the reference raises, at the same case
+    drawn = _drawn(200, 4)
+    _inject(monkeypatch, fault, _recurring(drawn))
+    calls = _count_calls(monkeypatch, ["crosscheck_functor"])
+    reached = 0
+    with pytest.raises((OracleFailure, ValueError)) as want:
+        for a, b in drawn:
+            reached += 1
+            ref.crosscheck_functor(a, b)
+    with pytest.raises((OracleFailure, ValueError)) as got:
+        run_oracle_cases(200, seed=4)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert calls["crosscheck_functor"] == reached
+
+
+@pytest.mark.parametrize("fault", [None] + FAULTS)
+def test_no_solving_after_solve_stacked(monkeypatch, fault):
+    # the table holds every verdict and every failure, so reading the cases
+    # from it realizes, builds and solves nothing, and a failed case raises
+    # from it
+    drawn = _drawn(200, 4)
+    if fault is not None:
+        _inject(monkeypatch, fault, _recurring(drawn))
+    memo = {}
+    oracle.solve_stacked(drawn, DEFAULT_TOLERANCE, memo)
+    counts = _count_calls(
+        monkeypatch, ["realize", "sym2_matrix", "kron_matrix", "numeric_angles"]
+    )
+    raised = 0
+    for a, b in drawn:
+        try:
+            crosscheck_functor(a, b, DEFAULT_TOLERANCE, memo)
+        except OracleFailure:
+            raised += 1
+    assert not any(counts.values()), counts
+    assert (raised > 0) == (fault is not None)
 
 
 # The stacked solve: same-size problems share one eigvals call of at most
@@ -494,28 +555,23 @@ def test_stack_cap_leaves_the_cases_unchanged(monkeypatch, cap):
 
 def test_failed_stack_keeps_the_first_failure(monkeypatch):
     # one recurring first signature's Sym^2 matrix is scaled off the unit
-    # circle, so every stack holding it fails and its problems recur alone
+    # circle, so the one stack holding it fails and its matrices are solved
+    # again one at a time, where the failure lands on that problem alone
     drawn = _drawn(200, 4)
     firsts = [a for a, _ in drawn]
     bad = next(a for a in firsts if firsts.count(a) > 2 and len(realize(a)) > 1)
-    bad_entries = realize(bad)
-    original = oracle.sym2_matrix
-
-    def scaled(m):
-        out = original(m)
-        return 2 * out if np.array_equal(m, bad_entries) else out
-
-    monkeypatch.setattr(oracle, "sym2_matrix", scaled)
+    _inject(monkeypatch, "sym2 off circle", bad)
     solve = oracle.numeric_angles
-    failed_stacks = []
+    solves = []
 
     def recorded(m):
         try:
-            return solve(m)
+            rows = solve(m)
         except OracleFailure:
-            if m.ndim == 3:
-                failed_stacks.append(len(m))
+            solves.append((m.shape, False))
             raise
+        solves.append((m.shape, True))
+        return rows
 
     monkeypatch.setattr(oracle, "numeric_angles", recorded)
     calls = _count_calls(monkeypatch, ["crosscheck_functor"])
@@ -526,24 +582,23 @@ def test_failed_stack_keeps_the_first_failure(monkeypatch):
 
     plain = _first_failure(per_case)
     plain_calls = calls["crosscheck_functor"]
-    assert "off the unit circle" in plain and not failed_stacks
+    assert "off the unit circle" in plain
     calls["crosscheck_functor"] = 0
+    solves.clear()
     stacked = _first_failure(lambda: run_oracle_cases(200, seed=4))
     assert stacked == plain
     assert calls["crosscheck_functor"] == plain_calls
-    assert len(failed_stacks) == 1 and failed_stacks[0] > 1
+    failed = [i for i, (shape, ok) in enumerate(solves) if len(shape) == 3 and not ok]
+    assert len(failed) == 1
+    (rows, *size), _ = solves[failed[0]]
+    alone = solves[failed[0] + 1 : failed[0] + 1 + rows]
+    assert rows > 1
+    assert [shape for shape, _ in alone] == [tuple(size)] * rows
+    assert [ok for _, ok in alone].count(False) == 1
 
 
 # The stacked snap: one match_angles call per stack gives each row the
 # verdict it gets alone, and the broadcast Kronecker product is np.kron.
-
-
-def _single(row, exact, tol):
-    """The verdict of one row alone, None where its grid is too fine."""
-    try:
-        return match_angles(row, exact, tol)
-    except ValueError:
-        return None
 
 
 @functools.cache
@@ -564,7 +619,7 @@ def test_stacked_snap_matches_rows_alone(tol):
     verdicts = []
     for rows, spectra in _stacks_of_seeds():
         stacked = match_angles(rows, spectra, tol)
-        assert stacked == [_single(r, e, tol) for r, e in zip(rows, spectra)]
+        assert stacked == [_match_one(r, e, tol) for r, e in zip(rows, spectra)]
         assert stacked == [ref.match_angles(tuple(r), e, tol) for r, e in zip(rows, spectra)]
         verdicts += stacked
     # the two loose tolerances pass every problem, the two tight ones split
@@ -587,9 +642,7 @@ def test_stacked_snap_edge_rows():
     got = match_angles(rows, spectra, MAX_MATCH_TOLERANCE)
     assert got == [True, None, False, False, False]
     for row, exact, verdict in zip(rows, spectra, got):
-        assert _single(row, exact, MAX_MATCH_TOLERANCE) == verdict
-    with pytest.raises(ValueError):
-        match_angles(rows[1], fine, MAX_MATCH_TOLERANCE)
+        assert _match_one(row, exact, MAX_MATCH_TOLERANCE) == verdict
     assert match_angles(rows[:0], [], DEFAULT_TOLERANCE) == []
     with pytest.raises(ValueError):
         match_angles(rows, spectra, 0.0)
@@ -602,10 +655,10 @@ def _memo_of(drawn, tol):
 
 
 @pytest.mark.parametrize("fault", ["raises", "too fine"])
-def test_exact_side_fault_leaves_the_problem_out(monkeypatch, fault):
+def test_exact_side_fault_is_stored_on_its_problem(monkeypatch, fault):
     # one first signature's exact Sym^2 raises, or lands on a grid too fine
-    # for the tolerance: its problem stays out of the memo, every other
-    # problem keeps its verdict, and the case that needs it raises alone
+    # for the tolerance: the ValueError is stored under its problem, every
+    # other problem keeps its clean verdict, and the case raises it
     drawn = _drawn(200, 2)
     clean = _memo_of(drawn, MAX_MATCH_TOLERANCE)
     bad = next(a for a, _ in drawn if len(realize(a)) == 2)
@@ -620,10 +673,13 @@ def test_exact_side_fault_leaves_the_problem_out(monkeypatch, fault):
 
     monkeypatch.setattr(oracle, "sym2", faulty)
     memo = _memo_of(drawn, MAX_MATCH_TOLERANCE)
-    assert ("sym2", bad) in clean
+    message = "forced exact-side failure" if fault == "raises" else "too fine to snap"
+    assert clean[("sym2", bad)] is True
+    stored = memo.pop(("sym2", bad))
+    assert isinstance(stored, ValueError) and message in str(stored)
     assert memo == {key: v for key, v in clean.items() if key != ("sym2", bad)}
     b = next(b for a, b in drawn if a == bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         crosscheck_functor(bad, b, MAX_MATCH_TOLERANCE)
 
 
