@@ -24,7 +24,6 @@ from .enumeration import (
     CONSTRAINT_MODES,
     ElementClass,
     EnumerationConfig,
-    cyclotomic_signatures,
     element_classes,
     lattice_classes,
     ppav_classes,

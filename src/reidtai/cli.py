@@ -35,8 +35,6 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_ORACLE = 4
 
-JOBS_ENV_VAR = "REIDTAI_JOBS"
-
 
 def _in_range(
     convert: Callable[[str], Any], accepts: Callable[[Any], bool], rule: str
@@ -95,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=_in_range(int, lambda k: k >= 1, "must be >= 1"),
-        default=os.environ.get(JOBS_ENV_VAR, "1"), metavar="K",
-        help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
+        default=1, metavar="K", help="worker processes (default 1)",
     )
 
     p_sweep = sub.add_parser(
@@ -190,6 +187,8 @@ def _echo_config(args: argparse.Namespace, command: str) -> dict:
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Report, int]:
     include_age_one = args.threshold == "terminal"
     report = Report(config=_echo_config(args, "sweep"))
+    if (args.interior or args.r is None) and args.mode != "integral-both":
+        parser.error("the interior and the Sym^2 table (--h without --r) are integral-both only")
 
     if args.interior:
         if args.g is None:

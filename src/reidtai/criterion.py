@@ -16,7 +16,6 @@ unique exceptional shape.  A failed check raises
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -25,12 +24,13 @@ from .enumeration import (
     ElementClass,
     EnumerationConfig,
     State,
+    _assemble,
     as_spectrum,
     lattice_factor_classes,
     lattice_residues,
+    lattice_states,
     multiset_states,
     orbit_residues,
-    spectrum_state,
 )
 from .functors import age, fixed_multiplicity, forms_spectrum
 from .rotations import Frozen, Spectrum, residue_keys, totient
@@ -309,7 +309,9 @@ def fold_chart(
     built.  Violations are collected, not raised; :func:`sweep_v` decides.
 
     With lams = [()] the chart is Sym^2 W alone and the kernel is +-1:
-    the interior, the Sym^2 table and the torus forms space.
+    the interior and the Sym^2 table (W states), the torus forms space
+    (lattice or multiset states) and the reduction evidence (single-orbit
+    states), every one a stream of ``enumeration._assemble``.
     """
     n = cfg.order_divides
     lams = list(lams)
@@ -483,12 +485,9 @@ def torus_summary(
 ) -> TorusSummary:
     """Minimum forms-space age over lattice classes that act effectively
     there (+-1 on the lattice is the kernel of the forms action)."""
-    if constraint_mode == "unconstrained":
-        states = multiset_states(r, order_divides)
-    else:
-        cfg = EnumerationConfig(0, r, order_divides, constraint_mode)
-        states = (spectrum_state(ys, order_divides) for ys in lattice_factor_classes(cfg))
-    min_age, witnesses = _sym2_minimum(r, order_divides, states)
+    cfg = EnumerationConfig(0, r, order_divides, constraint_mode)
+    states = multiset_states if cfg.constraint_mode == "unconstrained" else lattice_states
+    min_age, witnesses = _sym2_minimum(r, order_divides, states(r, order_divides))
     return TorusSummary(r, min_age, witnesses)
 
 
@@ -505,8 +504,8 @@ def reduction_support(n: int, h_max: int) -> Fraction:
 
     Single-orbit evidence for restricting sweeps to orders dividing 12:
     for each admissible n not dividing 12 the minimum is at least 1.
-    The spectrum picks one of {q, -q} from each conjugate pair, so there
-    are 2^(phi(n)/2) candidates of dimension phi(n)/2.
+    The spectrum picks one of {q, -q} from each conjugate pair (the W
+    rule on one orbit level): 2^(phi(n)/2) candidates of dimension phi(n)/2.
     """
     if n < 1:
         raise ValueError("orbit order must be positive")
@@ -519,8 +518,7 @@ def reduction_support(n: int, h_max: int) -> Fraction:
         raise ValueError(
             f"orbit degree {degree} exceeds the homology budget {2 * h_max}"
         )
-    pairs = [(x, n - x) for x in orbit_residues(n, n) if 2 * x < n]
-    states = (spectrum_state(tuple(sorted(c)), n) for c in product(*pairs))
+    states = _assemble([orbit_residues(n, n)], degree // 2, n, ())
     best, _ = _sym2_minimum(degree // 2, n, states)
     if best is None:
         raise ValueError(f"order {n} yields no candidate spectrum")

@@ -17,7 +17,6 @@ from typing import Iterator, Sequence
 from .functors import v_spectrum
 from .rotations import (
     Frozen,
-    OrbitSignature,
     RotationNumber,
     Spectrum,
     _set_field,
@@ -117,17 +116,17 @@ def _block_ages(
     return a2, tuple(sum((x + y) % n for x in block) for y in ys)
 
 
-def spectrum_state(entries: tuple[int, ...], n: int, residues: tuple[int, ...] = ()) -> State:
-    """The state of a spectrum given by its numerators over n (canonical
-    order), taken whole as one block, with its costs at the residues."""
-    return (entries, *_block_ages(entries, n, residues))
-
-
 @lru_cache(maxsize=None)
 def orbit_residues(d: int, n: int) -> tuple[int, ...]:
     """The order-d residues over n (d | n), ascending: the numerators of
     the Galois orbit of order d."""
     return tuple(k * (n // d) for k in range(d) if math.gcd(k, d) == 1)
+
+
+def _orbit_levels(n: int, budget: int) -> list[tuple[int, ...]]:
+    """The Galois orbits over n of the orders d | n with phi(d) <= budget,
+    ascending: the only place that decides which orders fit a budget."""
+    return [orbit_residues(d, n) for d in divisors(n) if totient(d) <= budget]
 
 
 def lattice_residues(cfg: EnumerationConfig) -> tuple[int, ...]:
@@ -139,17 +138,17 @@ def lattice_residues(cfg: EnumerationConfig) -> tuple[int, ...]:
         return ()
     if cfg.constraint_mode == "unconstrained":
         return tuple(range(n))
-    return tuple(
-        sorted(x for d in divisors(n) if totient(d) <= cfg.r for x in orbit_residues(d, n))
-    )
+    return tuple(sorted(x for level in _orbit_levels(n, cfg.r) for x in level))
 
 
-def _blocks(level: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
+def _blocks(level: tuple[int, ...], room: int, whole: bool = False) -> list[tuple[int, ...]]:
     """The non-empty blocks a spectrum with room entries left can take at
     one level, each sorted, in the lexicographic order of the sorted entries.
 
-    A single-residue level (orders 1 and 2 of the integral stream, every
-    entry of the unconstrained one) takes plain copies of its residue.  An
+    Under the whole-orbit rule (the integral lattice) a block is m copies
+    of the whole orbit, most copies first.  A single-residue level (orders
+    1 and 2 of the integral streams, every entry of the unconstrained one)
+    takes the same plain copies under either rule.  Under the W rule an
     order-n orbit level, n > 2, comes from m copies of the orbit in the
     doubled spectrum: each conjugate pair {q, -q} splits as x copies of q
     and m - x of -q.  The entries run q_1 < ... < q_k < -q_k < ... < -q_1,
@@ -157,8 +156,9 @@ def _blocks(level: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
     the x_j count down first and m, which fixes the counts m - x_j of the
     -q_j, last.
     """
-    if len(level) == 1:
-        return [level * j for j in range(room, 0, -1)]
+    if whole or len(level) == 1:
+        copies = range(room // len(level), 0, -1)
+        return [tuple(x for x in level for _ in range(m)) for m in copies]
     half = len(level) // 2
     low, high = level[:half], level[half:]
     top = room // half
@@ -174,10 +174,12 @@ def _blocks(level: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
 
 
 def _assemble(
-    levels: list[tuple[int, ...]], dim: int, n: int, residues: tuple[int, ...]
+    levels: list[tuple[int, ...]], dim: int, n: int, residues: tuple[int, ...], whole: bool = False
 ) -> Iterator[State]:
     """Every dim-entry state built from at most one block per level, levels
     in order, in the lexicographic order of the spectra; duplicate-free.
+    Each level's blocks follow the whole-orbit rule of :func:`_blocks` if
+    whole (the integral lattice), else the W rule (every other stream).
 
     A block is tried only if the later levels can fill the remaining
     entries exactly, so no branch dead-ends, and each frame adds one
@@ -216,7 +218,7 @@ def _assemble(
         for i in range(len(levels) - 1, -1, -1):
             row[i] = [
                 step(i, b, len(b) == room)
-                for b in _blocks(levels[i], room)
+                for b in _blocks(levels[i], room, whole)
                 if len(b) == room or steps[room - len(b)][i + 1]
             ] + row[i + 1]
         steps.append(row)
@@ -252,12 +254,16 @@ def ppav_states(
     at the given residues: one level per orbit order, ascending."""
     # an order-d orbit fills phi(d)/2 entries of W (the doubled homology
     # holds the whole orbit), so orders with phi(d) > 2h cannot occur
-    levels = [
-        orbit_residues(d, order_divides)
-        for d in divisors(order_divides)
-        if totient(d) <= 2 * h
-    ]
-    yield from _assemble(levels, h, order_divides, residues)
+    yield from _assemble(_orbit_levels(order_divides, 2 * h), h, order_divides, residues)
+
+
+def lattice_states(
+    r: int, order_divides: int, residues: tuple[int, ...] = ()
+) -> Iterator[State]:
+    """The states of every integral rank-r spectrum of order dividing the
+    bound, a multiset of whole Galois orbits, with costs at the given
+    residues: one level per orbit order, ascending, in whole copies."""
+    yield from _assemble(_orbit_levels(order_divides, r), r, order_divides, residues, whole=True)
 
 
 def multiset_states(
@@ -281,31 +287,10 @@ def ppav_classes(h: int, order_divides: int) -> Iterator[Spectrum]:
     yield from _spectra(ppav_states(h, order_divides), order_divides)
 
 
-def cyclotomic_signatures(dim: int, order_divides: int) -> Iterator[OrbitSignature]:
-    """All orbit-order multisets {n_j} with n_j | bound and total degree dim,
-    emitted once each in lexicographic order of the sorted parts."""
-    if dim < 0:
-        raise ValueError("dimension must be non-negative")
-    divs = divisors(order_divides)
-
-    def rec(start: int, remaining: int, acc: list[int]) -> Iterator[OrbitSignature]:
-        if remaining == 0:
-            yield OrbitSignature(tuple(acc))
-            return
-        for i in range(start, len(divs)):
-            n = divs[i]
-            if totient(n) <= remaining:
-                acc.append(n)
-                yield from rec(i, remaining - totient(n), acc)
-                acc.pop()
-
-    yield from rec(0, dim, [])
-
-
 def lattice_classes(r: int, order_divides: int) -> Iterator[Spectrum]:
-    """Integral rank-r spectra: one per cyclotomic signature of degree r."""
-    for sig in cyclotomic_signatures(r, order_divides):
-        yield sig.spectrum()
+    """Integral rank-r spectra: every multiset of whole Galois orbits of
+    total degree r, in the lexicographic order of the sorted orbit orders."""
+    yield from _spectra(lattice_states(r, order_divides), order_divides)
 
 
 def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[State]:
@@ -319,14 +304,13 @@ def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[tuple[int, ...]]:
     """The lattice-side stream for a config (validity filter per mode): each
     spectrum as its numerators over N = cfg.order_divides in canonical
     order, in the lexicographic order of the sorted entries (unconstrained)
-    or of ``lattice_classes`` (integral modes)."""
+    or of ``lattice_classes`` (integral modes: the entries of
+    :func:`lattice_states`)."""
     n = cfg.order_divides
     if cfg.constraint_mode == "unconstrained":
         yield from combinations_with_replacement(keyed_residues(n), cfg.r)
     else:
-        keys = residue_keys(n).__getitem__
-        for sig in cyclotomic_signatures(cfg.r, n):
-            yield tuple(sorted((x for d in sig.parts for x in orbit_residues(d, n)), key=keys))
+        yield from (entries for entries, _, _ in lattice_states(cfg.r, n))
 
 
 def element_classes(cfg: EnumerationConfig) -> Iterator[ElementClass]:

@@ -12,6 +12,13 @@
 - ``ppav_classes_by_filter``: every multiset through the doubled-spectrum
   integrality test, exhaustive but exponential in h, the reference for the
   orbit assembly in ``ppav_classes``;
+- ``cyclotomic_signatures`` and ``signature_residues``: every multiset of
+  orbit orders of a given total degree, by its own recursion over the
+  divisors, and its spectrum's numerators, the reference for the integral
+  lattice stream assembled in ``lattice_states``;
+- ``spectrum_state``: a spectrum's state read off its entry pairs, the
+  reference for the Sym^2 ages and tensor costs the assembly builds block
+  by block;
 - stream sizes from generating functions, sharing no code with the
   enumerators (not even their totient or divisor helpers).
 """
@@ -23,7 +30,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from reidtai.enumeration import as_spectrum, keyed_residues, multiset_states
-from reidtai.rotations import RotationNumber, Spectrum, galois_orbit, rot
+from reidtai.rotations import OrbitSignature, RotationNumber, Spectrum, galois_orbit, rot
 
 
 def rotation_universe(order_divides: int) -> tuple[RotationNumber, ...]:
@@ -78,6 +85,38 @@ def ppav_classes_by_filter(h: int, order_divides: int) -> Iterator[Spectrum]:
     for s in all_spectra_by_combinations(h, order_divides):
         if validate_ppav(s):
             yield s
+
+
+def cyclotomic_signatures(dim: int, order_divides: int) -> Iterator[OrbitSignature]:
+    """All orbit-order multisets {n_j} with n_j | bound and total degree dim,
+    emitted once each in lexicographic order of the sorted parts."""
+    if dim < 0:
+        raise ValueError("dimension must be non-negative")
+    divs = [d for d in range(1, order_divides + 1) if order_divides % d == 0]
+
+    def rec(start: int, remaining: int, acc: tuple[int, ...]) -> Iterator[OrbitSignature]:
+        if remaining == 0:
+            yield OrbitSignature(acc)
+            return
+        for i in range(start, len(divs)):
+            if _phi(divs[i]) <= remaining:
+                yield from rec(i, remaining - _phi(divs[i]), acc + (divs[i],))
+
+    yield from rec(0, dim, ())
+
+
+def signature_residues(sig: OrbitSignature, order_divides: int) -> tuple[int, ...]:
+    """The numerators over the bound of the signature's spectrum, in its
+    canonical order."""
+    return tuple(q.num * (order_divides // q.den) for q in sig.spectrum())
+
+
+def spectrum_state(entries: tuple[int, ...], n: int, residues: tuple[int, ...] = ()) -> tuple:
+    """The state (entries, a2, cost) of a spectrum given by its numerators
+    over n: a2 sums (x + x') mod n over the pairs of entries i <= j, and
+    the cost at y sums (x + y) mod n over the entries."""
+    a2 = sum((x + z) % n for x, z in combinations_with_replacement(entries, 2))
+    return entries, a2, tuple(sum((x + y) % n for x in entries) for y in residues)
 
 
 def _phi(n):

@@ -148,6 +148,23 @@ def test_usage_errors_exit_2(capsys, argv):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("mode", ["integral-lambda-only", "unconstrained"])
+@pytest.mark.parametrize("argv", [("sweep", "--h", "2"), ("sweep", "--interior", "--g", "3")])
+def test_integral_only_sweeps_reject_other_modes(capsys, monkeypatch, argv, mode):
+    # the interior and the Sym^2 table sweep the integral W stream only, so
+    # another --mode is a usage error, raised before any sweep runs
+    assert run_cli(capsys, *argv, "--mode", "integral-both")[0] == 0
+
+    def ran(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(reidtai.criterion, "sweep_sym2", ran)
+    monkeypatch.setattr(reidtai.criterion, "interior_verdict", ran)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--mode", mode])
+    assert info.value.code == 2
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -454,8 +471,10 @@ else:
         assert f"worker failed: got signal {signal.SIGKILL:d}" in done.stdout
 
 
-def test_jobs_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REIDTAI_JOBS", "2")
+def test_jobs_env_var_is_not_read(tmp_path, capsys, monkeypatch):
+    # --jobs is the only way to set the worker count: a value in the
+    # environment, even one --jobs would refuse, changes nothing
+    monkeypatch.setenv("REIDTAI_JOBS", "abc")
     viaenv = tmp_path / "viaenv.json"
     code = main(["sweep", "--h", "2", "--r", "3", "--format", "json",
                  "--out", str(viaenv)])
@@ -468,14 +487,6 @@ def test_jobs_env_default(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert viaenv.read_bytes() == plain.read_bytes()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_jobs_env_rejects_bad_values(capsys, monkeypatch, value):
-    monkeypatch.setenv("REIDTAI_JOBS", value)
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", "--h", "1", "--r", "4"])
-    assert info.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -515,7 +526,6 @@ assert "fractions" not in sys.modules, "the catalog run built a Fraction"
 """
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.pop(reidtai.cli.JOBS_ENV_VAR, None)  # the run is serial
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env=env, capture_output=True, text=True, timeout=60,

@@ -6,12 +6,19 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from reference_enumeration import lattice_series, multiset_count, ppav_series, rotation_universe
+from reference_enumeration import (
+    lattice_series,
+    multiset_count,
+    ppav_series,
+    rotation_universe,
+    spectrum_state,
+)
 from reference_fold import central_twin, exception_record, exceptional_shape
 from reidtai import criterion, enumeration, functors
 from reidtai.cli import main
@@ -347,10 +354,31 @@ def test_reduction_support_errors():
         reduction_support(0, 6)
 
 
+@pytest.mark.parametrize("n", [n for n in range(3, 31) if 12 % n])
+def test_reduction_candidates_are_the_conjugate_choices(monkeypatch, n):
+    # the candidates reduction_support folds are the choices of q or -q
+    # from each conjugate pair of the order-n orbit, each once, with the
+    # Sym^2 age of the whole spectrum
+    folded = []
+
+    def recording(*args):
+        for state in enumeration._assemble(*args):
+            folded.append(state)
+            yield state
+
+    monkeypatch.setattr(criterion, "_assemble", recording)
+    reduction_support(n, n)
+    pairs = [(x, n - x) for x in range(1, n) if gcd(x, n) == 1 and 2 * x < n]
+    choices = sorted(tuple(sorted(c)) for c in product(*pairs))
+    assert sorted(xs for xs, _, _ in folded) == choices
+    for xs, a2, _ in folded:
+        assert a2 == spectrum_state(xs, n)[1]
+
+
 def test_reduction_support_without_candidates_raises(monkeypatch):
     # unreachable with a real orbit; an empty candidate stream must raise,
     # not return None
-    monkeypatch.setattr(criterion, "product", lambda *pairs: iter(()))
+    monkeypatch.setattr(criterion, "_assemble", lambda *args: iter(()))
     with pytest.raises(ValueError, match="no candidate"):
         reduction_support(5, 6)
 
@@ -360,7 +388,7 @@ def test_reduction_support_check_survives_optimized_python():
     script = (
         "import sys\n"
         "import reidtai.criterion as criterion\n"
-        "criterion.product = lambda *pairs: iter(())\n"
+        "criterion._assemble = lambda *args: iter(())\n"
         "try:\n"
         "    criterion.reduction_support(5, 6)\n"
         "except ValueError:\n"

@@ -9,10 +9,13 @@ import pytest
 from reference_enumeration import (
     all_spectra,
     all_spectra_by_combinations,
+    cyclotomic_signatures,
     lattice_series,
     ppav_classes_by_filter,
     ppav_series,
     rotation_universe,
+    signature_residues,
+    spectrum_state,
     validate_integral,
     validate_ppav,
 )
@@ -22,11 +25,11 @@ from reidtai.enumeration import (
     EnumerationConfig,
     abelian_factor_classes,
     as_spectrum,
-    cyclotomic_signatures,
     element_classes,
     lattice_classes,
     lattice_factor_classes,
     lattice_residues,
+    lattice_states,
     ppav_classes,
 )
 from reidtai.functors import power, v_spectrum
@@ -181,6 +184,33 @@ def test_state_stream_views_match_reference_streams(order_divides, max_h, mode):
         else:
             assert len(set(lams)) == len(lams)
             assert Counter(lams) == Counter(filter(validate_integral, combinations))
+
+
+@pytest.mark.parametrize("order_divides", (1, 2, 12, 24, 36, 60, 360))
+def test_integral_lattice_stream_matches_signatures(order_divides):
+    # the assembled lattice stream is the signature reference's orbit
+    # residues, tuple for tuple in its order, and as many as the series says
+    top = 4 if order_divides == 360 else 8
+    sizes = []
+    for r in range(top + 1):
+        for mode in ("integral-both", "integral-lambda-only"):
+            got = list(lattice_factor_classes(EnumerationConfig(0, r, order_divides, mode)))
+            assert got == [
+                signature_residues(sig, order_divides)
+                for sig in cyclotomic_signatures(r, order_divides)
+            ]
+        sizes.append(len(got))
+    assert sizes == lattice_series(order_divides, top)
+
+
+@pytest.mark.parametrize("order_divides, top", [(12, 8), (24, 6), (36, 6), (60, 5)])
+def test_lattice_states_carry_reference_ages(order_divides, top):
+    # each lattice state's Sym^2 age and its costs at every residue equal
+    # the reference read off the whole spectrum
+    residues = tuple(range(order_divides))
+    for r in range(top + 1):
+        for entries, a2, cost in lattice_states(r, order_divides, residues):
+            assert (entries, a2, tuple(cost)) == spectrum_state(entries, order_divides, residues)
 
 
 def test_lattice_residues():

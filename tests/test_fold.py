@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_fold
+from reference_enumeration import spectrum_state
 from reference_fold import (
     Violation,
     central_twin,
@@ -49,7 +50,6 @@ from reidtai.enumeration import (
     lattice_factor_classes,
     lattice_residues,
     ppav_classes,
-    spectrum_state,
 )
 from reidtai.functors import age, sym2, tensor, v_spectrum
 from reidtai.rotations import Spectrum, residue_keys, rot

@@ -11,13 +11,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from reference_enumeration import rotation_universe, validate_integral, validate_ppav
-from reidtai.criterion import InteriorSummary, TorusSummary, Verdict
-from reidtai.enumeration import (
-    ElementClass,
-    EnumerationConfig,
+from reference_enumeration import (
     cyclotomic_signatures,
+    rotation_universe,
+    validate_integral,
+    validate_ppav,
 )
+from reidtai.criterion import InteriorSummary, TorusSummary, Verdict
+from reidtai.enumeration import ElementClass, EnumerationConfig
 from reidtai.functors import power
 from reidtai.rotations import (
     MAX_DENOMINATOR,
