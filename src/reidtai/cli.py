@@ -189,6 +189,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
     report = Report(config=_echo_config(args, "sweep"))
     if (args.interior or args.r is None) and args.mode != "integral-both":
         parser.error("the interior and the Sym^2 table (--h without --r) are integral-both only")
+    if (args.interior or args.r is None or args.h == 0) and include_age_one:
+        # these sweeps report a minimum, no rows, so the threshold has no effect
+        parser.error("--threshold terminal applies to the boundary charts (--h >= 1 --r R) only")
 
     if args.interior:
         if args.g is None:

@@ -308,6 +308,15 @@ def fold_chart(
     check runs on those rows only, and no spectrum, class or Fraction is
     built.  Violations are collected, not raised; :func:`sweep_v` decides.
 
+    Every tensor cost is a sum of residues mod N, so it is >= 0, and a
+    state's Sym^2 age a2 bounds the age of each of its pairs from below.
+    Once best is set, a state with a2 > max(best, limit) is counted
+    (|Lambda| pairs) and its costs are not read: none of its pairs is a
+    witness, a row at or below the threshold, or a kernel pair (age 0
+    needs a2 = 0), and the identity pair has a2 = 0.  The result is the
+    full visit's, tuple for tuple (``full_fold`` in
+    ``tests/reference_fold.py``); the streams still yield every state.
+
     With lams = [()] the chart is Sym^2 W alone and the kernel is +-1:
     the interior and the Sym^2 table (W states), the torus forms space
     (lattice or multiset states) and the reduction evidence (single-orbit
@@ -321,6 +330,7 @@ def fold_chart(
     limit = n if include_age_one else n - 1
     seen = 0
     best: int | None = None
+    cut: float = float("inf")  # max(best, limit) once best is set
     # Reported rows stay integer references until the fold is done:
     # witnesses and zero-age pairs as (entries, lattice index), threshold
     # rows with their sym2 and chart ages appended.
@@ -328,6 +338,10 @@ def fold_chart(
     kernel: list[tuple[tuple[int, ...], int]] = []
     rows: list[tuple[tuple[int, ...], int, int, int]] = []
     for xs, a2, cost in w_states:
+        if a2 > cut:
+            # every pair of this W ages at least a2 > best, limit and 0
+            seen += len(lam_cols)
+            continue
         cost_at = cost.__getitem__
         ages = [a2 + sum(map(cost_at, cols)) for cols in lam_cols]
         seen += len(ages)
@@ -340,6 +354,7 @@ def fold_chart(
             continue
         if best is None or low < best:
             best, witnesses = low, []
+            cut = max(best, limit)
         if low == best:
             witnesses.extend((xs, j) for j, av in enumerate(ages) if av == low)
         if low <= limit:

@@ -10,6 +10,9 @@ The reference builds its results from the public fields alone (``Row``,
 library result, whose records are integers over N, so the two compare
 field for field.
 
+:func:`full_fold` is the integer fold that reads the costs of every pair,
+with no bound: ``fold_chart`` must return its result tuple for tuple.
+
 The per-W integer ages below recompute, for one whole spectrum, what the
 W stream builds block by block: the reference for its states.  The chart
 order, the exceptional shape, the central twin and the lift pairing are
@@ -24,15 +27,24 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from reidtai.criterion import ExceptionRecord, SweepResult
+from reidtai.criterion import (
+    ExceptionRecord,
+    SweepResult,
+    ViolationRecord,
+    _exceptional,
+    _plus_minus_one,
+)
+from reidtai.criterion import chart_order as integer_chart_order  # chart_order is below
 from reidtai.enumeration import (
     ElementClass,
     EnumerationConfig,
+    State,
     as_spectrum,
     lattice_factor_classes,
+    lattice_residues,
 )
 from reidtai.functors import age, sym2, tensor, v_spectrum
-from reidtai.rotations import Spectrum, element_order, rot
+from reidtai.rotations import Spectrum, element_order, residue_keys, rot
 
 ZERO = rot(0, 1)
 HALF = rot(1, 2)
@@ -131,6 +143,86 @@ def central_twin(element: ElementClass) -> ElementClass:
     so classes come in lift pairs inducing identical germs.
     """
     return ElementClass.build(_shifted(element.w_spec), _shifted(element.lambda_spec))
+
+
+def full_fold(
+    cfg: EnumerationConfig,
+    w_states: Iterable[State],
+    lams: Iterable[tuple[int, ...]],
+    include_age_one: bool = False,
+) -> SweepResult:
+    """The integer chart fold that reads the costs of every (W, Lambda)
+    pair, with no bound: the reference for ``reidtai.criterion.fold_chart``,
+    which skips the W states whose Sym^2 age alone exceeds max(best,
+    limit).  Same inputs, same result, tuple for tuple."""
+    n = cfg.order_divides
+    lams = list(lams)
+    position = {y: k for k, y in enumerate(lattice_residues(cfg))}
+    lam_cols = [tuple(map(position.__getitem__, ys)) for ys in lams]
+    identity_lam = any(not any(ys) for ys in lams)
+    limit = n if include_age_one else n - 1
+    seen = 0
+    best: int | None = None
+    # Reported rows stay integer references until the fold is done:
+    # witnesses and zero-age pairs as (entries, lattice index), threshold
+    # rows with their sym2 and chart ages appended.
+    witnesses: list[tuple[tuple[int, ...], int]] = []
+    kernel: list[tuple[tuple[int, ...], int]] = []
+    rows: list[tuple[tuple[int, ...], int, int, int]] = []
+    for xs, a2, cost in w_states:
+        cost_at = cost.__getitem__
+        ages = [a2 + sum(map(cost_at, cols)) for cols in lam_cols]
+        seen += len(ages)
+        if identity_lam and not any(xs):
+            seen -= 1
+        if 0 in ages:
+            kernel.extend((xs, j) for j, av in enumerate(ages) if av == 0)
+        low = min(filter(None, ages), default=None)
+        if low is None:
+            continue
+        if best is None or low < best:
+            best, witnesses = low, []
+        if low == best:
+            witnesses.extend((xs, j) for j, av in enumerate(ages) if av == low)
+        if low <= limit:
+            rows.extend((xs, j, a2, av) for j, av in enumerate(ages) if 0 < av <= limit)
+
+    keys = residue_keys(n).__getitem__
+    w_keys: dict[tuple[int, ...], tuple] = {}  # one per W, shared by its rows
+    lam_keys: dict[int, tuple] = {}  # one per Lambda index
+
+    def head(xs: tuple[int, ...], j: int) -> tuple:
+        """(sort key, xs, ys) of a reported pair, its key parts shared."""
+        ys = lams[j]
+        if j not in lam_keys:
+            lam_keys[j] = tuple(map(keys, ys))
+        if xs not in w_keys:
+            w_keys[xs] = tuple(map(keys, xs))
+        return (len(xs), len(ys), w_keys[xs], lam_keys[j]), xs, ys
+
+    violations = []
+    for xs, j in kernel:
+        key, _, ys = head(xs, j)
+        if not _plus_minus_one(xs, ys, n):
+            violations.append(ViolationRecord(("kernel", key, xs, ys, n, 0, 1)))
+    exceptions = []
+    for xs, j, a2, av in rows:
+        key, _, ys = head(xs, j)
+        exceptions.append(ExceptionRecord((key, xs, ys, n, a2, av, _exceptional(xs, ys, n))))
+        if av < n:
+            v_order = integer_chart_order(xs, ys, n)
+            if v_order != 2:
+                violations.append(ViolationRecord(("order-2", key, xs, ys, n, av, v_order)))
+    return SweepResult((
+        cfg.h,
+        cfg.r,
+        seen,
+        n,
+        best,
+        tuple(sorted(head(xs, j) for xs, j in witnesses)),
+        tuple(sorted(exceptions)),
+        tuple(sorted(violations)),
+    ))
 
 
 def sym2_age_num(xs: tuple[int, ...], n: int) -> int:

@@ -140,6 +140,11 @@ def test_exceptions_stable_under_larger_bound(capsys):
         ("exceptions", "--g", "2", "--out", "/nonexistent/d/x.json"),
         ("exceptions", "--g", "2", "--out", str(Path(__file__).parent)),
         ("oracle", "--samples", "1", "--out", str(Path(__file__).parent)),
+        # the interior, the Sym^2 table and the torus report no rows
+        ("sweep", "--interior", "--g", "3", "--threshold", "terminal"),
+        ("sweep", "--h", "2", "--threshold", "terminal"),
+        ("sweep", "--h", "0", "--r", "3", "--threshold", "terminal"),
+        ("sweep", "--h", "0", "--r", "2", "--mode", "unconstrained", "--threshold", "terminal"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

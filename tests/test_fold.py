@@ -9,7 +9,10 @@ torus run the same fold at r = 0, so they are checked against the
 reference on the r = 0 chart.  The W stream's integer states, built block
 by block, are checked against the per-W ages of ``reference_fold``, and
 the facts each reported row carries (chart order, kernel flag, twin sort
-key) against the spectrum and twin-class route kept there.
+key) against the spectrum and twin-class route kept there.  On complete
+streams the fold, which skips the W states whose Sym^2 age alone exceeds
+max(best, limit), must return the full-visit fold's result tuple for
+tuple (``reference_fold.full_fold``).
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from reference_fold import (
     central_twin,
     classes_for,
     exceptional_shape,
+    full_fold,
     public,
     spectrum_numerators,
     sweep_over,
@@ -45,14 +49,18 @@ from reidtai.enumeration import (
     CONSTRAINT_MODES,
     ElementClass,
     EnumerationConfig,
+    _assemble,
     abelian_factor_classes,
     as_spectrum,
     lattice_factor_classes,
     lattice_residues,
+    lattice_states,
+    multiset_states,
+    orbit_residues,
     ppav_classes,
 )
 from reidtai.functors import age, sym2, tensor, v_spectrum
-from reidtai.rotations import Spectrum, residue_keys, rot
+from reidtai.rotations import Spectrum, residue_keys, rot, totient
 
 # (order bound, largest genus).  The reference costs about 0.1 ms per pair,
 # so charts with more pairs than this are checked on an every-k-th slice
@@ -97,6 +105,124 @@ def test_fold_matches_object_route(cfg):
         assert [key for key, _, _ in folded.witness_rows] == [
             c.sort_key for c in folded.witnesses
         ]
+
+
+# Largest genus per order bound and mode of the complete-stream check
+# against the full-visit fold: every chart of every genus up to it, each
+# W and Lambda stream whole.
+FULL_GRID = {
+    12: {"integral-both": 8, "integral-lambda-only": 6, "unconstrained": 5},
+    24: {"integral-both": 6, "integral-lambda-only": 4, "unconstrained": 4},
+    36: {"integral-both": 6, "integral-lambda-only": 4, "unconstrained": 3},
+}
+
+
+def _assert_folds_agree(cfg, w_states, lams):
+    # the whole SweepResult: best, witness rows, every row, violations and
+    # classes_seen, under both thresholds
+    w_states, lams = list(w_states), list(lams)
+    for include_age_one in (False, True):
+        folded = fold_chart(cfg, w_states, lams, include_age_one)
+        assert folded == full_fold(cfg, w_states, lams, include_age_one), (cfg, include_age_one)
+
+
+@pytest.mark.parametrize(
+    "n, mode, g",
+    [(n, mode, g) for n, caps in FULL_GRID.items() for mode, cap in caps.items()
+     for g in range(1, cap + 1)],
+)
+def test_fold_matches_full_visit_fold(n, mode, g):
+    for h in range(1, g + 1):
+        cfg = EnumerationConfig(h, g - h, n, mode)
+        _assert_folds_agree(cfg, abelian_factor_classes(cfg), lattice_factor_classes(cfg))
+
+
+@pytest.mark.parametrize("n, h_max, r_max", [(12, 8, 6), (24, 6, 4), (36, 6, 3)])
+def test_r0_folds_match_full_visit_fold(n, h_max, r_max):
+    # the Sym^2 table and the interior (W states), the torus in every mode
+    # (lattice and multiset states); at N = 12 the interior minimum passes
+    # the limit from g = 6, so the cut is the best age there
+    for h in range(1, h_max + 1):
+        cfg = EnumerationConfig(h, 0, n)
+        _assert_folds_agree(cfg, abelian_factor_classes(cfg), [()])
+    for r in range(1, r_max + 1):
+        cfg = EnumerationConfig(r, 0, n)
+        _assert_folds_agree(cfg, lattice_states(r, n), [()])
+        _assert_folds_agree(cfg, multiset_states(r, n), [()])
+
+
+def test_reduction_folds_match_full_visit_fold():
+    # the single-orbit candidates of reduction_support, up to degree 12
+    for m in range(3, 43):
+        degree = totient(m)
+        if 12 % m and degree % 2 == 0 and degree <= 12:
+            cfg = EnumerationConfig(degree // 2, 0, m)
+            _assert_folds_agree(cfg, _assemble([orbit_residues(m, m)], degree // 2, m, ()), [()])
+
+
+class _Unreadable:
+    """A cost vector that fails on any read."""
+
+    def __getitem__(self, k):
+        raise AssertionError("the cost of a skipped state was read")
+
+    def __iter__(self):
+        raise AssertionError("the cost of a skipped state was read")
+
+
+def _chart(h, r, n=12):
+    cfg = EnumerationConfig(h, r, n)
+    return cfg, list(abelian_factor_classes(cfg)), list(lattice_factor_classes(cfg))
+
+
+@pytest.mark.parametrize("include_age_one", (False, True))
+def test_fold_skips_a_state_past_the_cut_unread(include_age_one):
+    # chart (2, 3) reaches its best, 1/2, early; a state whose Sym^2 age
+    # alone is above max(best, limit) is counted without its costs read
+    cfg, w_states, lams = _chart(2, 3)
+    late = next(state for state in w_states if state[1] > 12)
+    folded = fold_chart(cfg, [*w_states, (late[0], late[1], _Unreadable())], lams, include_age_one)
+    assert folded == full_fold(cfg, [*w_states, late], lams, include_age_one)
+    whole = fold_chart(cfg, w_states, lams, include_age_one)
+    assert folded.classes_seen == whole.classes_seen + len(lams)
+    assert folded.replace(classes_seen=whole.classes_seen) == whole
+
+
+def test_fold_reports_a_forged_kernel_state_after_the_best():
+    # best (1/2) is at or below the limit before the forged state comes: it
+    # claims age 0 for W = {1/4} against every Lambda, and is still folded
+    cfg, w_states, lams = _chart(1, 4)
+    forged = ((3,), 0, (0,) * len(lattice_residues(cfg)))
+    folded = fold_chart(cfg, [*w_states, forged], lams)
+    assert folded == full_fold(cfg, [*w_states, forged], lams)
+    kernel = [v for v in folded.violations if v.rule == "kernel"]
+    assert len(kernel) == len(lams)
+    assert {(v.xs, v.ys) for v in kernel} == {((3,), ys) for ys in lams}
+    assert fold_chart(cfg, w_states, lams).violations == ()
+
+
+def test_fold_keeps_a_state_at_the_cut():
+    # a state whose Sym^2 age equals the cut is folded: under the terminal
+    # threshold the cut is 1 once best is below it, and zero tensor costs
+    # put every pair of it at exactly age 1, a reported row
+    cfg, w_states, lams = _chart(2, 3)
+    at_cut = next(state for state in w_states if state[1] == 12)
+    state = (at_cut[0], 12, (0,) * len(lattice_residues(cfg)))
+    folded = fold_chart(cfg, [*w_states, state], lams, include_age_one=True)
+    assert folded == full_fold(cfg, [*w_states, state], lams, include_age_one=True)
+    whole = fold_chart(cfg, w_states, lams, include_age_one=True)
+    new_rows = set(folded.exceptions) - set(whole.exceptions)
+    assert {(rec.xs, rec.ys, rec.av) for rec in new_rows} == {(state[0], ys, 12) for ys in lams}
+    # on the interior at g = 6 the best (7/6) is above the limit, so the cut
+    # is the best: a second state at it adds witnesses
+    cfg = EnumerationConfig(6, 0, 12)
+    w_states = list(abelian_factor_classes(cfg))
+    best = fold_chart(cfg, w_states, [()]).best
+    assert best == 14
+    first = next(state for state in w_states if state[1] == best)
+    folded = fold_chart(cfg, [*w_states, first], [()])
+    assert folded == full_fold(cfg, [*w_states, first], [()])
+    assert len(folded.witness_rows) == len(fold_chart(cfg, w_states, [()]).witness_rows) + 1
 
 
 def _reference_sym2_minimum(dim, spectra):
