@@ -12,7 +12,7 @@ import os
 import re
 import sys
 import time
-from typing import Any, Callable
+from collections.abc import Callable
 
 from . import criterion
 from .enumeration import CONSTRAINT_MODES
@@ -37,12 +37,12 @@ EXIT_ORACLE = 4
 
 
 def _in_range(
-    convert: Callable[[str], Any], accepts: Callable[[Any], bool], rule: str
-) -> Callable[[str], Any]:
+    convert: Callable[[str], object], accepts: Callable[[object], bool], rule: str
+) -> Callable[[str], object]:
     """An argparse type: convert the text, then reject values outside the
     rule, so a bad value is a usage error (exit 2)."""
 
-    def parse(text: str) -> Any:
+    def parse(text: str) -> object:
         try:
             value = convert(text)
         except ValueError:

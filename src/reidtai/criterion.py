@@ -16,8 +16,8 @@ unique exceptional shape.  A failed check raises
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import enumeration
 from .enumeration import (
@@ -35,6 +35,7 @@ from .enumeration import (
 from .functors import age, fixed_multiplicity, forms_spectrum
 from .rotations import Frozen, Spectrum, residue_keys, totient
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -227,7 +228,7 @@ def twin_sort_key(rec: ExceptionRecord) -> tuple:
     """The sort key of the record's central twin, the other lift of the
     same chart transformation (every eigenvalue shifted by 1/2 on both
     factors), without building the twin: each entry x/n is keyed as
-    x/n + 1/2 from the per-n table.  The twin's orders may exceed
+    x/n + 1/2 by ``residue_keys(n, True)``.  The twin's orders may exceed
     MAX_DENOMINATOR.  ``central_twin`` in ``tests/reference_fold.py``
     builds the twin as a class."""
     keys = residue_keys(rec.n, True).__getitem__
@@ -304,7 +305,7 @@ def fold_chart(
     pair that is not becomes a ``kernel`` violation.  The result reports
     the minimum's witnesses and the rows below 1 (or at 1 with
     include_age_one) as integer records over N, each with its sort key
-    computed once from the per-N table ``residue_keys(N)``; the order-2
+    computed once from the lazy key table ``residue_keys(N)``; the order-2
     check runs on those rows only, and no spectrum, class or Fraction is
     built.  Violations are collected, not raised; :func:`sweep_v` decides.
 

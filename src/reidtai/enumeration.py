@@ -9,21 +9,20 @@ trivially" apart from "not enumerated".
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from operator import add
-from typing import Iterator, Sequence
 
 from .functors import v_spectrum
 from .rotations import (
     Frozen,
-    RotationNumber,
     Spectrum,
     _set_field,
     divisors,
     element_order,
     residue_keys,
-    rot,
+    residues,
     totient,
 )
 
@@ -90,14 +89,9 @@ class ElementClass(Frozen):
 State = tuple[tuple[int, ...], int, Sequence[int]]
 
 
-@lru_cache(maxsize=None)
-def _rotations(n: int) -> tuple[RotationNumber, ...]:
-    return tuple(rot(k, n) for k in range(n))
-
-
 def as_spectrum(entries: tuple[int, ...], n: int) -> Spectrum:
     """The spectrum of a state's entries (numerators over n, canonical order)."""
-    return Spectrum(tuple(map(_rotations(n).__getitem__, entries)))
+    return Spectrum(tuple(map(residues(n).__getitem__, entries)))
 
 
 @lru_cache(maxsize=None)

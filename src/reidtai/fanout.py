@@ -20,10 +20,10 @@ import os
 import pickle
 import struct
 import sys
-from typing import Any, Callable
+from collections.abc import Callable
 
 
-def fork_map(fn: Callable[[Any], Any], tasks: list, workers: int) -> list:
+def fork_map(fn: Callable[[object], object], tasks: list, workers: int) -> list:
     """``[fn(task) for task in tasks]``, computed on ``workers`` forked
     processes (the caller checks that ``os.fork`` exists)."""
     sys.stdout.flush()
@@ -73,7 +73,7 @@ def fork_map(fn: Callable[[Any], Any], tasks: list, workers: int) -> list:
 
 
 def _work(
-    fn: Callable[[Any], Any], tasks: list, tokens: int, token_sink: int, source: int, sink: int
+    fn: Callable, tasks: list, tokens: int, token_sink: int, source: int, sink: int
 ) -> None:
     """A forked worker's whole life: run ``fn`` on the tasks whose indices
     it reads from ``tokens`` until end of file, send the results down

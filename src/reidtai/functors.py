@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable
+from collections.abc import Iterable
 
-from .rotations import RotationNumber, Spectrum, element_order, rot
+from .rotations import RotationNumber, Spectrum, element_order, residue_keys, residues
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -28,30 +29,18 @@ def _numerators(s: Spectrum, big: int) -> list[int]:
     return [q.num * (big // q.den) for q in s.entries]
 
 
-# (sort key, rotation number) of each residue k over big, per big, as
-# the sums meet them
-_ENTRIES: dict[int, dict[int, tuple[tuple[int, int], RotationNumber]]] = {}
-
-
 def _spectrum_over(sums: Iterable[int], big: int) -> Spectrum:
     """The spectrum {k/big mod 1 : k in sums}.
 
-    Only the distinct sums are reduced, in order of first occurrence, so a
-    sum whose reduced denominator exceeds the cap raises the ValueError that
-    adding the entries one pair at a time raises first; the reduced entries
-    are cached per (k, big).
-    """
+    Only the distinct sums are read from ``residues(big)``, in order of
+    first occurrence, so a sum whose reduced denominator exceeds the cap
+    raises the ValueError that adding the entries one pair at a time
+    raises first."""
     counts = Counter(k % big for k in sums)
-    cache = _ENTRIES.setdefault(big, {})
-    distinct = []
-    for k, c in counts.items():
-        if k not in cache:
-            q = rot(k, big)
-            cache[k] = (q.sort_key, q)
-        distinct.append((cache[k], c))
+    keys, entries = residue_keys(big), residues(big)
     # distinct residues have distinct keys, so the sort never compares q
-    distinct.sort()
-    return Spectrum(tuple(q for (_, q), c in distinct for _ in range(c)))
+    distinct = sorted([(keys[k], entries[k], c) for k, c in counts.items()])
+    return Spectrum(tuple(q for _, q, c in distinct for _ in range(c)))
 
 
 def sym2(a: Spectrum) -> Spectrum:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
+from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
-from typing import Callable, Sequence
 
 import numpy as np
 

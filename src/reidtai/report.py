@@ -6,8 +6,9 @@ Identical configs therefore produce byte-identical output; timing never
 enters the canonical form.
 
 Chart rows arrive as integers over N (``criterion`` records) and become
-strings here, from per-N and per-(numerator, N) caches.  The JSON writer
-knows the report's fixed schema and produces the text of
+strings here: each entry or age x/N is read from a lazily filled table,
+built only for the x a report shows.  The JSON writer knows the report's
+fixed schema and produces the text of
 ``json.dumps(report, sort_keys=True, indent=2)`` with the C encoder's leaf
 functions.
 """
@@ -15,8 +16,7 @@ functions.
 from __future__ import annotations
 
 import json
-from math import gcd
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
 from .criterion import (
     ExceptionRecord,
@@ -26,8 +26,9 @@ from .criterion import (
     ViolationRecord,
     age_kind,
 )
-from .rotations import Spectrum, residue_keys
+from .rotations import Spectrum, Table, residue_keys
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -37,29 +38,25 @@ def spectrum_strs(s: Spectrum) -> list[str]:
     return [str(q) for q in s.entries]
 
 
-_ENTRY_STRS: dict[int, tuple[str, ...]] = {}
-_AGE_STRS: dict[tuple[int, int], str] = {}
+@lru_cache(maxsize=None)
+def _texts(n: int) -> Table:
+    """x/n in lowest terms as "num/den": an entry (x < n) or an age."""
+    keys = residue_keys(n)
+    return Table(lambda x: "%d/%d" % keys[x][::-1])
 
 
 def _entries(nums: tuple[int, ...], n: int) -> list[str]:
-    """Spectrum entries x/n as "num/den", from the per-n table."""
-    if n not in _ENTRY_STRS:
-        _ENTRY_STRS[n] = tuple(f"{num}/{den}" for den, num in residue_keys(n))
-    return list(map(_ENTRY_STRS[n].__getitem__, nums))
+    """Spectrum entries x/n as "num/den"."""
+    return list(map(_texts(n).__getitem__, nums))
 
 
 def _age(x: int | None, n: int) -> str | None:
-    """The age x/n (n > 0, None for none) as "num/den" reduced by the gcd, cached per (x, n)."""
-    if x is None:
-        return None
-    if (x, n) not in _AGE_STRS:
-        g = gcd(x, n)
-        _AGE_STRS[x, n] = f"{x // g}/{n // g}"
-    return _AGE_STRS[x, n]
+    """The age x/n (n > 0, None for none) as "num/den"."""
+    return None if x is None else _texts(n)[x]
 
 
 def fraction_str(value: Fraction | None) -> str | None:
-    """A Fraction age (a Sym^2 or interior row) through the same cache."""
+    """A Fraction age (a Sym^2 or interior row) through the same table."""
     return None if value is None else _age(value.numerator, value.denominator)
 
 

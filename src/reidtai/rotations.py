@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -232,21 +233,43 @@ def totient(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n in increasing order."""
+    """Positive divisors of n in increasing order, by trial division up to sqrt(n)."""
     if n <= 0:
         raise ValueError(f"divisors needs a positive argument, got {n}")
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(low + [n // d for d in reversed(low) if d * d != n])
+
+
+class Table(dict):
+    """A value per x >= 0, built by ``build(x)`` on its first read; a later
+    ``table[x]`` (or ``map(table.__getitem__, xs)``) runs no Python code."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[int], object]) -> None:
+        self.build = build
+
+    def __missing__(self, x: int) -> object:
+        self[x] = value = self.build(x)
+        return value
 
 
 @lru_cache(maxsize=None)
-def residue_keys(n: int, half_turn: bool = False) -> tuple[tuple[int, int], ...]:
-    """The ``RotationNumber.sort_key`` (den, num) of x/n, or of x/n + 1/2
-    with half_turn, for each residue x mod n.  No rotation number is
-    built, so a key's denominator may exceed the cap (2n for odd n)."""
+def residue_keys(n: int, half_turn: bool = False) -> Table:
+    """The (den, num) of x/n in lowest terms (any x >= 0; a ``sort_key`` if
+    x < n), or of x/n + 1/2 mod 1 with half_turn.  No rotation number is
+    built, so a denominator may exceed the cap (2n for odd n)."""
     if half_turn:
         keys = residue_keys(2 * n)
-        return tuple(keys[(2 * x + n) % (2 * n)] for x in range(n))
-    return tuple((n // g, x // g) for x in range(n) for g in (math.gcd(x, n),))
+        return Table(lambda x: keys[(2 * x + n) % (2 * n)])
+    return Table(lambda x: (n // (g := math.gcd(x, n)), x // g))
+
+
+@lru_cache(maxsize=None)
+def residues(n: int) -> Table:
+    """x/n as a rotation number (x < n); beyond the cap it raises ValueError."""
+    keys = residue_keys(n)
+    return Table(lambda x: RotationNumber(*keys[x][::-1]))
 
 
 @lru_cache(maxsize=None)

@@ -519,11 +519,12 @@ def test_cli_import_leaves_numpy_out():
     # only the oracle needs numpy; the sweeps must not pay for its import,
     # nor for dataclasses (with inspect) or fractions: the value classes are
     # plain slots classes, and a catalog run reads its ages as integers.
-    # pathlib is left out too; -S keeps site's .pth files from importing it.
+    # pathlib and typing are left out too; -S keeps site's .pth files from
+    # importing them.
     script = """
 import contextlib, io, sys
 import reidtai.cli
-loaded = {"numpy", "dataclasses", "fractions", "inspect", "pathlib"} & set(sys.modules)
+loaded = {"numpy", "dataclasses", "fractions", "inspect", "pathlib", "typing"} & set(sys.modules)
 assert not loaded, loaded
 with contextlib.redirect_stdout(io.StringIO()):
     assert reidtai.cli.main(["exceptions", "--g", "7", "--format", "json"]) == 0

@@ -1,6 +1,7 @@
 """Germ verdicts, sweeps, the moved-forms count and reduction evidence."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -20,7 +21,7 @@ from reference_enumeration import (
     spectrum_state,
 )
 from reference_fold import central_twin, exception_record, exceptional_shape
-from reidtai import criterion, enumeration, functors
+from reidtai import cli, criterion, enumeration, functors
 from reidtai.cli import main
 from reidtai.criterion import (
     PropositionViolation,
@@ -37,12 +38,14 @@ from reidtai.criterion import (
 )
 from reidtai.enumeration import ElementClass, EnumerationConfig
 from reidtai.functors import age, power, sym2, tensor, v_spectrum
+from reidtai.report import sweep_rows
 from reidtai.rotations import (
     RotationNumber,
     Spectrum,
     element_order,
     galois_orbit,
     parse_spectrum,
+    totient,
 )
 
 S = parse_spectrum
@@ -268,6 +271,9 @@ def test_check_exception_catalog():
         (4, "not-canonical", F(5, 6)),
         (7, "terminal", F(4, 3)),
         (8, "terminal", F(3, 2)),
+        (9, "terminal", F(5, 3)),
+        (10, "terminal", F(11, 6)),
+        (11, "terminal", F(2)),
     ],
 )
 def test_interior_verdicts(g, kind, min_age):
@@ -285,6 +291,74 @@ def test_interior_minimizer_shape():
         "{0/1, 0/1, 0/1, 0/1, 1/6}",
         "{1/2, 1/2, 1/2, 1/2, 2/3}",
     ]
+
+
+def catalog_rows(g, n):
+    """Each chart's (minima, exception, violation) rows of the genus-g
+    catalog over n, built as ``exceptions --g g`` builds them."""
+    return [
+        sweep_rows(check_exception_catalog(cli._chart((h, g - h, n, "integral-both", False))))
+        for h in range(1, g + 1)
+    ]
+
+
+def without_classes(rows):
+    minima, exceptions, violations = rows
+    return {k: v for k, v in minima.items() if k != "classes"}, exceptions, violations
+
+
+@pytest.mark.parametrize("g", [8, 9, 10, 11])
+def test_catalog_is_the_single_germ_up_to_genus_11(g):
+    # the unique age-1/2 germ, and the chart minima min(h/2, (g + 1)/6)
+    charts = catalog_rows(g, 12)
+    assert [row for _, exceptions, _ in charts for row in exceptions] == [{
+        "h": 1, "r": g - 1, "w_spec": ["1/2"], "lambda_spec": ["0/1"] + ["1/2"] * (g - 2),
+        "age_sym2": "0/1", "age_tensor": "1/2", "age_v": "1/2", "matches_iii": True,
+    }]
+    assert not any(violations for _, _, violations in charts)
+    for h, (minima, _, _) in enumerate(charts, 1):
+        assert F(minima["min_age"]) == min(F(h, 2), F(g + 1, 6))
+
+
+def all_orders(g):
+    """L(g) = lcm{n : phi(n) <= 2g}: phi(n) >= sqrt(n/2), so n <= 8g^2."""
+    return math.lcm(*(n for n in range(1, 8 * g * g + 1) if totient(n) <= 2 * g))
+
+
+@pytest.mark.parametrize("g, n", [(5, 55440), (6, 720720), (7, 720720)])
+def test_orders_dividing_12_lose_nothing(g, n):
+    # Tai's reduction, checked exhaustively: over every order that fits the
+    # genus, each chart's minimum, witnesses, exception and violation rows
+    # are those over the divisors of 12
+    assert all_orders(g) == n
+    assert list(map(without_classes, catalog_rows(g, n))) == list(
+        map(without_classes, catalog_rows(g, 12))
+    )
+
+
+def test_chart_at_all_orders_builds_no_table_sized_by_n():
+    # a chart over N = L(7) reads only the residues it reports: a fresh
+    # process peaks far below one entry per residue mod N
+    script = """
+import tracemalloc
+from reidtai import cli
+from reidtai.report import sweep_rows
+tracemalloc.start()
+sweep_rows(cli._chart((1, 4, 720720, "integral-both", False)))
+print(tracemalloc.get_traced_memory()[1])
+"""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 5 * 2**20
+    at_all_orders, at_12 = (
+        without_classes(sweep_rows(cli._chart((1, 4, n, "integral-both", False))))
+        for n in (720720, 12)
+    )
+    assert at_all_orders == at_12
 
 
 def test_torus_summary():
@@ -558,9 +632,10 @@ def test_catalog_builds_no_chart_spectrum_or_class(monkeypatch):
     # every reported row's chart order, kernel flag and twin come from
     # integers: neither v_spectrum (under any name binding it) nor
     # ElementClass.build runs on a catalog with violations; and once a
-    # warm-up run has filled the per-N caches, the relaxed and catalog
-    # chart paths build no Spectrum or RotationNumber and call no
-    # as_spectrum, since both fold inputs are numerators over N
+    # warm-up run has read its reported entries into the lazy per-residue
+    # tables, the relaxed and catalog chart paths build no Spectrum or
+    # RotationNumber and call no as_spectrum, since both fold inputs are
+    # numerators over N
     calls = dict.fromkeys(["v_spectrum", "build", "Spectrum", "RotationNumber", "as_spectrum"], 0)
 
     def counting(key, fn):

@@ -289,7 +289,7 @@ def test_row_facts_match_the_spectrum_route(data):
     _, a2, cost = spectrum_state(xs, n, tuple(range(n)))
     av = a2 + sum(cost[y] for y in ys)
     assert (av == 0) == v_spectrum(w, lam).is_identity() == c.kernel_on_v
-    # the fold's per-N key table gives the class's key, and a record over n
+    # the fold's lazy key table gives the class's key, and a record over n
     # gives back the class and its twin's key
     keys = residue_keys(n)
     assert (c.h, c.r, tuple(keys[x] for x in xs), tuple(keys[y] for y in ys)) == c.sort_key

@@ -30,6 +30,7 @@ from reidtai.rotations import (
     galois_orbit,
     parse_spectrum,
     residue_keys,
+    residues,
     rot,
     rot_from_str,
     totient,
@@ -228,10 +229,38 @@ def test_orbit_signature():
 
 @pytest.mark.parametrize("n", [1, 2, 9, 12, 35, 36, 359, 360])
 def test_residue_keys_are_rotation_sort_keys(n):
-    # the per-N tables behind the integer records' keys and twin keys
-    assert residue_keys(n) == tuple(rot(x, n).sort_key for x in range(n))
+    # the lazy tables behind the integer records' keys and twin keys
+    assert [residue_keys(n)[x] for x in range(n)] == [rot(x, n).sort_key for x in range(n)]
+    assert [residues(n)[x] for x in range(n)] == [rot(x, n) for x in range(n)]
     twin = [(Fraction(x, n) + Fraction(1, 2)) % 1 for x in range(n)]
-    assert residue_keys(n, True) == tuple((f.denominator, f.numerator) for f in twin)
+    assert [residue_keys(n, True)[x] for x in range(n)] == [
+        (f.denominator, f.numerator) for f in twin
+    ]
+
+
+def test_residue_tables_fill_only_the_entries_read():
+    # at N = L(7) = 720,720 a table holds what was read, nothing sized by N;
+    # the plain keys give x/N in lowest terms for any x >= 0 (an age too)
+    n = 720720
+    keys, twins = residue_keys(n), residue_keys(n, True)
+    xs = random.Random(7).sample(range(3 * n), 500) + [0, n // 2, n, 2 * n + 1]
+    for x in xs:
+        f = Fraction(x, n)
+        assert keys[x] == (f.denominator, f.numerator)
+        twin = (f + Fraction(1, 2)) % 1
+        if x < n:
+            assert twins[x] == (twin.denominator, twin.numerator)
+    assert len(keys) < n // 100 and len(twins) < n // 100
+    assert residues(n)[n // 6] == rot(1, 6)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        residues(n)[1]
+    assert 1 not in residues(n)
+
+
+def test_divisors_match_the_brute_force_list():
+    for n in [*range(1, 2001), 55440, 720720]:
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+    assert len(divisors(720720)) == 240
 
 
 _HALF_SPEC = Spectrum.of([rot(1, 2)])
