@@ -25,6 +25,7 @@ from .enumeration import (
     EnumerationConfig,
     State,
     _assemble,
+    _tensor_costs,
     as_spectrum,
     lattice_factor_classes,
     lattice_residues,
@@ -292,14 +293,14 @@ def fold_chart(
     lams: Iterable[tuple[int, ...]],
     include_age_one: bool = False,
 ) -> SweepResult:
-    """Fold chart ages over every (W, Lambda) pair, both sides integer:
-    W from the states w_states (costs indexed by ``lattice_residues(cfg)``,
-    as ``enumeration.abelian_factor_classes(cfg)`` yields them) and Lambda
-    from lams, numerators over N in canonical order (as
-    ``enumeration.lattice_factor_classes(cfg)`` yields them).
+    """Fold chart ages over every (W, Lambda) pair, both sides integer: W
+    from the states (entries, a2) of w_states, Lambda from lams, numerators
+    over N in canonical order (as ``enumeration.abelian_factor_classes``
+    and ``lattice_factor_classes`` yield them for cfg).
 
     Ages are integers over N = cfg.order_divides: a pair's chart age is
-    the state's Sym^2 age plus its tensor costs at Lambda's entries.  Age 0
+    the state's Sym^2 age plus its tensor costs at Lambda's entries, which
+    ``enumeration._tensor_costs`` computes at ``lattice_residues(cfg)``.  Age 0
     means the pair acts trivially on the chart (the kernel) and is skipped;
     the identity pair is not counted.  The kernel must be +-1: a zero-age
     pair that is not becomes a ``kernel`` violation.  The result reports
@@ -312,8 +313,8 @@ def fold_chart(
     Every tensor cost is a sum of residues mod N, so it is >= 0, and a
     state's Sym^2 age a2 bounds the age of each of its pairs from below.
     Once best is set, a state with a2 > max(best, limit) is counted
-    (|Lambda| pairs) and its costs are not read: none of its pairs is a
-    witness, a row at or below the threshold, or a kernel pair (age 0
+    (|Lambda| pairs) and its costs are never computed: none of its pairs is
+    a witness, a row at or below the threshold, or a kernel pair (age 0
     needs a2 = 0), and the identity pair has a2 = 0.  The result is the
     full visit's, tuple for tuple (``full_fold`` in
     ``tests/reference_fold.py``); the streams still yield every state.
@@ -325,7 +326,8 @@ def fold_chart(
     """
     n = cfg.order_divides
     lams = list(lams)
-    position = {y: k for k, y in enumerate(lattice_residues(cfg))}
+    lattice = lattice_residues(cfg)
+    position = {y: k for k, y in enumerate(lattice)}
     lam_cols = [tuple(map(position.__getitem__, ys)) for ys in lams]
     identity_lam = any(not any(ys) for ys in lams)
     limit = n if include_age_one else n - 1
@@ -338,12 +340,12 @@ def fold_chart(
     witnesses: list[tuple[tuple[int, ...], int]] = []
     kernel: list[tuple[tuple[int, ...], int]] = []
     rows: list[tuple[tuple[int, ...], int, int, int]] = []
-    for xs, a2, cost in w_states:
+    for xs, a2 in w_states:
         if a2 > cut:
             # every pair of this W ages at least a2 > best, limit and 0
             seen += len(lam_cols)
             continue
-        cost_at = cost.__getitem__
+        cost_at = _tensor_costs(xs, lattice, n).__getitem__
         ages = [a2 + sum(map(cost_at, cols)) for cols in lam_cols]
         seen += len(ages)
         if identity_lam and not any(xs):
@@ -447,7 +449,7 @@ def _sym2_minimum(
 ) -> tuple[Fraction | None, tuple[Spectrum, ...]]:
     """Minimum symmetric-square age over the states of dimension-dim
     spectra other than +-1, with the sorted minimizers: the chart fold at
-    r = 0, which reads no costs, so none are needed.  A zero-age state
+    r = 0, which has no lattice residues, so no costs.  A zero-age state
     that is not +-1 raises :class:`PropositionViolation` with its
     ``kernel`` records; the order-2 law is not claimed at r = 0."""
     result = fold_chart(EnumerationConfig(dim, 0, order_divides), states, [()])
@@ -534,7 +536,7 @@ def reduction_support(n: int, h_max: int) -> Fraction:
         raise ValueError(
             f"orbit degree {degree} exceeds the homology budget {2 * h_max}"
         )
-    states = _assemble([orbit_residues(n, n)], degree // 2, n, ())
+    states = _assemble((orbit_residues(n, n),), degree // 2, n)
     best, _ = _sym2_minimum(degree // 2, n, states)
     if best is None:
         raise ValueError(f"order {n} yields no candidate spectrum")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from operator import add
 
 from .functors import v_spectrum
@@ -78,15 +78,15 @@ class ElementClass(Frozen):
         return f"(h={self.h}, r={self.r}, w={self.w_spec}, lambda={self.lambda_spec})"
 
 
-# An integer state (entries, a2, cost) stands for one spectrum W over the
-# order bound N: entries are its numerators over N in canonical order, a2
-# is N * age(Sym^2 W), and cost[k] is N * age(W (x) y) for the k-th lattice
-# residue y, i.e. sum over x in W of (x + y) mod N.  Both ages are additive
-# over a split W = a + b:
+# An integer state (entries, a2) stands for one spectrum W over the order
+# bound N: entries are its numerators over N in canonical order, and a2 is
+# N * age(Sym^2 W).  Over a split W = a + b,
 #   a2(a + b) = a2(a) + a2(b) + sum over x in b of cost_a[x],
-#   cost_{a+b} = cost_a + cost_b,
-# so the streams build every state from its prefix and one memoized block.
-State = tuple[tuple[int, ...], int, Sequence[int]]
+# where cost_a[y] = N * age(a (x) y), the sum over z in a of (z + y) mod N,
+# is additive too; so the streams build every state from its prefix (which
+# alone carries costs) and one memoized block.
+State = tuple[tuple[int, ...], int]
+Levels = tuple[tuple[int, ...], ...]
 
 
 def as_spectrum(entries: tuple[int, ...], n: int) -> Spectrum:
@@ -102,14 +102,6 @@ def keyed_residues(n: int) -> tuple[int, ...]:
     return tuple(sorted(range(n), key=residue_keys(n).__getitem__))
 
 
-def _block_ages(
-    block: tuple[int, ...], n: int, ys: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    """n times the Sym^2 age of a block, and its tensor cost at each y."""
-    a2 = sum((x + block[j]) % n for i, x in enumerate(block) for j in range(i, len(block)))
-    return a2, tuple(sum((x + y) % n for x in block) for y in ys)
-
-
 @lru_cache(maxsize=None)
 def orbit_residues(d: int, n: int) -> tuple[int, ...]:
     """The order-d residues over n (d | n), ascending: the numerators of
@@ -117,22 +109,29 @@ def orbit_residues(d: int, n: int) -> tuple[int, ...]:
     return tuple(k * (n // d) for k in range(d) if math.gcd(k, d) == 1)
 
 
-def _orbit_levels(n: int, budget: int) -> list[tuple[int, ...]]:
+def _orbit_levels(n: int, budget: int) -> Levels:
     """The Galois orbits over n of the orders d | n with phi(d) <= budget,
     ascending: the only place that decides which orders fit a budget."""
-    return [orbit_residues(d, n) for d in divisors(n) if totient(d) <= budget]
+    return tuple(orbit_residues(d, n) for d in divisors(n) if totient(d) <= budget)
 
 
 def lattice_residues(cfg: EnumerationConfig) -> tuple[int, ...]:
     """The numerators over N that the config's lattice stream can contain,
     ascending: every residue when unconstrained, else the orders n | N with
-    phi(n) <= r.  The W stream's cost vectors are indexed by them."""
+    phi(n) <= r.  The chart fold computes the tensor costs of each W state
+    it opens at them."""
     n = cfg.order_divides
     if cfg.r == 0:
         return ()
     if cfg.constraint_mode == "unconstrained":
         return tuple(range(n))
     return tuple(sorted(x for level in _orbit_levels(n, cfg.r) for x in level))
+
+
+def _tensor_costs(xs: tuple[int, ...], ys: Sequence[int], n: int) -> list[int]:
+    """n times the age of W (x) y at each residue y, the sum over x in W of
+    (x + y) mod n: for each block step, and for each W the fold opens."""
+    return [sum((x + y) % n for x in xs) for y in ys]
 
 
 def _blocks(level: tuple[int, ...], room: int, whole: bool = False) -> list[tuple[int, ...]]:
@@ -167,47 +166,33 @@ def _blocks(level: tuple[int, ...], room: int, whole: bool = False) -> list[tupl
     return out
 
 
-def _assemble(
-    levels: list[tuple[int, ...]], dim: int, n: int, residues: tuple[int, ...], whole: bool = False
-) -> Iterator[State]:
-    """Every dim-entry state built from at most one block per level, levels
-    in order, in the lexicographic order of the spectra; duplicate-free.
-    Each level's blocks follow the whole-orbit rule of :func:`_blocks` if
-    whole (the integral lattice), else the W rule (every other stream).
+# (levels, n, whole) -> (step rows, steps by (level, block)), kept for the process
+_tables: dict[tuple, tuple[list, dict]] = {}
 
-    A block is tried only if the later levels can fill the remaining
-    entries exactly, so no branch dead-ends, and each frame adds one
-    non-empty block, so the recursion is at most dim deep.  Inside the
-    assembly the cost vectors also carry the residues later levels can
-    still add (their Sym^2 cross terms need them), placed after the
-    lattice residues in reverse level order: a prefix vector shrinks as
-    the levels pass, and a finished state keeps the lattice part alone.
-    """
-    if dim < 0:
-        raise ValueError("dimension must be non-negative")
-    width = len(residues)
-    lattice = set(residues)
-    order = list(residues)
-    cut = [0] * len(levels)  # vector width once level i is placed
-    for i in range(len(levels) - 1, -1, -1):
-        cut[i] = len(order)
-        order.extend(x for x in reversed(levels[i]) if x not in lattice)
+
+def _steps(levels: Levels, dim: int, n: int, whole: bool) -> list[list[list[tuple]]]:
+    """steps[room][i] for every room <= dim: the blocks at levels >= i that
+    fit room and leave a fillable remainder, in stream order, as (next
+    level, block, block positions, block a2, block cost).  Rows are added
+    one room at a time, as streams first need them, and a row reads only
+    the rows below it, so the table does not depend on the order of calls.
+    A prefix carries its costs at the residues later levels can still add
+    (their Sym^2 cross terms need them), in reverse level order: a block at
+    level i, at the residues of the levels after i."""
+    steps, made = _tables.setdefault((levels, n, whole), ([[[]] * (len(levels) + 1)], {}))
+    order = [x for level in reversed(levels) for x in reversed(level)]
     position = {x: k for k, x in enumerate(order)}
-    made: dict[tuple[int, tuple[int, ...], bool], tuple] = {}
+    cut = [len(order) - k for k in accumulate(map(len, levels))]
 
     def step(i: int, block: tuple[int, ...], leaf: bool) -> tuple:
-        # a block fits many rooms: build its step once and share it
+        # a block fits many rooms: build its step once; a leaf needs no costs
         if (i, block, leaf) not in made:
-            ys = tuple(order[: width if leaf else cut[i]])
-            pos = tuple(position[x] for x in block)
-            made[i, block, leaf] = (i + 1, block, pos, *_block_ages(block, n, ys))
+            a2 = sum((x + block[k]) % n for j, x in enumerate(block) for k in range(j, len(block)))
+            cost = _tensor_costs(block, () if leaf else order[: cut[i]], n)
+            made[i, block, leaf] = (i + 1, block, tuple(map(position.__getitem__, block)), a2, cost)
         return made[i, block, leaf]
 
-    # steps[room][i]: the blocks at levels >= i that fit room and leave a
-    # fillable remainder, in stream order, as (next level, block, block
-    # positions, block a2, block cost).
-    steps: list[list[list[tuple]]] = [[[] for _ in range(len(levels) + 1)]]
-    for room in range(1, dim + 1):
+    for room in range(len(steps), dim + 1):
         row: list[list[tuple]] = [[] for _ in range(len(levels) + 1)]
         for i in range(len(levels) - 1, -1, -1):
             row[i] = [
@@ -216,61 +201,73 @@ def _assemble(
                 if len(b) == room or steps[room - len(b)][i + 1]
             ] + row[i + 1]
         steps.append(row)
-
-    def rec(
-        i: int, room: int, entries: tuple[int, ...], a2: int, cost: list[int]
-    ) -> Iterator[State]:
-        for j, block, pos, b2, bcost in steps[room][i]:
-            state = (
-                entries + block,
-                a2 + b2 + sum(map(cost.__getitem__, pos)),
-                # truncated to bcost's width; a list, because CPython
-                # builds tuple(map(...)) by resizing, and keeps up to 2,000
-                # such tuples per size on a free list after they die
-                list(map(add, cost, bcost)),
-            )
-            if len(block) == room:
-                yield state
-            else:
-                yield from rec(j, room - len(block), *state)
-
-    if dim == 0:
-        yield (), 0, [0] * width
-        return
-    yield from rec(0, dim, (), 0, [0] * len(order))
+    return steps
 
 
-def ppav_states(
-    h: int, order_divides: int, residues: tuple[int, ...] = ()
+def _assemble(
+    levels: Sequence[tuple[int, ...]], dim: int, n: int, whole: bool = False
 ) -> Iterator[State]:
+    """Every dim-entry state (entries, a2) built from at most one block per
+    level, levels in order, in the lexicographic order of the spectra;
+    duplicate-free.  Each level's blocks follow the whole-orbit rule of
+    :func:`_blocks` if whole (the integral lattice), else the W rule.
+
+    A block is tried only if the later levels can fill the remaining
+    entries exactly, so no branch dead-ends.  One loop walks the level
+    set's shared step table (:func:`_steps`) depth first on a stack of at
+    most dim frames, each adding one non-empty block.  A finished state
+    carries no costs: the chart fold computes those of the W it opens.
+    """
+    if dim < 0:
+        raise ValueError("dimension must be non-negative")
+    if dim == 0:
+        yield (), 0
+        return
+    rows = _steps(tuple(levels), dim, n, whole)
+    cost = [0] * sum(map(len, levels))
+    stack = [(iter(rows[dim][0]), dim, (), 0, cost)]
+    while stack:
+        steps, room, entries, a2, cost = stack[-1]
+        cost_at = cost.__getitem__
+        for j, block, pos, b2, bcost in steps:
+            age = a2 + b2 + sum(map(cost_at, pos))
+            if len(block) == room:
+                yield entries + block, age
+                continue
+            left = room - len(block)
+            # truncated to bcost's width; a list, as tuple(map(...)) grows by resizing
+            cost = list(map(add, cost, bcost))
+            stack.append((iter(rows[left][j]), left, entries + block, age, cost))
+            break
+        else:
+            stack.pop()
+
+
+def ppav_states(h: int, order_divides: int) -> Iterator[State]:
     """The states of every dimension-h spectrum of order dividing the bound
-    that extends to an integral action on the doubled homology, with costs
-    at the given residues: one level per orbit order, ascending."""
+    that extends to an integral action on the doubled homology: one level
+    per orbit order, ascending."""
     # an order-d orbit fills phi(d)/2 entries of W (the doubled homology
     # holds the whole orbit), so orders with phi(d) > 2h cannot occur
-    yield from _assemble(_orbit_levels(order_divides, 2 * h), h, order_divides, residues)
+    yield from _assemble(_orbit_levels(order_divides, 2 * h), h, order_divides)
 
 
-def lattice_states(
-    r: int, order_divides: int, residues: tuple[int, ...] = ()
-) -> Iterator[State]:
+def lattice_states(r: int, order_divides: int) -> Iterator[State]:
     """The states of every integral rank-r spectrum of order dividing the
-    bound, a multiset of whole Galois orbits, with costs at the given
-    residues: one level per orbit order, ascending, in whole copies."""
-    yield from _assemble(_orbit_levels(order_divides, r), r, order_divides, residues, whole=True)
+    bound, a multiset of whole Galois orbits: one level per orbit order,
+    ascending, in whole copies."""
+    yield from _assemble(_orbit_levels(order_divides, r), r, order_divides, whole=True)
 
 
-def multiset_states(
-    dim: int, order_divides: int, residues: tuple[int, ...] = ()
-) -> Iterator[State]:
-    """The states of every dim-multiset over the rotation universe, with
-    costs at the given residues: one level per universe entry."""
-    levels = [(x,) for x in keyed_residues(order_divides)]
-    yield from _assemble(levels, dim, order_divides, residues)
+def multiset_states(dim: int, order_divides: int) -> Iterator[State]:
+    """The states of every dim-multiset over the rotation universe: one
+    level per universe entry."""
+    levels = tuple((x,) for x in keyed_residues(order_divides))
+    yield from _assemble(levels, dim, order_divides)
 
 
 def _spectra(states: Iterator[State], n: int) -> Iterator[Spectrum]:
-    for entries, _, _ in states:
+    for entries, _ in states:
         yield as_spectrum(entries, n)
 
 
@@ -289,9 +286,10 @@ def lattice_classes(r: int, order_divides: int) -> Iterator[Spectrum]:
 
 def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[State]:
     """The W-side stream for a config (validity filter per mode), as states
-    with costs at :func:`lattice_residues`."""
+    (entries, a2); the chart fold computes the tensor costs of the states
+    it opens."""
     states = ppav_states if cfg.constraint_mode == "integral-both" else multiset_states
-    yield from states(cfg.h, cfg.order_divides, lattice_residues(cfg))
+    yield from states(cfg.h, cfg.order_divides)
 
 
 def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[tuple[int, ...]]:
@@ -304,7 +302,7 @@ def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[tuple[int, ...]]:
     if cfg.constraint_mode == "unconstrained":
         yield from combinations_with_replacement(keyed_residues(n), cfg.r)
     else:
-        yield from (entries for entries, _, _ in lattice_states(cfg.r, n))
+        yield from (entries for entries, _ in lattice_states(cfg.r, n))
 
 
 def element_classes(cfg: EnumerationConfig) -> Iterator[ElementClass]:

@@ -17,8 +17,7 @@
   divisors, and its spectrum's numerators, the reference for the integral
   lattice stream assembled in ``lattice_states``;
 - ``spectrum_state``: a spectrum's state read off its entry pairs, the
-  reference for the Sym^2 ages and tensor costs the assembly builds block
-  by block;
+  reference for the Sym^2 ages the assembly builds block by block;
 - stream sizes from generating functions, sharing no code with the
   enumerators (not even their totient or divisor helpers).
 """
@@ -41,7 +40,7 @@ def rotation_universe(order_divides: int) -> tuple[RotationNumber, ...]:
 def all_spectra(dim: int, order_divides: int) -> Iterator[Spectrum]:
     """Every multiset of the given size over the rotation universe, in
     lexicographic order, from the assembled states."""
-    for entries, _, _ in multiset_states(dim, order_divides):
+    for entries, _ in multiset_states(dim, order_divides):
         yield as_spectrum(entries, order_divides)
 
 
@@ -111,12 +110,10 @@ def signature_residues(sig: OrbitSignature, order_divides: int) -> tuple[int, ..
     return tuple(q.num * (order_divides // q.den) for q in sig.spectrum())
 
 
-def spectrum_state(entries: tuple[int, ...], n: int, residues: tuple[int, ...] = ()) -> tuple:
-    """The state (entries, a2, cost) of a spectrum given by its numerators
-    over n: a2 sums (x + x') mod n over the pairs of entries i <= j, and
-    the cost at y sums (x + y) mod n over the entries."""
-    a2 = sum((x + z) % n for x, z in combinations_with_replacement(entries, 2))
-    return entries, a2, tuple(sum((x + y) % n for x in entries) for y in residues)
+def spectrum_state(entries: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """The state (entries, a2) of a spectrum given by its numerators over
+    n: a2 sums (x + x') mod n over the pairs of entries i <= j."""
+    return entries, sum((x + z) % n for x, z in combinations_with_replacement(entries, 2))
 
 
 def _phi(n):

@@ -11,10 +11,13 @@ library result, whose records are integers over N, so the two compare
 field for field.
 
 :func:`full_fold` is the integer fold that reads the costs of every pair,
-with no bound: ``fold_chart`` must return its result tuple for tuple.
+with no bound: ``fold_chart`` must return its result tuple for tuple.  It
+computes each W's tensor costs from its entries, so it takes nothing from
+a state but its entries and its Sym^2 age.
 
 The per-W integer ages below recompute, for one whole spectrum, what the
-W stream builds block by block: the reference for its states.  The chart
+W stream builds block by block (the Sym^2 age) and what the fold computes
+for each W it opens (the tensor costs): the reference for both.  The chart
 order, the exceptional shape, the central twin and the lift pairing are
 read off built spectra and twin classes here; the library reads them off
 integers.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from reidtai.criterion import (
     ExceptionRecord,
@@ -150,14 +153,21 @@ def full_fold(
     w_states: Iterable[State],
     lams: Iterable[tuple[int, ...]],
     include_age_one: bool = False,
+    costs: Callable[[tuple[int, ...], Sequence[int], int], list[int]] | None = None,
 ) -> SweepResult:
     """The integer chart fold that reads the costs of every (W, Lambda)
     pair, with no bound: the reference for ``reidtai.criterion.fold_chart``,
     which skips the W states whose Sym^2 age alone exceeds max(best,
-    limit).  Same inputs, same result, tuple for tuple."""
+    limit).  Same inputs, same result, tuple for tuple.
+
+    Each W's costs at the lattice residues come from :func:`tensor_costs`
+    on its entries, or from costs(xs, residues, n) when given: a test that
+    forges costs hands the fold's cost helper and this fold the same one."""
     n = cfg.order_divides
     lams = list(lams)
-    position = {y: k for k, y in enumerate(lattice_residues(cfg))}
+    lattice = lattice_residues(cfg)
+    costs = costs or (lambda xs, ys, n: list(tensor_costs(xs, ys, n).values()))
+    position = {y: k for k, y in enumerate(lattice)}
     lam_cols = [tuple(map(position.__getitem__, ys)) for ys in lams]
     identity_lam = any(not any(ys) for ys in lams)
     limit = n if include_age_one else n - 1
@@ -169,8 +179,8 @@ def full_fold(
     witnesses: list[tuple[tuple[int, ...], int]] = []
     kernel: list[tuple[tuple[int, ...], int]] = []
     rows: list[tuple[tuple[int, ...], int, int, int]] = []
-    for xs, a2, cost in w_states:
-        cost_at = cost.__getitem__
+    for xs, a2 in w_states:
+        cost_at = costs(xs, lattice, n).__getitem__
         ages = [a2 + sum(map(cost_at, cols)) for cols in lam_cols]
         seen += len(ages)
         if identity_lam and not any(xs):

@@ -507,6 +507,7 @@ def test_jobs_env_var_is_not_read(tmp_path, capsys, monkeypatch):
         ("exceptions_g8.json", ("exceptions", "--g", "8", "--format", "json")),
         ("oracle_s200_seed3.json", ("oracle", "--samples", "200", "--seed", "3",
                                     "--format", "json")),
+        ("exceptions_g12.json", ("exceptions", "--g", "12", "--format", "json")),
     ],
 )
 def test_golden_reports(capsys, golden, argv):

@@ -444,8 +444,8 @@ def test_reduction_candidates_are_the_conjugate_choices(monkeypatch, n):
     reduction_support(n, n)
     pairs = [(x, n - x) for x in range(1, n) if gcd(x, n) == 1 and 2 * x < n]
     choices = sorted(tuple(sorted(c)) for c in product(*pairs))
-    assert sorted(xs for xs, _, _ in folded) == choices
-    for xs, a2, _ in folded:
+    assert sorted(xs for xs, _ in folded) == choices
+    for xs, a2 in folded:
         assert a2 == spectrum_state(xs, n)[1]
 
 
@@ -584,7 +584,7 @@ def test_catalog_g7_opens_every_stream_once_in_full(opened_w_streams, capsys):
 # a forged zero-age state that is not +-1 must reach the report as a
 # ``kernel`` violation with exit 3, as it does on a chart.  The state
 # W = {1/4, 3/4} (numerators 3, 9 over 12) claims Sym^2 age 0.
-FORGED = ((3, 9), 0, [])
+FORGED = ((3, 9), 0)
 
 
 @pytest.mark.parametrize(

@@ -19,10 +19,13 @@ from reference_enumeration import (
     validate_integral,
     validate_ppav,
 )
+from reference_fold import tensor_costs
 from reidtai.enumeration import (
     CONSTRAINT_MODES,
     ElementClass,
     EnumerationConfig,
+    _tables,
+    _tensor_costs,
     abelian_factor_classes,
     as_spectrum,
     element_classes,
@@ -30,7 +33,9 @@ from reidtai.enumeration import (
     lattice_factor_classes,
     lattice_residues,
     lattice_states,
+    multiset_states,
     ppav_classes,
+    ppav_states,
 )
 from reidtai.functors import power, v_spectrum
 from reidtai.rotations import (
@@ -164,12 +169,12 @@ _REFERENCE_W = {
 @pytest.mark.parametrize("order_divides, max_h", [(9, 3), (12, 4), (24, 3), (36, 3)])
 def test_state_stream_views_match_reference_streams(order_divides, max_h, mode):
     # the W stream's states, read as spectra, are the reference stream
-    # element by element, whatever lattice residues their costs carry
+    # element by element, at every rank (the second reads a warm step table)
     for h in range(max_h + 1):
         for r in (0, 2):
             cfg = EnumerationConfig(h, r, order_divides, mode)
             states = abelian_factor_classes(cfg)
-            assert [as_spectrum(xs, order_divides) for xs, _, _ in states] == list(
+            assert [as_spectrum(xs, order_divides) for xs, _ in states] == list(
                 _REFERENCE_W[mode](h, order_divides)
             )
     # the Lambda stream's numerators, read as spectra (which checks their
@@ -205,12 +210,33 @@ def test_integral_lattice_stream_matches_signatures(order_divides):
 
 @pytest.mark.parametrize("order_divides, top", [(12, 8), (24, 6), (36, 6), (60, 5)])
 def test_lattice_states_carry_reference_ages(order_divides, top):
-    # each lattice state's Sym^2 age and its costs at every residue equal
-    # the reference read off the whole spectrum
+    # each lattice state's entries and Sym^2 age, and the fold's tensor
+    # costs of its entries at every residue, equal the reference read off
+    # the whole spectrum
     residues = tuple(range(order_divides))
     for r in range(top + 1):
-        for entries, a2, cost in lattice_states(r, order_divides, residues):
-            assert (entries, a2, tuple(cost)) == spectrum_state(entries, order_divides, residues)
+        for entries, a2 in lattice_states(r, order_divides):
+            assert (entries, a2) == spectrum_state(entries, order_divides)
+            costs = tensor_costs(entries, residues, order_divides)
+            assert _tensor_costs(entries, residues, order_divides) == [costs[y] for y in residues]
+
+
+@pytest.mark.parametrize("order_divides, top", [(12, 6), (24, 4), (36, 3)])
+def test_kept_step_tables_do_not_depend_on_history(order_divides, top):
+    # the step tables are kept for the process and grown one room at a
+    # time: every W, Lambda and multiset stream equals its cold-cache build
+    # whether the dimensions come ascending or descending
+    streams = (ppav_states, lattice_states, multiset_states)
+    cold = {}
+    for stream in streams:
+        for dim in range(top + 1):
+            _tables.clear()
+            cold[stream, dim] = list(stream(dim, order_divides))
+    for dims in (range(top + 1), range(top, -1, -1)):
+        _tables.clear()
+        for dim in dims:
+            for stream in streams:
+                assert list(stream(dim, order_divides)) == cold[stream, dim], (stream, dim)
 
 
 def test_lattice_residues():

@@ -7,7 +7,8 @@ of its records (``reference_fold.public``) on every chart, order bound,
 mode and threshold checked here.  The Sym^2 table and the
 torus run the same fold at r = 0, so they are checked against the
 reference on the r = 0 chart.  The W stream's integer states, built block
-by block, are checked against the per-W ages of ``reference_fold``, and
+by block, and the tensor costs the fold computes for each W it opens are
+checked against the per-W ages of ``reference_fold``, and
 the facts each reported row carries (chart order, kernel flag, twin sort
 key) against the spectrum and twin-class route kept there.  On complete
 streams the fold, which skips the W states whose Sym^2 age alone exceeds
@@ -35,8 +36,10 @@ from reference_fold import (
     sym2_age_num,
     tensor_costs,
 )
+from reidtai import criterion
 from reidtai.criterion import (
     ExceptionRecord,
+    _tensor_costs,
     chart_order,
     check_exception_catalog,
     dedupe_exceptions,
@@ -92,7 +95,7 @@ def _w_sample(cfg):
 )
 def test_fold_matches_object_route(cfg):
     states = _w_sample(cfg)
-    classes = classes_for((as_spectrum(xs, cfg.order_divides) for xs, _, _ in states), cfg)
+    classes = classes_for((as_spectrum(xs, cfg.order_divides) for xs, _ in states), cfg)
     for include_age_one in (False, True):
         expected = sweep_over(cfg.h, cfg.r, classes, include_age_one)
         folded = fold_chart(cfg, states, lattice_factor_classes(cfg), include_age_one)
@@ -157,17 +160,7 @@ def test_reduction_folds_match_full_visit_fold():
         degree = totient(m)
         if 12 % m and degree % 2 == 0 and degree <= 12:
             cfg = EnumerationConfig(degree // 2, 0, m)
-            _assert_folds_agree(cfg, _assemble([orbit_residues(m, m)], degree // 2, m, ()), [()])
-
-
-class _Unreadable:
-    """A cost vector that fails on any read."""
-
-    def __getitem__(self, k):
-        raise AssertionError("the cost of a skipped state was read")
-
-    def __iter__(self):
-        raise AssertionError("the cost of a skipped state was read")
+            _assert_folds_agree(cfg, _assemble((orbit_residues(m, m),), degree // 2, m), [()])
 
 
 def _chart(h, r, n=12):
@@ -175,41 +168,68 @@ def _chart(h, r, n=12):
     return cfg, list(abelian_factor_classes(cfg)), list(lattice_factor_classes(cfg))
 
 
+def _forge_costs(monkeypatch, forged_xs, costs_of_forged):
+    """Make the fold's cost helper return costs_of_forged(ys) for the tuple
+    forged_xs (told apart by identity from the stream's equal entries) and
+    the reference costs for every other W, recording the entries of every
+    call in ``opened``.  Returns the helper, which the test hands to
+    ``full_fold`` too."""
+
+    def costs(xs, ys, n):
+        costs.opened.append(xs)
+        if xs is forged_xs:
+            return costs_of_forged(ys)
+        return list(reference_fold.tensor_costs(xs, ys, n).values())
+
+    costs.opened = []
+    monkeypatch.setattr(criterion, "_tensor_costs", costs)
+    return costs
+
+
+def _zero_costs(ys):
+    return [0] * len(ys)
+
+
 @pytest.mark.parametrize("include_age_one", (False, True))
-def test_fold_skips_a_state_past_the_cut_unread(include_age_one):
+def test_fold_skips_a_state_past_the_cut_unread(monkeypatch, include_age_one):
     # chart (2, 3) reaches its best, 1/2, early; a state whose Sym^2 age
-    # alone is above max(best, limit) is counted without its costs read
+    # alone is above max(best, limit) is counted without its costs computed
     cfg, w_states, lams = _chart(2, 3)
     late = next(state for state in w_states if state[1] > 12)
-    folded = fold_chart(cfg, [*w_states, (late[0], late[1], _Unreadable())], lams, include_age_one)
+    skipped = tuple(list(late[0]))  # equal to late's entries, not the same tuple
+    costs = _forge_costs(monkeypatch, skipped, _zero_costs)
+    folded = fold_chart(cfg, [*w_states, (skipped, late[1])], lams, include_age_one)
+    assert costs.opened and not any(xs is skipped for xs in costs.opened)
     assert folded == full_fold(cfg, [*w_states, late], lams, include_age_one)
     whole = fold_chart(cfg, w_states, lams, include_age_one)
     assert folded.classes_seen == whole.classes_seen + len(lams)
     assert folded.replace(classes_seen=whole.classes_seen) == whole
 
 
-def test_fold_reports_a_forged_kernel_state_after_the_best():
+def test_fold_reports_a_forged_kernel_state_after_the_best(monkeypatch):
     # best (1/2) is at or below the limit before the forged state comes: it
     # claims age 0 for W = {1/4} against every Lambda, and is still folded
     cfg, w_states, lams = _chart(1, 4)
-    forged = ((3,), 0, (0,) * len(lattice_residues(cfg)))
+    forged = (tuple([3]), 0)
+    costs = _forge_costs(monkeypatch, forged[0], _zero_costs)
     folded = fold_chart(cfg, [*w_states, forged], lams)
-    assert folded == full_fold(cfg, [*w_states, forged], lams)
+    assert folded == full_fold(cfg, [*w_states, forged], lams, costs=costs)
     kernel = [v for v in folded.violations if v.rule == "kernel"]
     assert len(kernel) == len(lams)
     assert {(v.xs, v.ys) for v in kernel} == {((3,), ys) for ys in lams}
     assert fold_chart(cfg, w_states, lams).violations == ()
 
 
-def test_fold_keeps_a_state_at_the_cut():
+def test_fold_keeps_a_state_at_the_cut(monkeypatch):
     # a state whose Sym^2 age equals the cut is folded: under the terminal
     # threshold the cut is 1 once best is below it, and zero tensor costs
     # put every pair of it at exactly age 1, a reported row
     cfg, w_states, lams = _chart(2, 3)
     at_cut = next(state for state in w_states if state[1] == 12)
-    state = (at_cut[0], 12, (0,) * len(lattice_residues(cfg)))
+    state = (tuple(list(at_cut[0])), 12)
+    costs = _forge_costs(monkeypatch, state[0], _zero_costs)
     folded = fold_chart(cfg, [*w_states, state], lams, include_age_one=True)
-    assert folded == full_fold(cfg, [*w_states, state], lams, include_age_one=True)
+    assert folded == full_fold(cfg, [*w_states, state], lams, include_age_one=True, costs=costs)
     whole = fold_chart(cfg, w_states, lams, include_age_one=True)
     new_rows = set(folded.exceptions) - set(whole.exceptions)
     assert {(rec.xs, rec.ys, rec.av) for rec in new_rows} == {(state[0], ys, 12) for ys in lams}
@@ -266,9 +286,11 @@ def test_integer_ages_match_fraction_ages(data):
     n = data.draw(st.sampled_from((12, 24, 36)))
     a = data.draw(_spectra(n, min_size=1))
     b = data.draw(_spectra(n))
-    # a whole spectrum is one block of the W stream
+    # a whole spectrum is one block of the W stream; the fold's cost helper
+    # at every residue is indexed by the residue
     xs, ys = spectrum_numerators(a, n), spectrum_numerators(b, n)
-    _, a2, cost = spectrum_state(xs, n, tuple(range(n)))
+    _, a2 = spectrum_state(xs, n)
+    cost = _tensor_costs(xs, range(n), n)
     at = sum(cost[y] for y in ys)
     assert Fraction(a2, n) == age(sym2(a))
     assert Fraction(at, n) == age(tensor(a, b))
@@ -286,8 +308,8 @@ def test_row_facts_match_the_spectrum_route(data):
     xs, ys = spectrum_numerators(w, n), spectrum_numerators(lam, n)
     c = ElementClass.build(w, lam)
     assert chart_order(xs, ys, n) == reference_fold.chart_order(c)
-    _, a2, cost = spectrum_state(xs, n, tuple(range(n)))
-    av = a2 + sum(cost[y] for y in ys)
+    _, a2 = spectrum_state(xs, n)
+    av = a2 + sum(_tensor_costs(xs, ys, n))
     assert (av == 0) == v_spectrum(w, lam).is_identity() == c.kernel_on_v
     # the fold's lazy key table gives the class's key, and a record over n
     # gives back the class and its twin's key
@@ -340,32 +362,37 @@ STATE_CHARTS = {
 @pytest.mark.parametrize("mode", CONSTRAINT_MODES)
 @pytest.mark.parametrize("n", STATE_CHARTS)
 def test_states_carry_reference_ages(n, mode):
-    # the block-by-block a2 and cost equal the per-W recomputation
+    # the block-by-block a2 and the fold's tensor costs at the lattice
+    # residues equal the per-W recomputation
     for h, r in STATE_CHARTS[n]:
         cfg = EnumerationConfig(h, r, n, mode)
         ys = lattice_residues(cfg)
-        for xs, a2, cost in abelian_factor_classes(cfg):
+        for xs, a2 in abelian_factor_classes(cfg):
             assert xs == spectrum_numerators(as_spectrum(xs, n), n)
             assert a2 == sym2_age_num(xs, n)
             costs = tensor_costs(xs, ys, n)
-            assert list(cost) == [costs[y] for y in ys]
+            assert _tensor_costs(xs, ys, n) == [costs[y] for y in ys]
 
 
-def test_fold_records_a_zero_age_pair_that_is_not_plus_minus_one():
+def test_fold_records_a_zero_age_pair_that_is_not_plus_minus_one(monkeypatch):
     # A hand-built state claims age 0 for W = {1/4} against Lambda = {1/2}:
     # that pair moves the chart, so the kernel law must flag it.
     cfg = EnumerationConfig(1, 1, 12)
     assert lattice_residues(cfg) == (0, 6)
     w, lam = Spectrum.of([rot(1, 4)]), Spectrum.of([rot(1, 2)])
-    result = fold_chart(cfg, [((3,), 0, (0, 0))], [(6,)])
+    forged = (tuple([3]), 0)
+    _forge_costs(monkeypatch, forged[0], _zero_costs)
+    result = fold_chart(cfg, [forged], [(6,)])
     # the class carries the fold's kernel flag (its age is 0), not the
     # spectrum route's, which knows the pair moves the chart
     c = ElementClass(1, 1, w, lam, 4, True)
     assert ElementClass.build(w, lam) == ElementClass(1, 1, w, lam, 4, False)
     assert public(result).violations == (Violation("kernel", c, Fraction(0), 1),)
     assert result.min_age is None
-    # the true -1 pair has age 0 too, and is the kernel: no violation
-    result = fold_chart(cfg, [((6,), 0, (6, 0))], [(6,)])
+    # the true -1 pair has age 0 too (its costs at 0 and 1/2 are 1/2 and
+    # 0), and is the kernel: no violation
+    assert _tensor_costs((6,), (0, 6), 12) == [6, 0]
+    result = fold_chart(cfg, [((6,), 0)], [(6,)])
     assert result.violations == ()
     assert result.min_age is None
     assert result.classes_seen == 1
