@@ -27,7 +27,7 @@ from .report import (
     violation_row,
 )
 from .rotations import (
-    DEFAULT_TOLERANCE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE, MIN_DEGREE,
+    DEFAULT_TOLERANCE, MAX_DEGREE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE, MIN_DEGREE,
 )
 
 EXIT_OK = 0
@@ -121,7 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--seed", type=int, default=0)
     p_orc.add_argument(
         "--max-degree", default=8,
-        type=_in_range(int, lambda d: d >= MIN_DEGREE, f"must be >= {MIN_DEGREE}"),
+        type=_in_range(
+            int,
+            lambda d: MIN_DEGREE <= d <= MAX_DEGREE,
+            f"must be in {MIN_DEGREE}..{MAX_DEGREE}",
+        ),
     )
     p_orc.add_argument("--order-divides", type=_order_bound, default=36, metavar="N")
     p_orc.add_argument(

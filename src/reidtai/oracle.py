@@ -5,10 +5,16 @@ polynomials; eigenvalue angles extracted numerically must land within
 tolerance of the exact rotation numbers, both for the realized matrix and
 for the induced symmetric-square and tensor operators built from it.
 
-A run solves each distinct eigenvalue problem once, in stacks of
-same-size matrices, snaps each stack's angles to their exact grids in one
-pass and stores each problem's verdict, or the first failure of its steps,
-in one table; each case then reads its steps from that table.
+A run poses each distinct eigenvalue problem once and builds its integer
+matrix whole.  Every such matrix is block diagonal along the realization's
+parts: one companion block per part, one Sym^2 block per pair of parts
+p <= q, one Kronecker block per part of each factor.  After an exact check
+that nothing lies outside those blocks (a matrix that fails it is solved
+whole), each distinct block is solved once per run, in stacks of same-size
+blocks, and a problem's angles are the sorted union of its blocks' angles.
+The rows are snapped to their exact grids one stack of problems at a time,
+and each problem's verdict, or the first failure of its steps, is stored in
+one table; each case then reads its steps from that table.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache, partial
 
 import numpy as np
@@ -28,8 +34,10 @@ from .rotations import (
 )
 
 
-# Most matrix entries one stacked eigenvalue solve receives; a run builds
-# each stack only when it solves it, so this bounds the memory of a solve.
+# Most matrix entries in one stack of problem matrices a run builds, and in
+# one stack of blocks an eigenvalue solve receives; a run builds each stack
+# of problems only when it cuts it into blocks and keeps only the distinct
+# blocks, so this bounds the memory of a solve.
 STACK_ENTRIES = 1 << 15
 
 
@@ -327,13 +335,18 @@ def solve_stacked(
     tolerance out of range, and a grid too fine for the tolerance, stored
     as a ValueError.
 
-    The problems of one matrix size are solved in chunks of at most
-    STACK_ENTRIES matrix entries (one matrix if it alone is larger), and
-    each chunk's matrices are built only when it is solved.  A chunk takes
-    one :func:`numeric_angles` call for its angle rows and one
-    :func:`match_angles` call that snaps them all to their exact grids.
-    When the stacked solve fails, the chunk's matrices are solved one at a
-    time, so each failure is stored on the problem that caused it.
+    The problems of one matrix size are built whole in chunks of at most
+    STACK_ENTRIES matrix entries (one matrix if it alone is larger).  Each
+    matrix is cut into the diagonal blocks :func:`_labels` claims for it,
+    after an exact check on the integer matrix that every entry outside
+    them is zero; a matrix that fails the check is one block, solved
+    whole.  A block is known by its size and bytes, and each distinct block
+    is solved once per run, the new blocks of a chunk in same-size stacks
+    of at most STACK_ENTRIES entries through :func:`numeric_angles`; a
+    failed stack is solved again one block at a time, and a failed block
+    fails every problem holding it.  A problem's angle row is the sorted
+    concatenation of its blocks' angles, and one :func:`match_angles` call
+    snaps a chunk's rows to their exact grids.
     """
     realized = {}
     for sig in dict.fromkeys(sig for pair in drawn for sig in pair):
@@ -341,44 +354,122 @@ def solve_stacked(
             realized[sig] = memo[("realize", sig)] = _realized(sig)
         except OracleFailure as exc:
             memo[("realize", sig)] = exc
+    angles: dict[tuple[int, bytes], np.ndarray | OracleFailure] = {}
     for size, problems in sorted(_problems(drawn, realized).items()):
         per_chunk = max(1, STACK_ENTRIES // max(1, size * size))
         for start in range(0, len(problems), per_chunk):
-            _solve_chunk(problems[start : start + per_chunk], tol, memo)
+            _solve_chunk(problems[start : start + per_chunk], size, tol, memo, angles)
 
 
-def _solve_chunk(chunk: list, tol: float, memo: dict) -> None:
+@lru_cache(maxsize=None)
+def _part_labels(degrees: tuple[int, ...], square: bool) -> np.ndarray:
+    """The part of each basis vector of a realization whose parts have these
+    degrees, or, when ``square``, the pair of parts p <= q of each Sym^2
+    basis vector e_i.e_j (i in p, j in q), as p * len(degrees) + q."""
+    labels = np.repeat(np.arange(len(degrees)), degrees)
+    if square:
+        i, j = np.triu_indices(len(labels))
+        labels = labels[i] * len(degrees) + labels[j]
+    labels.setflags(write=False)  # shared by every caller of the cache
+    return labels
+
+
+def _labels(key: tuple) -> np.ndarray:
+    """The diagonal block each index of a problem's matrix is claimed for,
+    as one label per index: a block per part of a realization, per pair of
+    parts p <= q of a Sym^2 matrix, and per part p of a and q of b of a
+    Kronecker matrix, whose index i*m + k has i in p and k in q."""
+    kind, a, *b = key
+    labels = _part_labels(tuple(map(totient, a.parts)), kind == "sym2")
+    if kind == "tensor":
+        degrees = tuple(map(totient, b[0].parts))
+        labels = (labels[:, None] * len(degrees) + _part_labels(degrees, False)).ravel()
+    return labels
+
+
+def _blocks(stack: np.ndarray, labels: np.ndarray) -> list[list[tuple[int, bytes]]]:
+    """Each matrix of a stack, given its row of labels, as its diagonal
+    blocks (size, bytes) in label order; a matrix with a nonzero entry
+    between two labels is one block, the whole matrix."""
+    k, size, _ = stack.shape
+    outside = np.any((labels[:, :, None] != labels[:, None, :]) & (stack != 0), axis=(1, 2))
+    order = np.argsort(labels, axis=1, kind="stable")
+    cut = stack[np.arange(k)[:, None, None], order[:, :, None], order[:, None, :]]
+    ends = np.diff(np.take_along_axis(labels, order, axis=1), axis=1, append=-1) != 0
+    out: list[list[tuple[int, bytes]]] = [[] for _ in range(k)]
+    rows, cols = np.nonzero(ends)
+    start = 0
+    for i, end in zip(rows.tolist(), (cols + 1).tolist()):
+        if not out[i]:
+            start = 0
+        out[i].append((end - start, cut[i, start:end, start:end].tobytes()))
+        start = end
+    for i in np.flatnonzero(outside).tolist():
+        out[i] = [(size, stack[i].tobytes())]
+    return out
+
+
+def _solve_blocks(new: Iterable[tuple[int, bytes]], angles: dict) -> None:
+    """Store under each new block in ``angles`` its sorted angles, or the
+    failure of its solve.  Same-size blocks are solved in stacks of at most
+    STACK_ENTRIES entries, and a failed stack again one block at a time."""
+    by_size: dict[int, list] = defaultdict(list)
+    for block in new:
+        by_size[block[0]].append(block)
+    for size, blocks in by_size.items():
+        per_stack = max(1, STACK_ENTRIES // (size * size))
+        for start in range(0, len(blocks), per_stack):
+            part = blocks[start : start + per_stack]
+            stack = np.frombuffer(b"".join(data for _, data in part), dtype=np.int64)
+            stack = stack.reshape(len(part), size, size)
+            try:
+                rows = list(numeric_angles(stack))
+            except OracleFailure:  # solve each block alone, to find the culprit
+                rows = []
+                for mat in stack:
+                    try:
+                        rows.append(numeric_angles(mat))
+                    except OracleFailure as exc:
+                        rows.append(exc)
+            angles.update(zip(part, rows))
+
+
+def _solve_chunk(chunk: list, size: int, tol: float, memo: dict, angles: dict) -> None:
+    # each matrix goes straight into the stack, so the chunk is held once
+    stack = np.empty((len(chunk), size, size), dtype=np.int64)
     built = []
     for key, matrix, exact in chunk:
         try:
-            built.append((key, matrix(), exact))
+            stack[len(built)] = matrix()
         except OracleFailure as exc:
             memo[key] = exc
+            continue
+        built.append((key, exact))
     if not built:
         return
-    stack = np.stack([mat for _, mat, _ in built])
-    try:
-        rows = numeric_angles(stack)
-    except OracleFailure:  # solve each matrix alone below, to find the culprit
-        rows = None
-    solved, spectra = [], []
-    for i, (key, _, exact) in enumerate(built):
-        try:
-            row = numeric_angles(stack[i]) if rows is None else rows[i]
-        except OracleFailure as exc:
-            memo[key] = exc
+    blocks = _blocks(stack[: len(built)], np.stack([_labels(key) for key, _ in built]))
+    del stack  # the blocks are copies
+    _solve_blocks(dict.fromkeys(b for bs in blocks for b in bs if b not in angles), angles)
+    solved, spectra, pieces = [], [], []
+    for (key, exact), bs in zip(built, blocks):
+        rows = [angles[b] for b in bs]
+        failure = next((row for row in rows if isinstance(row, OracleFailure)), None)
+        if failure is not None:
+            memo[key] = failure
             continue
         try:
             spectra.append(exact())
         except ValueError as exc:
             memo[key] = exc
             continue
-        solved.append((key, row))
+        solved.append(key)
+        pieces += rows
+    rows = np.concatenate([np.empty(0), *pieces]).reshape(len(solved), size)
     try:
-        verdicts = match_angles(np.array([row for _, row in solved]), spectra, tol)
+        verdicts = match_angles(np.sort(rows, axis=1), spectra, tol)
     except ValueError as exc:  # a tolerance out of range
         verdicts = [exc] * len(solved)
-    for (key, _), spectrum, verdict in zip(solved, spectra, verdicts):
+    for key, spectrum, verdict in zip(solved, spectra, verdicts):
         if verdict is None:
             verdict = ValueError(
                 f"grid 1/{element_order(spectrum)} too fine to snap angles"
@@ -396,9 +487,9 @@ def run_oracle_cases(
 ) -> list[dict]:
     """Seeded batch of functor cross-checks; one result dict per case.
 
-    The run draws all its signature pairs first, solves each distinct
-    eigenvalue problem of theirs once in same-size stacks
-    (:func:`solve_stacked`), and then calls :func:`crosscheck_functor` on
+    The run draws all its signature pairs first, checks each distinct
+    eigenvalue problem of theirs once, solving each distinct diagonal block
+    once (:func:`solve_stacked`), and then calls :func:`crosscheck_functor` on
     every case in order with the shared memo table, which solves nothing
     more.  Every case reports its own verdict, and a failure surfaces at
     the same case, with the same exception, as when each case is checked

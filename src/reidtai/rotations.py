@@ -29,6 +29,10 @@ MAX_MATCH_TOLERANCE = 1e-6
 DEFAULT_TOLERANCE = 1e-9
 # Smallest total degree of a sampled signature; --max-degree may not go below.
 MIN_DEGREE = 1
+# Largest --max-degree: twice the rank 12 of the largest genus the tests
+# check.  A Kronecker matrix of two such signatures has side 576, so a run
+# at order bound 360 stays within a few MB per matrix.
+MAX_DEGREE = 24
 
 _set_field = object.__setattr__
 

@@ -137,6 +137,7 @@ def test_exceptions_stable_under_larger_bound(capsys):
         ("oracle", "--tol", "1e-3"),
         ("oracle", "--tol", "nan"),
         ("oracle", "--max-degree", "0"),
+        ("oracle", "--max-degree", "25"),
         ("exceptions", "--g", "2", "--out", "/nonexistent/d/x.json"),
         ("exceptions", "--g", "2", "--out", str(Path(__file__).parent)),
         ("oracle", "--samples", "1", "--out", str(Path(__file__).parent)),
@@ -570,11 +571,13 @@ else:
 
 
 # SHA-256 of the benchmark's oracle reports (oracle --samples 1000 --format
-# json) at the first three seeds, as pinned in perfbench/workloads.py.
+# json) at seeds 0-3 and 7, as pinned in perfbench/workloads.py.
 ORACLE_DIGESTS = {
     0: "af24f73e2561fc513293d708eb6114ec697f3b1bffa7f4cdf724504947b58096",
     1: "4b11a4aa1a414fd4ad40460555bacb1ebec61683fb7e15ff545ed29e7f462bf7",
     2: "d6b55305cc69519c3730d62959e374ed1a1ce8fb042f47331c171395dc39b3a2",
+    3: "3b2eee4d36ba7a70072dba2606af002667b4702f53c8e6a903728fd9cb007ae4",
+    7: "31578f9cdcdf50daceb64c5cd0c58fbe6d9bc2d10df0e741661bb59ff08705c9",
 }
 
 
