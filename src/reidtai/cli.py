@@ -27,7 +27,8 @@ from .report import (
     violation_row,
 )
 from .rotations import (
-    DEFAULT_TOLERANCE, MAX_DEGREE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE, MIN_DEGREE,
+    DEFAULT_TOLERANCE, MAX_DEGREE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE, MAX_SAMPLES,
+    MIN_DEGREE,
 )
 
 EXIT_OK = 0
@@ -117,7 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser(
         "oracle", help="numeric eigenvalue audit of the exact calculus",
     )
-    p_orc.add_argument("--samples", type=int, default=100)
+    p_orc.add_argument(
+        "--samples", default=100,
+        type=_in_range(int, lambda n: 0 <= n <= MAX_SAMPLES, f"must be in 0..{MAX_SAMPLES}"),
+    )
     p_orc.add_argument("--seed", type=int, default=0)
     p_orc.add_argument(
         "--max-degree", default=8,
@@ -267,8 +271,6 @@ def _cmd_exceptions(
 def _cmd_oracle(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[Report, int]:
-    if args.samples < 0:
-        parser.error("--samples must be >= 0")
     config = {
         "command": "oracle",
         "samples": args.samples,

@@ -8,10 +8,10 @@ floats, because the boundary cases sit exactly on the thresholds.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterable
 
-from .rotations import RotationNumber, Spectrum, element_order, residue_keys, residues
+from .rotations import (
+    MAX_DENOMINATOR, RotationNumber, Spectrum, element_order, residue_keys, residues,
+)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -29,18 +29,20 @@ def _numerators(s: Spectrum, big: int) -> list[int]:
     return [q.num * (big // q.den) for q in s.entries]
 
 
-def _spectrum_over(sums: Iterable[int], big: int) -> Spectrum:
-    """The spectrum {k/big mod 1 : k in sums}.
+def _spectrum_over(sums: list[int], big: int) -> Spectrum:
+    """The spectrum {k/big : k in sums}, for sums already reduced mod big.
 
-    Only the distinct sums are read from ``residues(big)``, in order of
-    first occurrence, so a sum whose reduced denominator exceeds the cap
-    raises the ValueError that adding the entries one pair at a time
-    raises first."""
-    counts = Counter(k % big for k in sums)
-    keys, entries = residue_keys(big), residues(big)
-    # distinct residues have distinct keys, so the sort never compares q
-    distinct = sorted([(keys[k], entries[k], c) for k, c in counts.items()])
-    return Spectrum(tuple(q for _, q, c in distinct for _ in range(c)))
+    The sums are sorted once, in place, keyed by ``residue_keys(big)``, and
+    mapped through ``residues(big)``.  Over a denominator above the cap the
+    distinct sums are read first in order of first occurrence, so a sum
+    whose reduced denominator exceeds it raises the ValueError that adding
+    the entries one pair at a time raises first."""
+    entries = residues(big)
+    if big > MAX_DENOMINATOR:
+        for k in dict.fromkeys(sums):
+            entries[k]  # builds the entry, or raises
+    sums.sort(key=residue_keys(big).__getitem__)
+    return Spectrum(tuple(map(entries.__getitem__, sums)))
 
 
 def sym2(a: Spectrum) -> Spectrum:
@@ -51,7 +53,7 @@ def sym2(a: Spectrum) -> Spectrum:
     """
     big = element_order(a)
     x = _numerators(a, big)
-    return _spectrum_over((x[i] + y for i in range(len(x)) for y in x[i:]), big)
+    return _spectrum_over([(xi + y) % big for i, xi in enumerate(x) for y in x[i:]], big)
 
 
 def tensor(a: Spectrum, b: Spectrum) -> Spectrum:
@@ -59,7 +61,7 @@ def tensor(a: Spectrum, b: Spectrum) -> Spectrum:
     summed as integer numerators over the lcm of the two orders."""
     big = math.lcm(element_order(a), element_order(b))
     y = _numerators(b, big)
-    return _spectrum_over((x + z for x in _numerators(a, big) for z in y), big)
+    return _spectrum_over([(x + z) % big for x in _numerators(a, big) for z in y], big)
 
 
 def direct_sum(*summands: Spectrum) -> Spectrum:

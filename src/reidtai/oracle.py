@@ -24,6 +24,7 @@ import random
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -155,10 +156,12 @@ def match_angles(
             f"tolerance must be in (0, {MAX_MATCH_TOLERANCE}], got {tol}"
         )
     x = np.asarray(angles, dtype=np.float64)
+    width = x.shape[1]
     verdicts: list[bool | None] = [None] * len(exact)
     snapped, orders, numerators = [], [], []
     for i, spectrum in enumerate(exact):
-        if spectrum.dim != x.shape[1]:
+        entries = spectrum.entries
+        if len(entries) != width:
             verdicts[i] = False
             continue
         big = element_order(spectrum)
@@ -166,7 +169,7 @@ def match_angles(
             continue
         snapped.append(i)
         orders.append(big)
-        numerators.append(sorted(q.num * (big // q.den) for q in spectrum.entries))
+        numerators += [q.num * (big // q.den) for q in entries]
     if not snapped:
         return verdicts
     x = x[snapped]
@@ -176,13 +179,25 @@ def match_angles(
     close = np.all(np.minimum(d, 1.0 - d) <= tol, axis=1)
     same = np.zeros_like(close)
     # orders past int64 make the exact numerators an object array
+    exact_k = np.array(numerators).reshape(len(snapped), width)[close]
     same[close] = np.all(
-        np.sort(k[close].astype(np.int64), axis=1) == np.array(numerators)[close],
-        axis=1,
+        np.sort(k[close].astype(np.int64), axis=1) == np.sort(exact_k, axis=1), axis=1
     )
     for i, ok in zip(snapped, same):
         verdicts[i] = bool(ok)
     return verdicts
+
+
+@lru_cache(maxsize=None)
+def _square_basis(n: int) -> tuple[np.ndarray, ...]:
+    """The Sym^2 basis e_k.e_l, k <= l, of an n-space as the index arrays
+    k and l, the mask of its pairs with k < l, and k and l at those pairs."""
+    k, l = np.triu_indices(n)
+    off = k < l
+    arrays = k, l, off, k[off], l[off]
+    for a in arrays:
+        a.setflags(write=False)  # shared by every caller of the cache
+    return arrays
 
 
 def sym2_matrix(m: np.ndarray) -> np.ndarray:
@@ -192,10 +207,9 @@ def sym2_matrix(m: np.ndarray) -> np.ndarray:
     m[k,i]*m[l,j], plus m[l,i]*m[k,j] when k < l.
     """
     m = np.asarray(m, dtype=np.int64)
-    k, l = np.triu_indices(m.shape[0])
+    k, l, off, k_off, l_off = _square_basis(m.shape[0])
     out = m[k][:, k] * m[l][:, l]
-    off = k < l
-    out[off] += m[l[off]][:, k] * m[k[off]][:, l]
+    out[off] += m[l_off][:, k] * m[k_off][:, l]
     return out
 
 
@@ -250,19 +264,32 @@ def crosscheck_functor(
         ("realize", a_sig), ("realize", b_sig), ("spectrum", a_sig),
         ("spectrum", b_sig), ("sym2", a_sig), ("tensor", a_sig, b_sig),
     ):
-        if key not in memo:
+        step = memo.get(key)  # no step is stored as None
+        if step is None:
             solve_stacked([(a_sig, b_sig)], tol, memo)
-        if isinstance(memo[key], Exception):
-            raise memo[key]
-        if memo[key] is False:
+            step = memo[key]
+        if step is False:
             return False
+        if isinstance(step, Exception):
+            raise step
     return True
 
 
 @lru_cache(maxsize=None)
-def _orbit_degrees(order_divides: int) -> tuple[tuple[int, int], ...]:
-    """(d, phi(d)) for every orbit order d dividing the bound."""
-    return tuple((d, totient(d)) for d in divisors(order_divides))
+def _fitting(order_divides: int, room: int) -> tuple[tuple[int, int], ...]:
+    """(d, phi(d)) for every orbit order d dividing the bound with
+    phi(d) <= room, in increasing order of d."""
+    return tuple(
+        (d, phi) for d in divisors(order_divides) if (phi := totient(d)) <= room
+    )
+
+
+@lru_cache(maxsize=None)
+def _signature(parts: tuple[int, ...]) -> OrbitSignature:
+    """The signature of these sorted parts, one object per parts, kept for
+    the process: equal draws are the same object, so the run's tables meet
+    them by identity, and each is checked once."""
+    return OrbitSignature(parts)
 
 
 def random_signature(
@@ -271,23 +298,23 @@ def random_signature(
     order_divides: int,
     min_degree: int = MIN_DEGREE,
 ) -> OrbitSignature:
-    """A random signature with total degree in [min_degree, max_degree]."""
+    """A random signature with total degree in [min_degree, max_degree].
+
+    Until it stops, each step draws one orbit order uniformly from those
+    that still fit in the remaining degree (a tuple cached per bound and
+    remaining degree); once the degree reaches min_degree, each step first
+    stops with probability 0.35.  It stops when no order fits."""
     if max_degree < min_degree:
         raise ValueError("max_degree below min_degree")
     parts: list[int] = []
-    degree = 0
-    options = _orbit_degrees(order_divides)
-    while True:
-        # degree only grows, so the orders that still fit only shrink
-        options = [(d, phi) for d, phi in options if degree + phi <= max_degree]
-        if not options:
-            break
-        if degree >= min_degree and rng.random() < 0.35:
+    room = max_degree
+    while options := _fitting(order_divides, room):
+        if max_degree - room >= min_degree and rng.random() < 0.35:
             break
         pick, phi = rng.choice(options)
         parts.append(pick)
-        degree += phi
-    return OrbitSignature.of(parts)
+        room -= phi
+    return _signature(tuple(sorted(parts)))
 
 
 def _problems(
@@ -355,10 +382,12 @@ def solve_stacked(
         except OracleFailure as exc:
             memo[("realize", sig)] = exc
     angles: dict[tuple[int, bytes], np.ndarray | OracleFailure] = {}
+    failed: dict[tuple[int, bytes], OracleFailure] = {}  # the failed blocks
     for size, problems in sorted(_problems(drawn, realized).items()):
         per_chunk = max(1, STACK_ENTRIES // max(1, size * size))
         for start in range(0, len(problems), per_chunk):
-            _solve_chunk(problems[start : start + per_chunk], size, tol, memo, angles)
+            chunk = problems[start : start + per_chunk]
+            _solve_chunk(chunk, size, tol, memo, angles, failed)
 
 
 @lru_cache(maxsize=None)
@@ -368,7 +397,7 @@ def _part_labels(degrees: tuple[int, ...], square: bool) -> np.ndarray:
     basis vector e_i.e_j (i in p, j in q), as p * len(degrees) + q."""
     labels = np.repeat(np.arange(len(degrees)), degrees)
     if square:
-        i, j = np.triu_indices(len(labels))
+        i, j = _square_basis(len(labels))[:2]
         labels = labels[i] * len(degrees) + labels[j]
     labels.setflags(write=False)  # shared by every caller of the cache
     return labels
@@ -390,20 +419,29 @@ def _labels(key: tuple) -> np.ndarray:
 def _blocks(stack: np.ndarray, labels: np.ndarray) -> list[list[tuple[int, bytes]]]:
     """Each matrix of a stack, given its row of labels, as its diagonal
     blocks (size, bytes) in label order; a matrix with a nonzero entry
-    between two labels is one block, the whole matrix."""
+    between two labels is one block, the whole matrix.
+
+    The rows of each matrix are gathered in label order (a stable sort).
+    Each row's entries in the columns of its own label, read row by row,
+    are then every block in turn, row-major, so one buffer holds them all
+    and each block is a slice of it."""
     k, size, _ = stack.shape
-    outside = np.any((labels[:, :, None] != labels[:, None, :]) & (stack != 0), axis=(1, 2))
+    each = np.arange(k)[:, None]
     order = np.argsort(labels, axis=1, kind="stable")
-    cut = stack[np.arange(k)[:, None, None], order[:, :, None], order[:, None, :]]
-    ends = np.diff(np.take_along_axis(labels, order, axis=1), axis=1, append=-1) != 0
+    ranked, rows = labels[each, order], stack[each, order]
+    inside = ranked[:, :, None] == labels[:, None, :]
+    outside = np.any((rows != 0) & ~inside, axis=(1, 2))
+    data = rows[inside].tobytes()
+    del rows  # the buffer holds its own copy, and the slices hold another
+    last = np.ones((k, size), dtype=bool)  # the last row of each block
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=last[:, :-1])
     out: list[list[tuple[int, bytes]]] = [[] for _ in range(k)]
-    rows, cols = np.nonzero(ends)
-    start = 0
-    for i, end in zip(rows.tolist(), (cols + 1).tolist()):
-        if not out[i]:
-            start = 0
-        out[i].append((end - start, cut[i, start:end, start:end].tobytes()))
-        start = end
+    start, prev = 0, -1
+    for end in np.flatnonzero(last).tolist():
+        side = end - prev
+        stop = start + side * side * stack.itemsize
+        out[end // size].append((side, data[start:stop]))
+        start, prev = stop, end
     for i in np.flatnonzero(outside).tolist():
         out[i] = [(size, stack[i].tobytes())]
     return out
@@ -434,7 +472,9 @@ def _solve_blocks(new: Iterable[tuple[int, bytes]], angles: dict) -> None:
             angles.update(zip(part, rows))
 
 
-def _solve_chunk(chunk: list, size: int, tol: float, memo: dict, angles: dict) -> None:
+def _solve_chunk(
+    chunk: list, size: int, tol: float, memo: dict, angles: dict, failed: dict
+) -> None:
     # each matrix goes straight into the stack, so the chunk is held once
     stack = np.empty((len(chunk), size, size), dtype=np.int64)
     built = []
@@ -449,11 +489,12 @@ def _solve_chunk(chunk: list, size: int, tol: float, memo: dict, angles: dict) -
         return
     blocks = _blocks(stack[: len(built)], np.stack([_labels(key) for key, _ in built]))
     del stack  # the blocks are copies
-    _solve_blocks(dict.fromkeys(b for bs in blocks for b in bs if b not in angles), angles)
+    new = [b for b in dict.fromkeys(chain.from_iterable(blocks)) if b not in angles]
+    _solve_blocks(new, angles)
+    failed.update((b, angles[b]) for b in new if isinstance(angles[b], OracleFailure))
     solved, spectra, pieces = [], [], []
     for (key, exact), bs in zip(built, blocks):
-        rows = [angles[b] for b in bs]
-        failure = next((row for row in rows if isinstance(row, OracleFailure)), None)
+        failure = next((failed[b] for b in bs if b in failed), None) if failed else None
         if failure is not None:
             memo[key] = failure
             continue
@@ -463,7 +504,7 @@ def _solve_chunk(chunk: list, size: int, tol: float, memo: dict, angles: dict) -
             memo[key] = exc
             continue
         solved.append(key)
-        pieces += rows
+        pieces += map(angles.__getitem__, bs)
     rows = np.concatenate([np.empty(0), *pieces]).reshape(len(solved), size)
     try:
         verdicts = match_angles(np.sort(rows, axis=1), spectra, tol)

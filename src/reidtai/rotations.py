@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
+from operator import attrgetter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -33,6 +34,9 @@ MIN_DEGREE = 1
 # check.  A Kronecker matrix of two such signatures has side 576, so a run
 # at order bound 360 stays within a few MB per matrix.
 MAX_DEGREE = 24
+# Largest --samples: a run holds about 1 KB per sample (135 MB at this
+# bound), so a larger count is refused rather than left to exhaust memory.
+MAX_SAMPLES = 100_000
 
 _set_field = object.__setattr__
 
@@ -156,6 +160,11 @@ def rot_from_str(text: str) -> RotationNumber:
     return rot(int(text), 1)
 
 
+# C-level reads of a rotation number's (den, num) and den
+_sort_key = attrgetter("den", "num")
+_den = attrgetter("den")
+
+
 class Spectrum(Frozen):
     """A multiset of rotation numbers, stored canonically sorted.
 
@@ -170,8 +179,8 @@ class Spectrum(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        keys = [q.sort_key for q in self.entries]
-        if any(a > b for a, b in zip(keys, keys[1:])):
+        keys = list(map(_sort_key, self.entries))
+        if keys != sorted(keys):
             raise ValueError("entries not canonically sorted; use Spectrum.of")
 
     def __eq__(self, other: object) -> bool:
@@ -182,7 +191,7 @@ class Spectrum(Frozen):
 
     @classmethod
     def of(cls, entries: Iterable[RotationNumber]) -> Spectrum:
-        return cls(tuple(sorted(entries, key=lambda q: q.sort_key)))
+        return cls(tuple(sorted(entries, key=_sort_key)))
 
     @property
     def dim(self) -> int:
@@ -288,8 +297,9 @@ def galois_orbit(n: int) -> Spectrum:
 
 
 def element_order(s: Spectrum) -> int:
-    """lcm of the denominators; 1 for the empty or all-zero spectrum."""
-    return math.lcm(*(q.den for q in s.entries)) if s.entries else 1
+    """lcm of the distinct denominators; 1 for the empty or all-zero
+    spectrum."""
+    return math.lcm(*set(map(_den, s.entries)))
 
 
 class OrbitSignature(Frozen):

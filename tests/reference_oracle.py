@@ -2,8 +2,9 @@
 vectorized ones.
 
 ``match_angles`` assigns angles greedily, each to its nearest remaining
-exact entry, and ``sym2_matrix`` builds the induced matrix coefficient by
-coefficient.  ``block_sets`` lists the diagonal blocks a realization, its
+exact entry, ``sym2_matrix`` builds the induced matrix coefficient by
+coefficient, and ``random_signature`` filters its orbit orders afresh at
+every step.  ``block_sets`` lists the diagonal blocks a realization, its
 Sym^2 matrix and a Kronecker matrix split into, and ``block_angles`` solves
 a matrix block by block after checking with loops that nothing lies
 outside its blocks.  All are slow but a direct reading of their
@@ -11,6 +12,8 @@ definitions; ``reidtai.oracle`` must agree with them result for result.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from reidtai.oracle import (
     numeric_angles,
     realize,
 )
-from reidtai.rotations import OrbitSignature, Spectrum, totient
+from reidtai.rotations import MIN_DEGREE, OrbitSignature, Spectrum, divisors, totient
 
 
 def _circular_distance(x: float, y: float) -> float:
@@ -48,6 +51,33 @@ def match_angles(
             return False
         remaining.pop(best)
     return True
+
+
+def random_signature(
+    rng: random.Random,
+    max_degree: int,
+    order_divides: int,
+    min_degree: int = MIN_DEGREE,
+) -> OrbitSignature:
+    """A random signature with total degree in [min_degree, max_degree],
+    drawn from the list of orbit orders that still fit, filtered at each
+    step."""
+    if max_degree < min_degree:
+        raise ValueError("max_degree below min_degree")
+    parts: list[int] = []
+    degree = 0
+    options = [(d, totient(d)) for d in divisors(order_divides)]
+    while True:
+        # degree only grows, so the orders that still fit only shrink
+        options = [(d, phi) for d, phi in options if degree + phi <= max_degree]
+        if not options:
+            break
+        if degree >= min_degree and rng.random() < 0.35:
+            break
+        pick, phi = rng.choice(options)
+        parts.append(pick)
+        degree += phi
+    return OrbitSignature.of(parts)
 
 
 def sym2_matrix(m: np.ndarray) -> np.ndarray:

@@ -127,6 +127,8 @@ def test_exceptions_stable_under_larger_bound(capsys):
         ("exceptions", "--g", "0"),
         ("sweep", "--h", "1", "--r", "2", "--mode", "bogus"),
         ("oracle", "--samples", "-3"),
+        ("oracle", "--samples", "100001"),
+        ("oracle", "--samples", "1000000000"),
         ("exceptions", "--g", "5", "--order-divides", "720"),
         ("exceptions", "--g", "5", "--order-divides", "0"),
         ("sweep", "--h", "1", "--r", "2", "--order-divides", "-5"),
@@ -152,6 +154,13 @@ def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     assert info.value.code == 2
+
+
+def test_samples_bound_is_accepted():
+    # 100,000 parses; one more is a usage error (above)
+    assert reidtai.cli.MAX_SAMPLES == 100_000
+    args = reidtai.cli.build_parser().parse_args(["oracle", "--samples", "100000"])
+    assert args.samples == 100_000
 
 
 @pytest.mark.parametrize("mode", ["integral-lambda-only", "unconstrained"])
@@ -571,13 +580,28 @@ else:
 
 
 # SHA-256 of the benchmark's oracle reports (oracle --samples 1000 --format
-# json) at seeds 0-3 and 7, as pinned in perfbench/workloads.py.
+# json) at every seed it checks, 0-19, as pinned in perfbench/workloads.py.
 ORACLE_DIGESTS = {
     0: "af24f73e2561fc513293d708eb6114ec697f3b1bffa7f4cdf724504947b58096",
     1: "4b11a4aa1a414fd4ad40460555bacb1ebec61683fb7e15ff545ed29e7f462bf7",
     2: "d6b55305cc69519c3730d62959e374ed1a1ce8fb042f47331c171395dc39b3a2",
     3: "3b2eee4d36ba7a70072dba2606af002667b4702f53c8e6a903728fd9cb007ae4",
+    4: "83a9e395c447495cd2ad42da556a6491419c05d4b3e3cb3a5f7e9b134dfd00e6",
+    5: "fc9faffa31f36f76e4b80d2f7a4f32a78d6ebbad54b0d272b9a674d1b1c2d378",
+    6: "41e893ee7ff6bb18103fe2d07b8995e6d2c1e9c5393cf46d3ef8904b0e1fb3d9",
     7: "31578f9cdcdf50daceb64c5cd0c58fbe6d9bc2d10df0e741661bb59ff08705c9",
+    8: "0f23d5f1ee7e46c8a3c4eae3e38383d0ade2b09f26d62bf9eeb6ebb888cc17ba",
+    9: "a2b78941b20e7be0add389ce5e9e4ea28bfd8943296dfbd836a48163ac4e710f",
+    10: "ad2d1b0fed1153492139dd938e1ca5bded9411247470f8d97c9989d5048c1476",
+    11: "0a3838f2eb2d44925abcdc7f55d2ca51e2338009e0f10252dd7168f4a12231af",
+    12: "e17402b5db6fecdfcb3de7d7c8c0a3dca910ee627c9832a78d180f47b88d0c00",
+    13: "f53d2506987e741ea8bbaa19a815cf359680c9886771257b3b4e2d0b0e13b2d1",
+    14: "b39a5992adf9ee14cef5a044dd712756795470ca8541682239e5d488e895b76a",
+    15: "615c45e166d1aaef0bcfd7793e86d86c9c7a5cde4f2ba0fbfde6f4d2fc24ba9f",
+    16: "08ec0cfe8b9df98362f0d0c071d24b60f539995de2f11239d7dd3072a2bc1a50",
+    17: "91892447e7d5c13ddcdb0fe8083d9a22222a67810876a10d9f8f3b946c8a58d7",
+    18: "8b1bfbcc646d84dc1e439c00a6f010b6d40e5fff1ba009535061e6de885c2543",
+    19: "f6d1381b21145ec1ab382861106a1e82613504a733068c46ce09755a1e3fa2ed",
 }
 
 

@@ -156,6 +156,19 @@ def test_random_signature_degrees():
         assert all(36 % n == 0 for n in sig.parts)
 
 
+@pytest.mark.parametrize("order_divides", [1, 12, 36, 360])
+@pytest.mark.parametrize("max_degree", [1, 8, 24])
+def test_random_signature_matches_the_reference_draw(max_degree, order_divides):
+    # the cached tables of fitting orders leave every draw as the filtering
+    # loop makes it, and the generator in the same state
+    for seed in range(20):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            got = random_signature(rng, max_degree, order_divides)
+            assert got == ref.random_signature(ref_rng, max_degree, order_divides)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def test_hundred_random_cases():
     cases = run_oracle_cases(100, seed=7, max_degree=8, order_divides=36)
     assert len(cases) == 100

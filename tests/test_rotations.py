@@ -101,6 +101,10 @@ def test_spectrum_canonical_form():
     assert a.entries[0] == rot(0, 1)  # (den, num) order puts 0/1 first
     with pytest.raises(ValueError):
         Spectrum((rot(1, 2), rot(0, 1)))
+    # equal denominators out of order, and duplicate entries in order
+    with pytest.raises(ValueError, match="not canonically sorted"):
+        Spectrum((rot(2, 3), rot(1, 3)))
+    assert Spectrum((rot(1, 2), rot(1, 2))).dim == 2
 
 
 @pytest.mark.parametrize(
