@@ -311,8 +311,13 @@ def main(argv: list[str] | None = None) -> int:
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(rendered)
+        except OSError as exc:  # the path parsed, but the file cannot be written
+            print(f"reidtai: error: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     if code == EXIT_VIOLATION:
         for row in report.violations:
             print(

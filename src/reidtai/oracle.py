@@ -10,8 +10,8 @@ matrix whole.  Every such matrix is block diagonal along the realization's
 parts: one companion block per part, one Sym^2 block per pair of parts
 p <= q, one Kronecker block per part of each factor.  After an exact check
 that nothing lies outside those blocks (a matrix that fails it is solved
-whole), each distinct block is solved once per run, in stacks of same-size
-blocks, and a problem's angles are the sorted union of its blocks' angles.
+whole), each distinct block is solved once per run, on its own, and a
+problem's angles are the sorted union of its blocks' angles.
 The rows are snapped to their exact grids one stack of problems at a time,
 and each problem's verdict, or the first failure of its steps, is stored in
 one table; each case then reads its steps from that table.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
 from itertools import chain
 
@@ -35,10 +35,9 @@ from .rotations import (
 )
 
 
-# Most matrix entries in one stack of problem matrices a run builds, and in
-# one stack of blocks an eigenvalue solve receives; a run builds each stack
-# of problems only when it cuts it into blocks and keeps only the distinct
-# blocks, so this bounds the memory of a solve.
+# Most matrix entries in one stack of problem matrices a run builds; a run
+# builds each stack only when it cuts it into blocks and keeps only the
+# distinct blocks, so this bounds the memory a run holds in matrices.
 STACK_ENTRIES = 1 << 15
 
 
@@ -296,20 +295,19 @@ def random_signature(
     rng: random.Random,
     max_degree: int,
     order_divides: int,
-    min_degree: int = MIN_DEGREE,
 ) -> OrbitSignature:
-    """A random signature with total degree in [min_degree, max_degree].
+    """A random signature with total degree in [MIN_DEGREE, max_degree].
 
     Until it stops, each step draws one orbit order uniformly from those
     that still fit in the remaining degree (a tuple cached per bound and
-    remaining degree); once the degree reaches min_degree, each step first
+    remaining degree); once the degree reaches MIN_DEGREE, each step first
     stops with probability 0.35.  It stops when no order fits."""
-    if max_degree < min_degree:
-        raise ValueError("max_degree below min_degree")
+    if max_degree < MIN_DEGREE:
+        raise ValueError("max_degree below MIN_DEGREE")
     parts: list[int] = []
     room = max_degree
     while options := _fitting(order_divides, room):
-        if max_degree - room >= min_degree and rng.random() < 0.35:
+        if max_degree - room >= MIN_DEGREE and rng.random() < 0.35:
             break
         pick, phi = rng.choice(options)
         parts.append(pick)
@@ -368,12 +366,11 @@ def solve_stacked(
     after an exact check on the integer matrix that every entry outside
     them is zero; a matrix that fails the check is one block, solved
     whole.  A block is known by its size and bytes, and each distinct block
-    is solved once per run, the new blocks of a chunk in same-size stacks
-    of at most STACK_ENTRIES entries through :func:`numeric_angles`; a
-    failed stack is solved again one block at a time, and a failed block
-    fails every problem holding it.  A problem's angle row is the sorted
-    concatenation of its blocks' angles, and one :func:`match_angles` call
-    snaps a chunk's rows to their exact grids.
+    is solved once per run, alone, as one matrix through
+    :func:`numeric_angles`; a failed block fails every problem holding it.
+    A problem's angle row is the sorted concatenation of its blocks'
+    angles, and one :func:`match_angles` call snaps a chunk's rows to their
+    exact grids.
     """
     realized = {}
     for sig in dict.fromkeys(sig for pair in drawn for sig in pair):
@@ -447,31 +444,6 @@ def _blocks(stack: np.ndarray, labels: np.ndarray) -> list[list[tuple[int, bytes
     return out
 
 
-def _solve_blocks(new: Iterable[tuple[int, bytes]], angles: dict) -> None:
-    """Store under each new block in ``angles`` its sorted angles, or the
-    failure of its solve.  Same-size blocks are solved in stacks of at most
-    STACK_ENTRIES entries, and a failed stack again one block at a time."""
-    by_size: dict[int, list] = defaultdict(list)
-    for block in new:
-        by_size[block[0]].append(block)
-    for size, blocks in by_size.items():
-        per_stack = max(1, STACK_ENTRIES // (size * size))
-        for start in range(0, len(blocks), per_stack):
-            part = blocks[start : start + per_stack]
-            stack = np.frombuffer(b"".join(data for _, data in part), dtype=np.int64)
-            stack = stack.reshape(len(part), size, size)
-            try:
-                rows = list(numeric_angles(stack))
-            except OracleFailure:  # solve each block alone, to find the culprit
-                rows = []
-                for mat in stack:
-                    try:
-                        rows.append(numeric_angles(mat))
-                    except OracleFailure as exc:
-                        rows.append(exc)
-            angles.update(zip(part, rows))
-
-
 def _solve_chunk(
     chunk: list, size: int, tol: float, memo: dict, angles: dict, failed: dict
 ) -> None:
@@ -489,9 +461,15 @@ def _solve_chunk(
         return
     blocks = _blocks(stack[: len(built)], np.stack([_labels(key) for key, _ in built]))
     del stack  # the blocks are copies
-    new = [b for b in dict.fromkeys(chain.from_iterable(blocks)) if b not in angles]
-    _solve_blocks(new, angles)
-    failed.update((b, angles[b]) for b in new if isinstance(angles[b], OracleFailure))
+    for block in dict.fromkeys(chain.from_iterable(blocks)):
+        if block not in angles:
+            side, data = block
+            try:
+                angles[block] = numeric_angles(
+                    np.frombuffer(data, dtype=np.int64).reshape(side, side)
+                )
+            except OracleFailure as exc:
+                angles[block] = failed[block] = exc
     solved, spectra, pieces = [], [], []
     for (key, exact), bs in zip(built, blocks):
         failure = next((failed[b] for b in bs if b in failed), None) if failed else None

@@ -57,13 +57,12 @@ def random_signature(
     rng: random.Random,
     max_degree: int,
     order_divides: int,
-    min_degree: int = MIN_DEGREE,
 ) -> OrbitSignature:
-    """A random signature with total degree in [min_degree, max_degree],
+    """A random signature with total degree in [MIN_DEGREE, max_degree],
     drawn from the list of orbit orders that still fit, filtered at each
     step."""
-    if max_degree < min_degree:
-        raise ValueError("max_degree below min_degree")
+    if max_degree < MIN_DEGREE:
+        raise ValueError("max_degree below MIN_DEGREE")
     parts: list[int] = []
     degree = 0
     options = [(d, totient(d)) for d in divisors(order_divides)]
@@ -72,7 +71,7 @@ def random_signature(
         options = [(d, phi) for d, phi in options if degree + phi <= max_degree]
         if not options:
             break
-        if degree >= min_degree and rng.random() < 0.35:
+        if degree >= MIN_DEGREE and rng.random() < 0.35:
             break
         pick, phi = rng.choice(options)
         parts.append(pick)

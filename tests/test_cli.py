@@ -203,6 +203,27 @@ def test_out_path_follows_the_pathlib_rule(tmp_path, monkeypatch, text):
             reidtai.cli._out_path(text)
 
 
+def test_unwritable_out_exits_2(tmp_path):
+    # a name in an existing directory parses, but one too long for the file
+    # system fails at open: a usage error with one line, and stdout still
+    # carries the report
+    argv = ["sweep", "--h", "1", "--r", "1", "--format", "json"]
+    target = tmp_path / ("a" * 300 + ".json")
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = [
+        subprocess.run(
+            [sys.executable, "-m", "reidtai.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        for args in (argv, [*argv, "--out", str(target)])
+    ]
+    assert done[1].returncode == 2
+    assert "Traceback" not in done[1].stderr
+    assert "reidtai: error: cannot write --out" in done[1].stderr
+    assert done[1].stdout == done[0].stdout
+
+
 def test_violation_exit_3(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--h", "1", "--r", "2", "--format", "json"

@@ -358,12 +358,13 @@ def _distinct_blocks(drawn):
 
 
 def _count_rows(monkeypatch):
-    """Count the matrices numeric_angles solves, one per row of a stack."""
-    solved = {"rows": 0}
+    """The number of dimensions of each array numeric_angles receives, one
+    entry per call."""
+    solved = []
     original = oracle.numeric_angles
 
     def counted(m):
-        solved["rows"] += len(m) if m.ndim == 3 else 1
+        solved.append(m.ndim)
         return original(m)
 
     monkeypatch.setattr(oracle, "numeric_angles", counted)
@@ -389,7 +390,8 @@ def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     assert counts["tensor"] == len(pairs)
     # what is solved is each distinct diagonal block of those problems, once
     problems = len(signatures) + len(firsts) + len(pairs)
-    assert solved["rows"] == len(_distinct_blocks(drawn)) < problems
+    assert len(solved) == len(_distinct_blocks(drawn)) < problems
+    assert set(solved) == {2}  # each block is solved alone, as one matrix
 
 
 def test_crosscheck_order_and_short_circuit():
@@ -543,38 +545,9 @@ def test_no_solving_after_solve_stacked(monkeypatch, fault):
     assert (raised > 0) == (fault is not None)
 
 
-# The stacked solve: each distinct diagonal block is solved once per run,
-# same-size blocks share one eigvals call of at most STACK_ENTRIES matrix
-# entries, and its rows equal the single-block solves.
-
-
-def test_stacked_rows_equal_single_matrix_solves(monkeypatch):
-    original = oracle.numeric_angles
-    stacked = {"calls": 0, "rows": 0}
-
-    def compared(m):
-        rows = original(m)
-        if m.ndim == 3:
-            stacked["calls"] += 1
-            stacked["rows"] += len(m)
-            eigenvalues = np.linalg.eigvals(m.astype(np.float64))
-            for i, single in enumerate(m):
-                assert np.array_equal(
-                    np.linalg.eigvals(single.astype(np.float64)), eigenvalues[i]
-                )
-                assert np.array_equal(original(single), rows[i])
-        return rows
-
-    monkeypatch.setattr(oracle, "numeric_angles", compared)
-    blocks = problems = 0
-    for seed in range(5):
-        drawn = _drawn(200, seed)
-        blocks += len(_distinct_blocks(drawn))
-        problems += (len({sig for pair in drawn for sig in pair})
-                     + len({a for a, _ in drawn}) + len(set(drawn)))
-        run_oracle_cases(200, seed=seed)
-    assert stacked["rows"] == blocks < problems // 4
-    assert stacked["calls"] < blocks
+# The block solve: each distinct diagonal block is solved once per run, on
+# its own, and the problem matrices a run builds come in stacks of at most
+# STACK_ENTRIES matrix entries.
 
 
 def test_no_stack_exceeds_the_entry_cap(monkeypatch):
@@ -644,10 +617,10 @@ def test_stack_cap_leaves_the_cases_unchanged(monkeypatch, cap):
     assert run_oracle_cases(200, seed=6, tol=2e-16) == expected
 
 
-def test_failed_stack_keeps_the_first_failure(monkeypatch):
+def test_failed_block_keeps_the_first_failure(monkeypatch):
     # one recurring first signature's Sym^2 matrix is scaled off the unit
-    # circle, so the one stack holding it fails and its matrices are solved
-    # again one at a time, where the failure lands on that problem alone
+    # circle, so the one solve of its block fails, no later solve meets that
+    # block again, and the failure lands on the problems holding it
     drawn = _drawn(200, 4)
     firsts = [a for a, _ in drawn]
     bad = next(a for a in firsts if firsts.count(a) > 2 and len(realize(a)) > 1)
@@ -659,9 +632,9 @@ def test_failed_stack_keeps_the_first_failure(monkeypatch):
         try:
             rows = solve(m)
         except OracleFailure:
-            solves.append((m.shape, False))
+            solves.append((m.ndim, m.tobytes(), False))
             raise
-        solves.append((m.shape, True))
+        solves.append((m.ndim, m.tobytes(), True))
         return rows
 
     monkeypatch.setattr(oracle, "numeric_angles", recorded)
@@ -676,16 +649,15 @@ def test_failed_stack_keeps_the_first_failure(monkeypatch):
     assert "off the unit circle" in plain
     calls["crosscheck_functor"] = 0
     solves.clear()
-    stacked = _first_failure(lambda: run_oracle_cases(200, seed=4))
-    assert stacked == plain
+    run = _first_failure(lambda: run_oracle_cases(200, seed=4))
+    assert run == plain
     assert calls["crosscheck_functor"] == plain_calls
-    failed = [i for i, (shape, ok) in enumerate(solves) if len(shape) == 3 and not ok]
+    failed = [i for i, (_, _, ok) in enumerate(solves) if not ok]
     assert len(failed) == 1
-    (rows, *size), _ = solves[failed[0]]
-    alone = solves[failed[0] + 1 : failed[0] + 1 + rows]
-    assert rows > 1
-    assert [shape for shape, _ in alone] == [tuple(size)] * rows
-    assert [ok for _, ok in alone].count(False) == 1
+    ndim, data, _ = solves[failed[0]]
+    later = [m for _, m, _ in solves[failed[0] + 1 :]]
+    assert ndim == 2 and later  # so the run goes on past the failed block
+    assert data not in later
 
 
 # The stacked snap: one match_angles call per stack gives each row the
