@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -28,6 +29,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(*argv):
+    """``python -m reidtai.cli ARGV`` in a subprocess, through ``run()``."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", "reidtai.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 def parse_json(text):
@@ -209,15 +220,7 @@ def test_unwritable_out_exits_2(tmp_path):
     # carries the report
     argv = ["sweep", "--h", "1", "--r", "1", "--format", "json"]
     target = tmp_path / ("a" * 300 + ".json")
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = [
-        subprocess.run(
-            [sys.executable, "-m", "reidtai.cli", *args],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        for args in (argv, [*argv, "--out", str(target)])
-    ]
+    done = [cli_process(*args) for args in (argv, [*argv, "--out", str(target)])]
     assert done[1].returncode == 2
     assert "Traceback" not in done[1].stderr
     assert "reidtai: error: cannot write --out" in done[1].stderr
@@ -656,6 +659,92 @@ def test_sweep_reports_match_the_pinned_digests(capsys, argv, code, digest):
     got, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# run() turns the cyclic collector off for the command and freezes the heap
+# before the interpreter exits; main() leaves the collector alone.
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_turns_the_collector_off_and_freezes_the_heap(monkeypatch, fails):
+    seen = []
+
+    def entry():
+        seen.append(gc.isenabled())
+        if fails:
+            raise RuntimeError("main failed on purpose")
+        return 3
+
+    monkeypatch.setattr(reidtai.cli, "main", entry)
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append("frozen"))
+    enabled = gc.isenabled()
+    try:
+        with pytest.raises(RuntimeError if fails else SystemExit) as exc:
+            reidtai.cli.run()
+    finally:
+        if enabled:
+            gc.enable()
+    assert seen == [False, "frozen"]
+    if not fails:
+        assert exc.value.code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--h", "1", "--r", "4"), (*RELAXED, "--jobs", "2"), ("oracle", "--samples", "50")],
+    ids=["chart", "relaxed-jobs2", "oracle"],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv):
+    before = gc.isenabled(), gc.get_freeze_count()
+    run_cli(capsys, *argv, "--format", "json")
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("exceptions", "--g", "7"), 0),
+        ((*RELAXED, "--jobs", "2"), 3),
+        (("oracle", "--samples", "50"), 0),
+    ],
+    ids=["catalog", "relaxed-jobs2", "oracle"],
+)
+def test_process_writes_what_main_writes(capsys, tmp_path, argv, code):
+    # the relaxed run also writes --out, and its violation lines go to stderr
+    argv = [*argv, "--format", "json"]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    target = tmp_path / "report.json"
+    done = cli_process(*argv, *(["--out", str(target)] if code == 3 else []))
+    assert (done.returncode, done.stdout) == (code, out)
+    *lines, elapsed = done.stderr.splitlines()
+    assert lines == err.splitlines()[:-1]
+    assert elapsed.startswith("elapsed: ")
+    if code == 3:
+        assert lines and all(line.startswith("proposition violation") for line in lines)
+        assert target.read_text() == done.stdout
+
+
+def test_cyclic_garbage_does_not_grow_with_the_run(capsys):
+    # with the collector off, what a run leaves for it is the same for a
+    # small and a large run, so running without it cannot grow memory with
+    # the input
+    def garbage(argv):
+        gc.collect()
+        run_cli(capsys, *argv, "--format", "json")
+        return gc.collect()
+
+    pairs = [
+        (("exceptions", "--g", "3"), ("exceptions", "--g", "8")),
+        (("oracle", "--samples", "10"), ("oracle", "--samples", "1000")),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for small, large in pairs:
+            garbage(small), garbage(large)  # warm: imports and lazy tables
+            assert garbage(small) == garbage(large), (small, large)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pool_results_carry_no_objects():
