@@ -149,13 +149,31 @@ def build_parser() -> argparse.ArgumentParser:
 def _chart(task: tuple) -> criterion.SweepResult:
     """Sweep one chart; a violating chart returns its result instead of
     raising, so the other charts still run and the report lists every row
-    (the exception does not survive pickling back from a worker).  The
-    result holds integer records only, so a worker sends back tuples of
-    ints, not Fractions, spectra or classes."""
+    (a worker sends back its result, not an exception).  The result holds
+    integer records only: tuples of ints, strings and bools, no Fraction,
+    spectrum or class."""
     try:
         return criterion.sweep_v(*task)
     except criterion.PropositionViolation as exc:
         return exc.result
+
+
+def _plain_chart(task: tuple) -> tuple:
+    """A forked worker's :func:`_chart`: the result as builtin types for
+    ``marshal``, the result and each record a plain tuple of its fields."""
+    *head, exceptions, violations = _chart(task)
+    return (*head, tuple(map(tuple, exceptions)), tuple(map(tuple, violations)))
+
+
+def _rebuilt(plain: tuple) -> criterion.SweepResult:
+    """The :class:`~reidtai.criterion.SweepResult` of :func:`_plain_chart`'s
+    tuples, its records rebuilt by the record types themselves."""
+    *head, exceptions, violations = plain
+    return criterion.SweepResult((
+        *head,
+        tuple(map(criterion.ExceptionRecord, exceptions)),
+        tuple(map(criterion.ViolationRecord, violations)),
+    ))
 
 
 def _usable_cpus() -> int:
@@ -170,14 +188,16 @@ def sweep_charts(tasks: list[tuple], jobs: int) -> list[criterion.SweepResult]:
     """Sweep each (h, r, order_divides, mode, include_age_one) chart, in
     task order, on at most one forked worker per job, chart and usable CPU
     (:func:`reidtai.fanout.fork_map`: charts handed out one at a time, the
-    first task first).  One worker, or a platform without ``os.fork``,
-    sweeps the charts here instead."""
+    first task first).  The workers send each result back as plain tuples
+    through ``marshal`` (:func:`_plain_chart`), and this process rebuilds
+    the records (:func:`_rebuilt`).  One worker, or a platform without
+    ``os.fork``, sweeps the charts here instead."""
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [_chart(task) for task in tasks]
-    from .fanout import fork_map  # loaded, with pickle, only by a fanned-out run
+    from .fanout import fork_map  # loaded only by a fanned-out run
 
-    return fork_map(_chart, tasks, workers)
+    return list(map(_rebuilt, fork_map(_plain_chart, tasks, workers)))
 
 
 def _echo_config(args: argparse.Namespace, command: str) -> dict:

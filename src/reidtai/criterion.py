@@ -17,7 +17,9 @@ unique exceptional shape.  A failed check raises
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from itertools import compress, count, repeat
 from math import gcd
+from operator import add, not_
 
 from . import enumeration
 from .enumeration import (
@@ -117,7 +119,8 @@ def _element(
 
 class _Pair(tuple):
     """A reported (W, Lambda) pair as a tuple of integers over N, which
-    pickles and sorts as plain tuples; the subclasses name the fields.
+    sorts as a plain tuple and is rebuilt from one by ``RecordType(fields)``
+    (so it defines no ``__new__``); the subclasses name the fields.
 
     Each record leads with its ordering key, ``ElementClass.sort_key`` of
     the pair, so records sort by it.  The class and the Fraction ages are
@@ -199,7 +202,8 @@ class SweepResult(tuple):
     best is n times the minimum age (None when no pair moves the chart),
     and each witness row is (sort key, xs, ys) like a record's head.  The
     records are :class:`ExceptionRecord` and :class:`ViolationRecord`
-    tuples, so a result pickles as integers.  ``min_age`` and
+    tuples of integers, rule names and shape flags, so a fan-out worker
+    sends a result as plain tuples (``cli._plain_chart``).  ``min_age`` and
     ``witnesses`` build the Fraction and the classes when read.
     """
 
@@ -298,9 +302,13 @@ def fold_chart(
     over N in canonical order (as ``enumeration.abelian_factor_classes``
     and ``lattice_factor_classes`` yield them for cfg).
 
-    Ages are integers over N = cfg.order_divides: a pair's chart age is
-    the state's Sym^2 age plus its tensor costs at Lambda's entries, which
-    ``enumeration._tensor_costs`` computes at ``lattice_residues(cfg)``.  Age 0
+    Each Lambda tuple has cfg.r entries (else ValueError).  Ages are
+    integers over N = cfg.order_divides: a pair's chart age is the state's
+    Sym^2 age plus its tensor costs at Lambda's entries, which
+    ``enumeration._tensor_costs`` computes at ``lattice_residues(cfg)``.
+    The Lambda stream is read once as r columns of lattice indices, and an
+    opened state's ages are summed column by column, r C-level adds per
+    pair (``full_fold`` sums each pair's costs on its own).  Age 0
     means the pair acts trivially on the chart (the kernel) and is skipped;
     the identity pair is not counted.  The kernel must be +-1: a zero-age
     pair that is not becomes a ``kernel`` violation.  The result reports
@@ -326,9 +334,13 @@ def fold_chart(
     """
     n = cfg.order_divides
     lams = list(lams)
+    if any(map(cfg.r.__ne__, map(len, lams))):
+        raise ValueError(f"every Lambda tuple of the chart must have r = {cfg.r} entries")
     lattice = lattice_residues(cfg)
     position = {y: k for k, y in enumerate(lattice)}
-    lam_cols = [tuple(map(position.__getitem__, ys)) for ys in lams]
+    # the lattice indices column by column: columns[i][j] indexes lams[j][i]
+    columns = list(zip(*(map(position.__getitem__, ys) for ys in lams)))
+    width = len(lams)
     identity_lam = any(not any(ys) for ys in lams)
     limit = n if include_age_one else n - 1
     seen = 0
@@ -343,15 +355,18 @@ def fold_chart(
     for xs, a2 in w_states:
         if a2 > cut:
             # every pair of this W ages at least a2 > best, limit and 0
-            seen += len(lam_cols)
+            seen += width
             continue
         cost_at = _tensor_costs(xs, lattice, n).__getitem__
-        ages = [a2 + sum(map(cost_at, cols)) for cols in lam_cols]
-        seen += len(ages)
+        ages = repeat(a2, width)
+        for col in columns:
+            ages = map(add, ages, map(cost_at, col))
+        ages = list(ages)
+        seen += width
         if identity_lam and not any(xs):
             seen -= 1
         if 0 in ages:
-            kernel.extend((xs, j) for j, av in enumerate(ages) if av == 0)
+            kernel.extend((xs, j) for j in compress(count(), map(not_, ages)))
         low = min(filter(None, ages), default=None)
         if low is None:
             continue
@@ -359,9 +374,12 @@ def fold_chart(
             best, witnesses = low, []
             cut = max(best, limit)
         if low == best:
-            witnesses.extend((xs, j) for j, av in enumerate(ages) if av == low)
+            witnesses.extend((xs, j) for j in compress(count(), map(low.__eq__, ages)))
         if low <= limit:
-            rows.extend((xs, j, a2, av) for j, av in enumerate(ages) if 0 < av <= limit)
+            rows.extend(
+                (xs, j, a2, ages[j])
+                for j in compress(count(), map(limit.__ge__, ages)) if ages[j]
+            )
 
     keys = residue_keys(n).__getitem__
     w_keys: dict[tuple[int, ...], tuple] = {}  # one per W, shared by its rows

@@ -3,21 +3,24 @@
 ``fork_map(fn, tasks, workers)`` forks the workers, hands the tasks out one
 at a time as 4-byte indices on a shared token pipe (first task first, so
 the workers balance on their own), and collects each worker's
-``(index, fn(task))`` list, sent back as one pickle on the worker's own
-pipe.  Only the workers call ``fn``; this process writes the tokens, reads
-the results, reaps every worker (so its CPU time counts as this process's
-children's) and returns the results in task order.  A worker that fails
-makes ``fork_map`` raise; on any error here, an interrupt included, every
-worker still running is killed and reaped.
+``(index, fn(task))`` list, sent back as one ``marshal`` payload on the
+worker's own pipe.  So ``fn`` must return builtin types only (tuples,
+lists, ints, strings, bools, None and the like): ``marshal`` refuses an
+instance of any other class, a tuple subclass included, and the worker
+then fails.  Only the workers call ``fn``; this process writes the tokens,
+reads the results, reaps every worker (so its CPU time counts as this
+process's children's) and returns the results in task order.  A worker
+that fails makes ``fork_map`` raise; on any error here, an interrupt
+included, every worker still running is killed and reaped.
 
-``cli`` imports this module only when it fans out, so a serial run never
-loads it or ``pickle``.
+``marshal`` is built into the interpreter, so nothing is imported to send
+the results; ``cli`` imports this module only when it fans out.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
 import struct
 import sys
 from collections.abc import Callable
@@ -25,7 +28,10 @@ from collections.abc import Callable
 
 def fork_map(fn: Callable[[object], object], tasks: list, workers: int) -> list:
     """``[fn(task) for task in tasks]``, computed on ``workers`` forked
-    processes (the caller checks that ``os.fork`` exists)."""
+    processes (the caller checks that ``os.fork`` exists).  Each worker
+    sends all its results as one ``marshal`` payload, so ``fn`` returns
+    builtin types only; a result ``marshal`` refuses fails its worker, and
+    this call raises RuntimeError."""
     sys.stdout.flush()
     sys.stderr.flush()
     tokens, token_sink = os.pipe()
@@ -68,7 +74,7 @@ def fork_map(fn: Callable[[object], object], tasks: list, workers: int) -> list:
                 os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
-    results = dict(item for payload in payloads for item in pickle.loads(payload))
+    results = dict(item for payload in payloads for item in marshal.loads(payload))
     return [results[index] for index in range(len(tasks))]
 
 
@@ -86,7 +92,7 @@ def _work(
         while token := _read(tokens, 4):
             [index] = struct.unpack("<I", token)
             done.append((index, fn(tasks[index])))
-        _write_all(sink, pickle.dumps(done))
+        _write_all(sink, marshal.dumps(done))
         code = 0
     except BaseException:
         import traceback

@@ -95,27 +95,29 @@ class Report:
 
 def exception_row(rec: ExceptionRecord) -> dict:
     key, xs, ys, n, a2, av, matches_iii = rec
+    text = _texts(n).__getitem__  # one table lookup per row
     return {
         "h": key[0],
         "r": key[1],
-        "w_spec": _entries(xs, n),
-        "lambda_spec": _entries(ys, n),
-        "age_sym2": _age(a2, n),
-        "age_tensor": _age(av - a2, n),
-        "age_v": _age(av, n),
+        "w_spec": list(map(text, xs)),
+        "lambda_spec": list(map(text, ys)),
+        "age_sym2": text(a2),
+        "age_tensor": text(av - a2),
+        "age_v": text(av),
         "matches_iii": matches_iii,
     }
 
 
 def violation_row(v: ViolationRecord) -> dict:
     rule, key, xs, ys, n, av, v_order = v
+    text = _texts(n).__getitem__
     return {
         "rule": rule,
         "h": key[0],
         "r": key[1],
-        "w_spec": _entries(xs, n),
-        "lambda_spec": _entries(ys, n),
-        "age_v": _age(av, n),
+        "w_spec": list(map(text, xs)),
+        "lambda_spec": list(map(text, ys)),
+        "age_v": text(av),
         "v_order": v_order,
     }
 

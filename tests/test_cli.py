@@ -4,9 +4,10 @@ import argparse
 import ast
 import gc
 import hashlib
+import itertools
 import json
+import marshal
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -367,22 +368,23 @@ def test_deterministic_outputs(tmp_path, capsys):
 
 def test_jobs_do_not_change_bytes(tmp_path, capsys):
     # the exceptions run fans its five charts out over forked workers, and
-    # its violation rows come back through their pipes
+    # its violation rows come back through their pipes; every renderer,
+    # the text one reading the rebuilt records' fields, writes the same bytes
     cases = [
         (("sweep", "--h", "1", "--r", "4"), "3", 0),
         (("exceptions", "--g", "5", "--mode", "unconstrained",
           "--threshold", "terminal"), "2", 3),
     ]
-    for argv, jobs, expected in cases:
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        code = main([*argv, "--format", "json", "--jobs", "1", "--out", str(serial)])
+    for (argv, jobs, expected), fmt in itertools.product(cases, ("json", "text", "csv")):
+        serial = tmp_path / f"serial.{fmt}"
+        parallel = tmp_path / f"parallel.{fmt}"
+        code = main([*argv, "--format", fmt, "--jobs", "1", "--out", str(serial)])
         capsys.readouterr()
         assert code == expected
-        code = main([*argv, "--format", "json", "--jobs", jobs, "--out", str(parallel)])
+        code = main([*argv, "--format", fmt, "--jobs", jobs, "--out", str(parallel)])
         capsys.readouterr()
         assert code == expected
-        assert serial.read_bytes() == parallel.read_bytes(), argv
+        assert serial.read_bytes() == parallel.read_bytes(), (argv, fmt)
 
 
 def test_oracle_accepts_the_bounds(capsys):
@@ -439,16 +441,18 @@ def test_fan_out_without_fork_runs_serially(monkeypatch):
 
 
 def test_fan_out_returns_payloads_larger_than_a_pipe_buffer():
-    # chart (1, 3) at N = 24 pickles to about 273 KB, four 64 KiB pipe buffers
+    # chart (1, 3) at N = 24 marshals to about 339 KB, over five 64 KiB pipe buffers
     tasks = [(1, 3, 24, "unconstrained", True), (2, 2, 24, "unconstrained", True)]
     assert sweep_charts(tasks, 2) == sweep_charts(tasks, 1)
 
 
 # Ways a fanned-out sweep fails: a worker raises on one chart, a worker is
-# killed outright, or this process is interrupted while a worker is stuck.
+# killed outright, a chart's result holds an object marshal refuses, or this
+# process is interrupted while a worker is stuck.
 _FAILURES = {
     "raises": ("raise RuntimeError('chart failed on purpose')", "", "RuntimeError"),
     "killed": ("os.kill(os.getpid(), signal.SIGKILL)", "", "RuntimeError"),
+    "unmarshallable": ("return chart(task).replace(best=object())", "", "RuntimeError"),
     "interrupted": ("time.sleep(30)", """
 def interrupted(fd, *size):
     if os.getpid() == parent:
@@ -508,6 +512,9 @@ else:
         assert "chart failed on purpose" in done.stderr
     elif failure == "killed":
         assert f"worker failed: got signal {signal.SIGKILL:d}" in done.stdout
+    elif failure == "unmarshallable":
+        assert "worker failed: exited with 1" in done.stdout
+        assert "unmarshallable object" in done.stderr
 
 
 def test_jobs_env_var_is_not_read(tmp_path, capsys, monkeypatch):
@@ -575,8 +582,9 @@ assert "fractions" not in sys.modules, "the catalog run built a Fraction"
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # neither the import nor a fanned-out run loads a process pool, and the
-    # run leaves no worker behind; only a fanned-out run loads the fan-out
+    # neither the import nor a fanned-out run loads a process pool or
+    # pickle (the workers' results come back through marshal), and the run
+    # leaves no worker behind; only a fanned-out run loads the fan-out
     script = """
 import contextlib, io, os, sys
 import reidtai.cli
@@ -585,7 +593,8 @@ argv = ["exceptions", "--g", "5", "--mode", "unconstrained", "--threshold",
         "terminal", "--jobs", "2", "--format", "json"]
 with contextlib.redirect_stdout(io.StringIO()):
     assert reidtai.cli.main(argv) == 3
-loaded = {"concurrent.futures.process", "multiprocessing"} & set(sys.modules)
+assert "reidtai.fanout" in sys.modules, "the run did not fan out"
+loaded = {"concurrent.futures.process", "multiprocessing", "pickle"} & set(sys.modules)
 assert not loaded, loaded
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -748,14 +757,27 @@ def test_cyclic_garbage_does_not_grow_with_the_run(capsys):
 
 
 def test_pool_results_carry_no_objects():
-    # a chart's result comes back from a --jobs worker as integers: its
-    # pickle names no Fraction, rotation number, spectrum or class
-    result = reidtai.cli._chart((1, 4, 12, "unconstrained", True))
+    # a --jobs worker sends a chart's result as builtin types, which marshal
+    # takes (it refuses any other class, a tuple subclass included), and
+    # this process rebuilds the same result with its record types
+    task = (1, 4, 12, "unconstrained", True)
+    result = reidtai.cli._chart(task)
     assert result.exceptions and result.violations
-    data = pickle.dumps(result)
-    for name in (b"fractions", b"RotationNumber", b"Spectrum", b"ElementClass"):
-        assert name not in data
-    assert pickle.loads(data) == result
+    with pytest.raises(ValueError):
+        marshal.dumps(result)
+    plain = reidtai.cli._plain_chart(task)
+    rebuilt = reidtai.cli._rebuilt(marshal.loads(marshal.dumps(plain)))
+    # plain tuples equal the records, so equality cannot show the rebuild;
+    # the types do
+    assert rebuilt == result == plain
+    assert type(rebuilt) is reidtai.criterion.SweepResult
+    assert {type(rec) for rec in rebuilt.exceptions} == {reidtai.criterion.ExceptionRecord}
+    assert {type(rec) for rec in rebuilt.violations} == {reidtai.criterion.ViolationRecord}
+    # the rebuilt fields read as the originals do
+    assert [rec.element for rec in rebuilt.exceptions] == [
+        rec.element for rec in result.exceptions
+    ]
+    assert [rec.rule for rec in rebuilt.violations] == [rec.rule for rec in result.violations]
 
 
 # Reports of the fixed schema, for the writer against json.dumps.  Strings

@@ -245,6 +245,22 @@ def test_fold_keeps_a_state_at_the_cut(monkeypatch):
     assert len(folded.witness_rows) == len(fold_chart(cfg, w_states, [()]).witness_rows) + 1
 
 
+@pytest.mark.parametrize("ragged", [(0,), (0, 6, 6), (0, 6, 0, 6)])
+def test_fold_rejects_a_lambda_tuple_of_another_rank(ragged):
+    # the fold sums costs column by column over the Lambda tuples, and a
+    # short tuple would silently drop columns: every tuple must have r entries
+    cfg, w_states, lams = _chart(1, 2)
+    assert {len(ys) for ys in lams} == {2}
+    with pytest.raises(ValueError, match="r = 2"):
+        fold_chart(cfg, w_states, [*lams[:3], ragged, *lams[3:]])
+    # the r = 0 folds pass one empty tuple
+    cfg = EnumerationConfig(2, 0, 12)
+    w_states = list(abelian_factor_classes(cfg))
+    with pytest.raises(ValueError, match="r = 0"):
+        fold_chart(cfg, w_states, [(6,)])
+    assert fold_chart(cfg, w_states, [()]) == full_fold(cfg, w_states, [()])
+
+
 def _reference_sym2_minimum(dim, spectra):
     # the r = 0 chart: V = Sym^2, whose kernel is +-1
     classes = [ElementClass.build(s, Spectrum()) for s in spectra]
