@@ -11,10 +11,9 @@ parts: one companion block per part, one Sym^2 block per pair of parts
 p <= q, one Kronecker block per part of each factor.  After an exact check
 that nothing lies outside those blocks (a matrix that fails it is solved
 whole), each distinct block is solved once per run, on its own, and a
-problem's angles are the sorted union of its blocks' angles.
-The rows are snapped to their exact grids one stack of problems at a time,
-and each problem's verdict, or the first failure of its steps, is stored in
-one table; each case then reads its steps from that table.
+problem's angles are the sorted union of its blocks' angles.  Each
+problem's verdict, or the first failure of its steps, is stored in one
+table; each case then reads its steps from that table.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ from .rotations import (
 )
 
 
-# Most matrix entries in one stack of problem matrices a run builds; a run
-# builds each stack only when it cuts it into blocks and keeps only the
-# distinct blocks, so this bounds the memory a run holds in matrices.
+# Most angles in the rows one match_angles call snaps, so it bounds the rows
+# and exact spectra a run holds waiting for their match.
 STACK_ENTRIES = 1 << 15
 
 
@@ -113,9 +111,9 @@ def numeric_angles(m: np.ndarray) -> np.ndarray:
     """Eigenvalue arguments over 2*pi, each folded into [0, 1), as a sorted
     float64 array.
 
-    ``m`` is one integer matrix, or an integer array of k same-size square
-    matrices whose angles come back as k sorted rows; one failed extraction
-    or one eigenvalue off the unit circle fails the whole stack.
+    ``m`` is one integer matrix (the library passes one block), or a stack of
+    k same-size matrices (the tests' whole-matrix reference) whose k sorted
+    rows fail together on one failed extraction or off-circle eigenvalue.
     """
     if m.shape[-1] == 0:
         return np.empty(m.shape[:-1])
@@ -360,17 +358,13 @@ def solve_stacked(
     tolerance out of range, and a grid too fine for the tolerance, stored
     as a ValueError.
 
-    The problems of one matrix size are built whole in chunks of at most
-    STACK_ENTRIES matrix entries (one matrix if it alone is larger).  Each
-    matrix is cut into the diagonal blocks :func:`_labels` claims for it,
-    after an exact check on the integer matrix that every entry outside
-    them is zero; a matrix that fails the check is one block, solved
-    whole.  A block is known by its size and bytes, and each distinct block
-    is solved once per run, alone, as one matrix through
-    :func:`numeric_angles`; a failed block fails every problem holding it.
-    A problem's angle row is the sorted concatenation of its blocks'
-    angles, and one :func:`match_angles` call snaps a chunk's rows to their
-    exact grids.
+    Problem by problem, by size, each matrix is built whole and cut by
+    :func:`_blocks` along its cached :func:`_layout`.  Each distinct block
+    is solved once per run, alone; a failed block fails every problem
+    holding it.  A problem's row, the sorted union of its blocks' angles,
+    waits with its exact spectrum for one :func:`match_angles` call over as
+    many rows as STACK_ENTRIES angles hold (at least one), or over the rest
+    at the end of each size.
     """
     realized = {}
     for sig in dict.fromkeys(sig for pair in drawn for sig in pair):
@@ -378,117 +372,95 @@ def solve_stacked(
             realized[sig] = memo[("realize", sig)] = _realized(sig)
         except OracleFailure as exc:
             memo[("realize", sig)] = exc
-    angles: dict[tuple[int, bytes], np.ndarray | OracleFailure] = {}
-    failed: dict[tuple[int, bytes], OracleFailure] = {}  # the failed blocks
+    solved: dict = {}  # each block's sorted angles, or its solve's failure
     for size, problems in sorted(_problems(drawn, realized).items()):
-        per_chunk = max(1, STACK_ENTRIES // max(1, size * size))
-        for start in range(0, len(problems), per_chunk):
-            chunk = problems[start : start + per_chunk]
-            _solve_chunk(chunk, size, tol, memo, angles, failed)
+        per_match, queued = max(1, STACK_ENTRIES // max(1, size)), []
+        for key, matrix, exact in problems:
+            try:
+                mat = matrix()
+            except OracleFailure as exc:
+                memo[key] = exc
+                continue
+            kind, *sigs = key
+            layout = _layout(kind, *(tuple(map(totient, sig.parts)) for sig in sigs))
+            angles = []
+            for block in _blocks(mat, layout):
+                if block not in solved:
+                    side, data = block
+                    square = np.frombuffer(data, dtype=np.int64).reshape(side, side)
+                    try:
+                        solved[block] = numeric_angles(square)
+                    except OracleFailure as exc:
+                        solved[block] = exc
+                angles.append(solved[block])
+            failure = next((a for a in angles if isinstance(a, OracleFailure)), None)
+            if failure is not None:
+                memo[key] = failure
+                continue
+            try:
+                queued.append((key, exact(), angles))
+            except ValueError as exc:
+                memo[key] = exc
+                continue
+            if len(queued) == per_match:
+                _match(queued, size, tol, memo)
+        if queued:
+            _match(queued, size, tol, memo)
 
 
 @lru_cache(maxsize=None)
-def _part_labels(degrees: tuple[int, ...], square: bool) -> np.ndarray:
-    """The part of each basis vector of a realization whose parts have these
-    degrees, or, when ``square``, the pair of parts p <= q of each Sym^2
-    basis vector e_i.e_j (i in p, j in q), as p * len(degrees) + q."""
-    labels = np.repeat(np.arange(len(degrees)), degrees)
-    if square:
+def _layout(kind: str, degrees: tuple[int, ...], b_degrees: tuple[int, ...] = ()) -> tuple:
+    """The diagonal blocks of a problem matrix of this kind whose factors'
+    parts have these degrees, one per part of a realization, per pair of
+    parts p <= q of a Sym^2 matrix (e_i.e_j, i in p, j in q) or per part p
+    of a and q of b of a Kronecker matrix (i*m + k, i in p, k in q): the
+    stable order sorting each index's block label, the sorted labels as a
+    column, the labels (int16 arrays, which hold every label and index while
+    each signature's degree is at most 181; the CLI allows 24), the sides."""
+    labels = np.repeat(np.arange(len(degrees), dtype=np.int16), degrees)
+    if kind == "sym2":
         i, j = _square_basis(len(labels))[:2]
         labels = labels[i] * len(degrees) + labels[j]
-    labels.setflags(write=False)  # shared by every caller of the cache
-    return labels
+    elif kind == "tensor":
+        b_labels = np.repeat(np.arange(len(b_degrees), dtype=np.int16), b_degrees)
+        labels = (labels[:, None] * len(b_degrees) + b_labels).flatten()
+    order = np.argsort(labels, kind="stable").astype(np.int16)
+    sides = np.bincount(labels)
+    layout = order, labels[order[:, None]], labels
+    for a in layout:
+        a.setflags(write=False)  # shared by every caller of the cache
+    return *layout, tuple(sides[sides > 0].tolist())
 
 
-def _labels(key: tuple) -> np.ndarray:
-    """The diagonal block each index of a problem's matrix is claimed for,
-    as one label per index: a block per part of a realization, per pair of
-    parts p <= q of a Sym^2 matrix, and per part p of a and q of b of a
-    Kronecker matrix, whose index i*m + k has i in p and k in q."""
-    kind, a, *b = key
-    labels = _part_labels(tuple(map(totient, a.parts)), kind == "sym2")
-    if kind == "tensor":
-        degrees = tuple(map(totient, b[0].parts))
-        labels = (labels[:, None] * len(degrees) + _part_labels(degrees, False)).ravel()
-    return labels
-
-
-def _blocks(stack: np.ndarray, labels: np.ndarray) -> list[list[tuple[int, bytes]]]:
-    """Each matrix of a stack, given its row of labels, as its diagonal
-    blocks (size, bytes) in label order; a matrix with a nonzero entry
-    between two labels is one block, the whole matrix.
-
-    The rows of each matrix are gathered in label order (a stable sort).
-    Each row's entries in the columns of its own label, read row by row,
-    are then every block in turn, row-major, so one buffer holds them all
-    and each block is a slice of it."""
-    k, size, _ = stack.shape
-    each = np.arange(k)[:, None]
-    order = np.argsort(labels, axis=1, kind="stable")
-    ranked, rows = labels[each, order], stack[each, order]
-    inside = ranked[:, :, None] == labels[:, None, :]
-    outside = np.any((rows != 0) & ~inside, axis=(1, 2))
-    data = rows[inside].tobytes()
-    del rows  # the buffer holds its own copy, and the slices hold another
-    last = np.ones((k, size), dtype=bool)  # the last row of each block
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=last[:, :-1])
-    out: list[list[tuple[int, bytes]]] = [[] for _ in range(k)]
-    start, prev = 0, -1
-    for end in np.flatnonzero(last).tolist():
-        side = end - prev
-        stop = start + side * side * stack.itemsize
-        out[end // size].append((side, data[start:stop]))
-        start, prev = stop, end
-    for i in np.flatnonzero(outside).tolist():
-        out[i] = [(size, stack[i].tobytes())]
+def _blocks(mat: np.ndarray, layout: tuple) -> list[tuple[int, bytes]]:
+    """An int64 matrix as its diagonal blocks (side, bytes) along a
+    :func:`_layout`, or as one block, itself, if an entry outside them is
+    nonzero.  With the rows gathered in layout order, each row's entries in
+    the columns of its own label are every block in turn, row-major, so
+    each block is a slice of one buffer, which must hold every nonzero."""
+    order, ranked, labels, sides = layout
+    kept = mat.take(order, 0)[ranked == labels]
+    if np.count_nonzero(kept) != np.count_nonzero(mat):
+        return [(len(mat), mat.tobytes())]
+    data, start, out = kept.tobytes(), 0, []
+    for side in sides:
+        out.append((side, data[start : start + side * side * 8]))
+        start += side * side * 8
     return out
 
 
-def _solve_chunk(
-    chunk: list, size: int, tol: float, memo: dict, angles: dict, failed: dict
-) -> None:
-    # each matrix goes straight into the stack, so the chunk is held once
-    stack = np.empty((len(chunk), size, size), dtype=np.int64)
-    built = []
-    for key, matrix, exact in chunk:
-        try:
-            stack[len(built)] = matrix()
-        except OracleFailure as exc:
-            memo[key] = exc
-            continue
-        built.append((key, exact))
-    if not built:
-        return
-    blocks = _blocks(stack[: len(built)], np.stack([_labels(key) for key, _ in built]))
-    del stack  # the blocks are copies
-    for block in dict.fromkeys(chain.from_iterable(blocks)):
-        if block not in angles:
-            side, data = block
-            try:
-                angles[block] = numeric_angles(
-                    np.frombuffer(data, dtype=np.int64).reshape(side, side)
-                )
-            except OracleFailure as exc:
-                angles[block] = failed[block] = exc
-    solved, spectra, pieces = [], [], []
-    for (key, exact), bs in zip(built, blocks):
-        failure = next((failed[b] for b in bs if b in failed), None) if failed else None
-        if failure is not None:
-            memo[key] = failure
-            continue
-        try:
-            spectra.append(exact())
-        except ValueError as exc:
-            memo[key] = exc
-            continue
-        solved.append(key)
-        pieces += map(angles.__getitem__, bs)
-    rows = np.concatenate([np.empty(0), *pieces]).reshape(len(solved), size)
+def _match(queued: list, size: int, tol: float, memo: dict) -> None:
+    """Store the verdict of each queued (key, exact spectrum, pieces of
+    angles), whose row is the sorted union of its pieces; empty the queue."""
+    keys, spectra, pieces = zip(*queued)
+    queued.clear()
+    rows = np.concatenate([np.empty(0), *chain.from_iterable(pieces)])
+    rows = np.sort(rows.reshape(len(keys), size), axis=1)
     try:
-        verdicts = match_angles(np.sort(rows, axis=1), spectra, tol)
+        verdicts = match_angles(rows, spectra, tol)
     except ValueError as exc:  # a tolerance out of range
-        verdicts = [exc] * len(solved)
-    for key, spectrum, verdict in zip(solved, spectra, verdicts):
+        verdicts = [exc] * len(keys)
+    for key, spectrum, verdict in zip(keys, spectra, verdicts):
         if verdict is None:
             verdict = ValueError(
                 f"grid 1/{element_order(spectrum)} too fine to snap angles"

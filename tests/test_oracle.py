@@ -358,13 +358,13 @@ def _distinct_blocks(drawn):
 
 
 def _count_rows(monkeypatch):
-    """The number of dimensions of each array numeric_angles receives, one
-    entry per call."""
+    """The number of dimensions, the length and the bytes of each array
+    numeric_angles receives, one entry per call."""
     solved = []
     original = oracle.numeric_angles
 
     def counted(m):
-        solved.append(m.ndim)
+        solved.append((m.ndim, len(m), m.tobytes()))
         return original(m)
 
     monkeypatch.setattr(oracle, "numeric_angles", counted)
@@ -390,8 +390,10 @@ def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     assert counts["tensor"] == len(pairs)
     # what is solved is each distinct diagonal block of those problems, once
     problems = len(signatures) + len(firsts) + len(pairs)
-    assert len(solved) == len(_distinct_blocks(drawn)) < problems
-    assert set(solved) == {2}  # each block is solved alone, as one matrix
+    blocks = _distinct_blocks(drawn)
+    assert len(solved) == len(blocks) < problems
+    assert {ndim for ndim, _, _ in solved} == {2}  # each block alone, as one matrix
+    assert {(side, data) for _, side, data in solved} == blocks
 
 
 def test_crosscheck_order_and_short_circuit():
@@ -546,8 +548,7 @@ def test_no_solving_after_solve_stacked(monkeypatch, fault):
 
 
 # The block solve: each distinct diagonal block is solved once per run, on
-# its own, and the problem matrices a run builds come in stacks of at most
-# STACK_ENTRIES matrix entries.
+# its own, and one match_angles call snaps at most STACK_ENTRIES angles.
 
 
 def test_no_stack_exceeds_the_entry_cap(monkeypatch):
@@ -558,41 +559,59 @@ def test_no_stack_exceeds_the_entry_cap(monkeypatch):
         sizes.append(a.size)
         return original(a)
 
-    cut = oracle._blocks
-    built = []
+    match = oracle.match_angles
+    matched = []
 
-    def recorded(stack, labels):
-        built.append(stack.size)
-        return cut(stack, labels)
+    def recorded(angles, exact, tol):
+        matched.append(angles.shape)
+        return match(angles, exact, tol)
 
     monkeypatch.setattr(oracle.np.linalg, "eigvals", counted)
-    monkeypatch.setattr(oracle, "_blocks", recorded)
-    run_oracle_cases(300, seed=3, max_degree=12)
-    assert max(sizes) <= oracle.STACK_ENTRIES
-    assert max(built) <= oracle.STACK_ENTRIES
-    assert sum(built) > 4 * oracle.STACK_ENTRIES  # so the cap splits stacks
+    monkeypatch.setattr(oracle, "match_angles", recorded)
+    run_oracle_cases(4000, seed=3, max_degree=12)
+    cap = oracle.STACK_ENTRIES
+    assert max(sizes) <= cap
+    assert all(rows * side <= max(cap, side) for rows, side in matched)
+    assert sum(rows * side for rows, side in matched) > 4 * cap
+    # the cap splits the rows of some size over more than one call
+    assert len(matched) > len({side for _, side in matched})
 
 
-def test_entry_outside_the_blocks_is_solved_whole(monkeypatch):
-    # one first signature's Sym^2 matrix gains one nonzero entry between two
-    # of its claimed blocks, in the oracle and in the reference alike: the
-    # exact check sends that matrix to one whole solve, and every case keeps
-    # the verdict of the whole-matrix reference
+@pytest.mark.parametrize("kind", ["sym2", "tensor"])
+def test_entry_outside_the_blocks_is_solved_whole(monkeypatch, kind):
+    # one recurring problem's matrix, the Sym^2 of a first signature or the
+    # Kronecker product of a pair, gains one nonzero entry between two of
+    # its claimed blocks, in the oracle and in the reference alike: the
+    # exact check sends that matrix to one whole solve, and every case
+    # keeps the verdict of the whole-matrix reference
     drawn = _drawn(200, 4)
-    firsts = [a for a, _ in drawn]
-    bad = next(a for a in firsts if firsts.count(a) > 1 and len(a.parts) > 1)
-    sets = ref.block_sets("sym2", bad)
+    if kind == "sym2":
+        firsts = [a for a, _ in drawn]
+        bad = (next(a for a in firsts if firsts.count(a) > 1 and len(a.parts) > 1),)
+        builds = [(oracle, "sym2_matrix"), (ref, "sym2_matrix")]
+    else:
+        bad = next(
+            pair for pair in drawn
+            if drawn.count(pair) > 1 and len(pair[0].parts) * len(pair[1].parts) > 1
+        )
+        builds = [(oracle, "kron_matrix"), (np, "kron")]
+    sets = ref.block_sets(kind, *bad)
     row, col = sets[0][0], sets[-1][-1]
-    entries = realize(bad)
+    entries = [realize(sig) for sig in bad]
 
-    def forge(out):
-        out = out.copy()
-        out[row, col] = 1
-        return out
+    def forge(build):
+        def forged(*args):
+            out = build(*args)
+            if all(map(np.array_equal, args, entries)):
+                out = out.copy()
+                out[row, col] = 1
+            return out
 
-    for module in (oracle, ref):
-        monkeypatch.setattr(module, "sym2_matrix", _on_matrix(module.sym2_matrix, 0, entries, forge))
-    forged = forge(sym2_matrix(entries))
+        return forged
+
+    forged = forge(sym2_matrix if kind == "sym2" else kron_matrix)(*entries)
+    for module, name in builds:
+        monkeypatch.setattr(module, name, forge(getattr(module, name)))
     solve = oracle.numeric_angles
     seen = []
 
@@ -791,8 +810,9 @@ def test_kron_matrix_is_np_kron(a, b):
 
 # tracemalloc's peak over run_oracle_cases(1000, seed=3) in a fresh process
 # with numpy and reidtai.oracle imported: 2,142,262 bytes before the block
-# solve (Python 3.11, numpy 2.4).  A run may hold only a chunk's matrices
-# and rows at a time, so the guard allows 10 % over that.
+# solve (Python 3.11, numpy 2.4).  A run holds one problem matrix at a
+# time, the rows and spectra of one match (at most STACK_ENTRIES angles)
+# and the block layouts it has met, so the guard allows 10 % over that.
 PARENT_ORACLE_PEAK = 2_142_262
 
 
