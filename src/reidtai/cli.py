@@ -20,6 +20,7 @@ from .enumeration import CONSTRAINT_MODES
 from .report import (
     RENDERERS,
     Report,
+    _spec_text,
     chart_verdict_row,
     interior_verdict_row,
     sweep_rows,
@@ -257,9 +258,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
         report.minima.append(minima)
         return report, EXIT_OK
 
-    [result] = sweep_charts(
-        [(args.h, args.r, args.order_divides, args.mode, include_age_one)], args.jobs
-    )
+    # one chart, so --jobs has nothing to fan out: it runs here
+    result = _chart((args.h, args.r, args.order_divides, args.mode, include_age_one))
     minima, exceptions, violations = sweep_rows(result)
     report.minima.append(minima)
     report.exceptions.extend(exceptions)
@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     if code == EXIT_VIOLATION:
         sys.stderr.write("".join(
             f"proposition violation [{row['rule']}]: h={row['h']} r={row['r']}"
-            f" w={row['w_spec']} lambda={row['lambda_spec']}"
+            f" w={_spec_text(row['w_spec'])} lambda={_spec_text(row['lambda_spec'])}"
             f" age_v={row['age_v']} order-on-chart={row['v_order']}\n"
             for row in report.violations
         ))

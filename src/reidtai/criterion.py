@@ -547,9 +547,7 @@ def reduction_support(n: int, h_max: int) -> Fraction:
         raise ValueError("orbit order must be positive")
     if 12 % n == 0:
         raise ValueError(f"order {n} divides 12; no reduction evidence needed")
-    degree = totient(n)
-    if degree % 2 == 1 and n > 2:
-        raise ValueError(f"impossible embedding: orbit degree {degree} is odd")
+    degree = totient(n)  # even, as n > 2 here
     if degree > 2 * h_max:
         raise ValueError(
             f"orbit degree {degree} exceeds the homology budget {2 * h_max}"

@@ -18,7 +18,6 @@ from .functors import v_spectrum
 from .rotations import (
     Frozen,
     Spectrum,
-    _set_field,
     divisors,
     element_order,
     residue_keys,
@@ -33,15 +32,7 @@ class EnumerationConfig(Frozen):
     """Shape of one enumeration run: dimensions, order bound, filters."""
 
     __slots__ = ("h", "r", "order_divides", "constraint_mode")
-
-    def __init__(
-        self, h: int, r: int, order_divides: int = 12, constraint_mode: str = "integral-both"
-    ) -> None:
-        _set_field(self, "h", h)
-        _set_field(self, "r", r)
-        _set_field(self, "order_divides", order_divides)
-        _set_field(self, "constraint_mode", constraint_mode)
-        self.__post_init__()
+    _defaults = (12, "integral-both")
 
     def __post_init__(self) -> None:
         if self.h < 0 or self.r < 0:

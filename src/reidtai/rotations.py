@@ -39,32 +39,46 @@ MAX_DEGREE = 24
 # Linux), so a larger count is refused rather than left to exhaust memory.
 MAX_SAMPLES = 100_000
 
-_set_field = object.__setattr__
-
 
 class Frozen:
-    """Immutable value: the fields are the ``__slots__``, set once by
-    ``__init__`` (a subclass with defaults or validation sets them with
-    ``_set_field`` and calls ``__post_init__``).  Equality and hash go by
-    exact type and fields, so a value never equals a tuple or another
+    """Immutable value: the fields are the ``__slots__``, given in order to
+    the constructor, which fills missing trailing fields from ``_defaults``
+    and then runs ``__post_init__``, a subclass's check.  Equality and hash
+    go by exact type and fields, so a value never equals a tuple or another
     class's value; pickling and copying rebuild through the constructor."""
 
     __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        # a C-level read of the fields (the value itself for one field),
+        # and the slot setters, which bypass the refusing __setattr__
+        cls._values = attrgetter(*cls.__slots__)
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *values: object) -> None:
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
-        for name, value in zip(self.__slots__, values):
-            _set_field(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):
+            missing = len(setters) - len(values)
+            if not 0 < missing <= len(self._defaults):
+                raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+            values += self._defaults[-missing:]
+        i = 0  # an index beats zip over one to six fields
+        for set_field in setters:
+            set_field(self, values[i])
+            i += 1
+        self.__post_init__()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __post_init__(self) -> None:
+        pass
 
     def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -77,7 +91,8 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        values = self._values(self)
+        return type(self), values if len(self.__slots__) > 1 else (values,)
 
 
 class RotationNumber(Frozen):
@@ -88,11 +103,6 @@ class RotationNumber(Frozen):
     """
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int) -> None:
-        _set_field(self, "num", num)
-        _set_field(self, "den", den)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.den <= 0:
@@ -109,14 +119,6 @@ class RotationNumber(Frozen):
     @property
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     @property
     def fraction(self) -> Fraction:
@@ -174,21 +176,12 @@ class Spectrum(Frozen):
     """
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[RotationNumber, ...] = ()) -> None:
-        _set_field(self, "entries", entries)
-        self.__post_init__()
+    _defaults = ((),)
 
     def __post_init__(self) -> None:
         keys = list(map(_sort_key, self.entries))
         if keys != sorted(keys):
             raise ValueError("entries not canonically sorted; use Spectrum.of")
-
-    def __eq__(self, other: object) -> bool:
-        return self.entries == other.entries if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     @classmethod
     def of(cls, entries: Iterable[RotationNumber]) -> Spectrum:
@@ -311,22 +304,13 @@ class OrbitSignature(Frozen):
     """
 
     __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...] = ()) -> None:
-        _set_field(self, "parts", parts)
-        self.__post_init__()
+    _defaults = ((),)
 
     def __post_init__(self) -> None:
         if any(n <= 0 for n in self.parts):
             raise ValueError("orbit orders must be positive")
         if any(a > b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("parts not sorted; use OrbitSignature.of")
-
-    def __eq__(self, other: object) -> bool:
-        return self.parts == other.parts if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @classmethod
     def of(cls, parts: Iterable[int]) -> OrbitSignature:

@@ -8,6 +8,7 @@ import itertools
 import json
 import marshal
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -549,6 +550,7 @@ def test_jobs_env_var_is_not_read(tmp_path, capsys, monkeypatch):
         ("oracle_s200_seed3.json", ("oracle", "--samples", "200", "--seed", "3",
                                     "--format", "json")),
         ("exceptions_g12.json", ("exceptions", "--g", "12", "--format", "json")),
+        ("oracle_s3.txt", ("oracle", "--samples", "3", "--format", "text")),
     ],
 )
 def test_golden_reports(capsys, golden, argv):
@@ -728,7 +730,10 @@ def test_process_writes_what_main_writes(capsys, tmp_path, argv, code):
     assert lines == err.splitlines()[:-1]
     assert elapsed.startswith("elapsed: ")
     if code == 3:
-        assert lines and all(line.startswith("proposition violation") for line in lines)
+        # spectra are written as the text report writes them: w=[2/3] lambda=[1/2 1/2]
+        shape = (r"proposition violation \[[a-z0-9-]+\]: h=\d+ r=\d+"
+                 r" w=\[[0-9/ ]*\] lambda=\[[0-9/ ]*\] age_v=\d+/\d+ order-on-chart=\d+")
+        assert lines and all(re.fullmatch(shape, line) for line in lines), lines
         assert target.read_text() == done.stdout
 
 

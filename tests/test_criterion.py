@@ -169,6 +169,21 @@ def test_sweep_v_below_hypothesis_raises():
     assert violations
     assert all(v.rule == "order-2" for v in violations)
     assert all(v.age_v < 1 and v.v_order != 2 for v in violations)
+    # shown as one line per violation, joined with "; "
+    assert str(info.value).split("; ") == [
+        "order-2: (h=1, r=2, w={2/3}, lambda={1/2, 1/2}) age_v=2/3 order-on-chart=6",
+        "order-2: (h=1, r=2, w={2/3}, lambda={1/3, 2/3}) age_v=2/3 order-on-chart=3",
+        "order-2: (h=1, r=2, w={1/6}, lambda={0/1, 0/1}) age_v=2/3 order-on-chart=6",
+        "order-2: (h=1, r=2, w={1/6}, lambda={1/6, 5/6}) age_v=2/3 order-on-chart=3",
+    ]
+
+
+def test_sweep_result_replace_takes_only_its_fields():
+    result = sweep_v(2, 4, 12)
+    assert result.replace(best=None) == (*result[:4], None, *result[5:])
+    with pytest.raises(TypeError) as info:
+        result.replace(best=None, bogus=1)
+    assert str(info.value) == f"SweepResult fields are {result._fields}, got ['best', 'bogus']"
 
 
 def test_sweep_threshold_terminal_rows():

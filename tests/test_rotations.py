@@ -1,8 +1,10 @@
 """Rotation-number arithmetic and Galois-orbit certification."""
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import reidtai
 from reference_enumeration import (
     cyclotomic_signatures,
     rotation_universe,
@@ -22,6 +25,7 @@ from reidtai.enumeration import ElementClass, EnumerationConfig
 from reidtai.functors import power
 from reidtai.rotations import (
     MAX_DENOMINATOR,
+    Frozen,
     OrbitSignature,
     RotationNumber,
     Spectrum,
@@ -318,6 +322,22 @@ def test_value_class_semantics(cls, names, values):
         assert type(copied) is cls and copied == value
     fields = ", ".join(f"{name}={v!r}" for name, v in zip(names, values))
     assert repr(value) == f"{cls.__name__}({fields})"
+
+
+def test_frozen_alone_builds_compares_and_hashes():
+    # one constructor, equality and hash for every value class: a subclass
+    # gives its fields, its _defaults and a __post_init__ check, and methods
+    for info in pkgutil.iter_modules(reidtai.__path__):
+        importlib.import_module(f"reidtai.{info.name}")
+    found, stack = set(), [Frozen]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("reidtai.") and cls not in found:
+                found.add(cls)
+                stack.append(cls)
+    assert found == {cls for cls, _, _ in VALUE_CLASSES}
+    for cls in found:
+        assert not {"__init__", "__eq__", "__hash__"} & vars(cls).keys(), cls
 
 
 @pytest.mark.parametrize(
