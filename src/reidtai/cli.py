@@ -19,7 +19,6 @@ from . import criterion
 from .enumeration import CONSTRAINT_MODES
 from .report import (
     RENDERERS,
-    Report,
     _spec_text,
     chart_verdict_row,
     interior_verdict_row,
@@ -96,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=_in_range(int, lambda k: k >= 1, "must be >= 1"),
-        default=1, metavar="K", help="worker processes (default 1)",
+        default=1, metavar="K",
+        help="fan the exceptions charts out over K forked workers (default 1);"
+        " a sweep runs in one process",
     )
 
     p_sweep = sub.add_parser(
@@ -149,32 +150,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _chart(task: tuple) -> criterion.SweepResult:
     """Sweep one chart; a violating chart returns its result instead of
-    raising, so the other charts still run and the report lists every row
-    (a worker sends back its result, not an exception).  The result holds
-    integer records only: tuples of ints, strings and bools, no Fraction,
-    spectrum or class."""
+    raising, so the other charts still run and the report lists every row.
+    The result holds integer records only: tuples of ints, strings and
+    bools, no Fraction, spectrum or class."""
     try:
         return criterion.sweep_v(*task)
     except criterion.PropositionViolation as exc:
         return exc.result
 
 
-def _plain_chart(task: tuple) -> tuple:
-    """A forked worker's :func:`_chart`: the result as builtin types for
-    ``marshal``, the result and each record a plain tuple of its fields."""
-    *head, exceptions, violations = _chart(task)
-    return (*head, tuple(map(tuple, exceptions)), tuple(map(tuple, violations)))
-
-
-def _rebuilt(plain: tuple) -> criterion.SweepResult:
-    """The :class:`~reidtai.criterion.SweepResult` of :func:`_plain_chart`'s
-    tuples, its records rebuilt by the record types themselves."""
-    *head, exceptions, violations = plain
-    return criterion.SweepResult((
-        *head,
-        tuple(map(criterion.ExceptionRecord, exceptions)),
-        tuple(map(criterion.ViolationRecord, violations)),
-    ))
+def _catalog_chart(task: tuple) -> tuple[dict, list[dict], list[dict], dict]:
+    """One ``exceptions`` chart, catalog-checked, as its report rows:
+    minima, exception rows, violation rows and verdict.  The rows are dicts,
+    lists, strings, ints, bools and None, so a forked worker sends them
+    through ``marshal`` as they are."""
+    result = criterion.check_exception_catalog(_chart(task))
+    return (*sweep_rows(result), chart_verdict_row(result))
 
 
 def _usable_cpus() -> int:
@@ -185,20 +176,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def sweep_charts(tasks: list[tuple], jobs: int) -> list[criterion.SweepResult]:
-    """Sweep each (h, r, order_divides, mode, include_age_one) chart, in
-    task order, on at most one forked worker per job, chart and usable CPU
-    (:func:`reidtai.fanout.fork_map`: charts handed out one at a time, the
-    first task first).  The workers send each result back as plain tuples
-    through ``marshal`` (:func:`_plain_chart`), and this process rebuilds
-    the records (:func:`_rebuilt`).  One worker, or a platform without
+def sweep_charts(tasks: list[tuple], jobs: int) -> list[tuple]:
+    """The :func:`_catalog_chart` rows of each (h, r, order_divides, mode,
+    include_age_one) chart, in task order, swept on at most one forked
+    worker per job, chart and usable CPU (:func:`reidtai.fanout.fork_map`:
+    charts handed out one at a time, the first task first).  Each worker
+    sends its charts' finished rows back through ``marshal``, so this
+    process only joins them.  One worker, or a platform without
     ``os.fork``, sweeps the charts here instead."""
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
-        return [_chart(task) for task in tasks]
+        return [_catalog_chart(task) for task in tasks]
     from .fanout import fork_map  # loaded only by a fanned-out run
 
-    return list(map(_rebuilt, fork_map(_plain_chart, tasks, workers)))
+    return fork_map(_catalog_chart, tasks, workers)
+
+
+def _report(config: dict) -> dict:
+    """An empty report: the config echo and its row sections.  The oracle
+    command adds an ``oracle`` section."""
+    return {"config": config, "minima": [], "exceptions": [], "violations": [], "verdicts": []}
+
+
+def _add_chart(
+    report: dict, minima: dict, exceptions: list, violations: list, verdict: dict
+) -> None:
+    """Append one boundary chart's rows to the report."""
+    report["minima"].append(minima)
+    report["exceptions"] += exceptions
+    report["violations"] += violations
+    report["verdicts"].append(verdict)
 
 
 def _echo_config(args: argparse.Namespace, command: str) -> dict:
@@ -214,9 +221,9 @@ def _echo_config(args: argparse.Namespace, command: str) -> dict:
     return config
 
 
-def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Report, int]:
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[dict, int]:
     include_age_one = args.threshold == "terminal"
-    report = Report(config=_echo_config(args, "sweep"))
+    report = _report(_echo_config(args, "sweep"))
     if (args.interior or args.r is None) and args.mode != "integral-both":
         parser.error("the interior and the Sym^2 table (--h without --r) are integral-both only")
     if (args.interior or args.r is None or args.h == 0) and include_age_one:
@@ -231,8 +238,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
         if args.g < 1:
             parser.error("--g must be >= 1")
         summary = criterion.interior_verdict(args.g, args.order_divides)
-        report.verdicts.append(interior_verdict_row(summary))
-        report.minima.append(
+        report["verdicts"].append(interior_verdict_row(summary))
+        report["minima"].append(
             sym2_minima_row(summary.g, summary.min_age, summary.witnesses)
         )
         return report, EXIT_OK
@@ -248,50 +255,42 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
         if args.h < 1:
             parser.error("the Sym^2 sweep needs --h >= 1")
         min_age, witnesses = criterion.sweep_sym2(args.h, args.order_divides)
-        report.minima.append(sym2_minima_row(args.h, min_age, witnesses))
+        report["minima"].append(sym2_minima_row(args.h, min_age, witnesses))
         return report, EXIT_OK
 
     if args.h == 0:
         summary = criterion.torus_summary(args.r, args.order_divides, args.mode)
         verdict, minima = torus_rows(summary)
-        report.verdicts.append(verdict)
-        report.minima.append(minima)
+        report["verdicts"].append(verdict)
+        report["minima"].append(minima)
         return report, EXIT_OK
 
-    # one chart, so --jobs has nothing to fan out: it runs here
+    # one chart, so --jobs has nothing to fan out: it runs here, unchecked
+    # against the catalog
     result = _chart((args.h, args.r, args.order_divides, args.mode, include_age_one))
-    minima, exceptions, violations = sweep_rows(result)
-    report.minima.append(minima)
-    report.exceptions.extend(exceptions)
-    report.violations.extend(violations)
-    report.verdicts.append(chart_verdict_row(result))
-    return report, EXIT_VIOLATION if violations else EXIT_OK
+    _add_chart(report, *sweep_rows(result), chart_verdict_row(result))
+    return report, EXIT_VIOLATION if report["violations"] else EXIT_OK
 
 
 def _cmd_exceptions(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[Report, int]:
+) -> tuple[dict, int]:
     if args.g < 1:
         parser.error("--g must be >= 1")
     include_age_one = args.threshold == "terminal"
-    report = Report(config=_echo_config(args, "exceptions"))
+    report = _report(_echo_config(args, "exceptions"))
     tasks = [
         (h, args.g - h, args.order_divides, args.mode, include_age_one)
         for h in range(1, args.g + 1)
     ]
-    for result in sweep_charts(tasks, args.jobs):
-        result = criterion.check_exception_catalog(result)
-        minima, exceptions, violations = sweep_rows(result)
-        report.minima.append(minima)
-        report.exceptions.extend(exceptions)
-        report.violations.extend(violations)
-        report.verdicts.append(chart_verdict_row(result))
-    return report, EXIT_VIOLATION if report.violations else EXIT_OK
+    for rows in sweep_charts(tasks, args.jobs):
+        _add_chart(report, *rows)
+    return report, EXIT_VIOLATION if report["violations"] else EXIT_OK
 
 
 def _cmd_oracle(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[Report, int]:
+) -> tuple[dict, int]:
     config = {
         "command": "oracle",
         "samples": args.samples,
@@ -300,7 +299,7 @@ def _cmd_oracle(
         "order_divides": args.order_divides,
         "tol": args.tol,
     }
-    report = Report(config=config)
+    report = _report(config)
     from . import oracle  # numpy is imported only when the oracle runs
 
     try:
@@ -308,12 +307,12 @@ def _cmd_oracle(
             args.samples, args.seed, args.max_degree, args.order_divides, args.tol
         )
     except oracle.OracleFailure as exc:
-        report.oracle = {"cases": [], "passes": 0, "failures": 1, "error": str(exc)}
+        report["oracle"] = {"cases": [], "passes": 0, "failures": 1, "error": str(exc)}
         print(f"oracle failure: {exc}", file=sys.stderr)
         return report, EXIT_ORACLE
     passes = sum(1 for c in cases if c["ok"])
     failures = len(cases) - passes
-    report.oracle = {"cases": cases, "passes": passes, "failures": failures}
+    report["oracle"] = {"cases": cases, "passes": passes, "failures": failures}
     return report, EXIT_ORACLE if failures else EXIT_OK
 
 
@@ -326,8 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         report, code = command[args.command](args, parser)
     except criterion.PropositionViolation as exc:
         # the r = 0 folds of sweep raise on a kernel violation: list it as a chart would
-        report = Report(config=_echo_config(args, args.command))
-        report.violations.extend(map(violation_row, exc.result.violations))
+        report = _report(_echo_config(args, args.command))
+        report["violations"] += map(violation_row, exc.result.violations)
         code = EXIT_VIOLATION
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
@@ -344,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
             f"proposition violation [{row['rule']}]: h={row['h']} r={row['r']}"
             f" w={_spec_text(row['w_spec'])} lambda={_spec_text(row['lambda_spec'])}"
             f" age_v={row['age_v']} order-on-chart={row['v_order']}\n"
-            for row in report.violations
+            for row in report["violations"]
         ))
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

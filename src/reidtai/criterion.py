@@ -202,9 +202,10 @@ class SweepResult(tuple):
     best is n times the minimum age (None when no pair moves the chart),
     and each witness row is (sort key, xs, ys) like a record's head.  The
     records are :class:`ExceptionRecord` and :class:`ViolationRecord`
-    tuples of integers, rule names and shape flags, so a fan-out worker
-    sends a result as plain tuples (``cli._plain_chart``).  ``min_age`` and
-    ``witnesses`` build the Fraction and the classes when read.
+    tuples of integers, rule names and shape flags, which ``report`` turns
+    into rows; a fan-out worker sends those rows, not the result
+    (``cli._catalog_chart``).  ``min_age`` and ``witnesses`` build the
+    Fraction and the classes when read.
     """
 
     __slots__ = ()

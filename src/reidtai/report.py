@@ -1,7 +1,9 @@
-"""Canonical report objects and their serializations.
+"""Canonical report rows and their serializations.
 
-Reports are plain data: a config echo, min-age rows, exception rows and
-violation rows, all pre-sorted with every rational rendered as "num/den".
+A report is a plain dict: a config echo under ``config`` and the
+``minima``, ``exceptions``, ``violations`` and ``verdicts`` row lists (the
+oracle command adds ``oracle``), all pre-sorted with every rational
+rendered as "num/den".
 Identical configs therefore produce byte-identical output; timing never
 enters the canonical form.
 
@@ -58,39 +60,6 @@ def _age(x: int | None, n: int) -> str | None:
 def fraction_str(value: Fraction | None) -> str | None:
     """A Fraction age (a Sym^2 or interior row) through the same table."""
     return None if value is None else _age(value.numerator, value.denominator)
-
-
-class Report:
-    """A report's sections as plain data; equal sections, equal reports."""
-
-    __slots__ = ("config", "minima", "exceptions", "violations", "verdicts", "oracle")
-
-    def __init__(
-        self, config: dict, minima: list[dict] | None = None,
-        exceptions: list[dict] | None = None, violations: list[dict] | None = None,
-        verdicts: list[dict] | None = None, oracle: dict | None = None,
-    ) -> None:
-        self.config = config
-        self.minima = [] if minima is None else minima
-        self.exceptions = [] if exceptions is None else exceptions
-        self.violations = [] if violations is None else violations
-        self.verdicts = [] if verdicts is None else verdicts
-        self.oracle = oracle
-
-    def __eq__(self, other: object) -> bool:
-        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
-
-    def to_dict(self) -> dict:
-        data = {
-            "config": self.config,
-            "minima": self.minima,
-            "exceptions": self.exceptions,
-            "violations": self.violations,
-            "verdicts": self.verdicts,
-        }
-        if self.oracle is not None:
-            data["oracle"] = self.oracle
-        return data
 
 
 def exception_row(rec: ExceptionRecord) -> dict:
@@ -309,17 +278,17 @@ _SECTIONS = {
 }
 
 
-def render_json(report: Report) -> str:
-    """The report as ``json.dumps(report.to_dict(), sort_keys=True,
-    indent=2)`` would write it, plus a newline, in one pass over the
-    report's fixed schema: config, minima and verdicts as sorted objects,
-    exception, violation and oracle-case rows as templates, and every leaf
-    through the C encoder's functions (``encode_basestring_ascii``,
-    ``int.__repr__``, ``float.__repr__``)."""
-    return _object(report.to_dict(), "", _SECTIONS) + "\n"
+def render_json(report: dict) -> str:
+    """The report as ``json.dumps(report, sort_keys=True, indent=2)`` would
+    write it, plus a newline, in one pass over the report's fixed schema:
+    config, minima and verdicts as sorted objects, exception, violation and
+    oracle-case rows as templates, and every leaf through the C encoder's
+    functions (``encode_basestring_ascii``, ``int.__repr__``,
+    ``float.__repr__``)."""
+    return _object(report, "", _SECTIONS) + "\n"
 
 
-def render_csv(report: Report) -> str:
+def render_csv(report: dict) -> str:
     """Exception catalog as CSV (the other sections live in json/text)."""
     import csv  # only this format needs it
     import io
@@ -328,7 +297,7 @@ def render_csv(report: Report) -> str:
     writer = csv.writer(out, lineterminator="\n")
     columns = ["h", "r", "w_spec", "lambda_spec", "age_sym2", "age_tensor", "age_v"]
     writer.writerow([*columns, "matches_iii"])
-    for row in report.exceptions:
+    for row in report["exceptions"]:
         cells = [" ".join(v) if isinstance(v, list) else v for v in map(row.get, columns)]
         writer.writerow([*cells, "true" if row["matches_iii"] else "false"])
     return out.getvalue()
@@ -338,30 +307,30 @@ def _spec_text(entries: list[str]) -> str:
     return "[" + " ".join(entries) + "]"
 
 
-def render_text(report: Report) -> str:
+def render_text(report: dict) -> str:
     lines: list[str] = []
-    config = report.config
+    config = report["config"]
     lines.append(
         "config: "
         + " ".join(f"{key}={config[key]}" for key in sorted(config))
     )
-    if report.verdicts:
+    if report["verdicts"]:
         lines.append("verdicts:")
-        for v in report.verdicts:
+        for v in report["verdicts"]:
             detail = " ".join(
                 f"{key}={v[key]}" for key in sorted(v) if key != "stratum"
             )
             lines.append(f"  [{v['stratum']}] {detail}")
-    if report.minima:
+    if report["minima"]:
         lines.append("minima:")
-        for row in report.minima:
+        for row in report["minima"]:
             r_part = "-" if row.get("r") is None else str(row["r"])
             lines.append(
                 f"  h={row['h']} r={r_part} min_age={row['min_age']}"
                 f" witnesses={len(row['witnesses'])}"
             )
-    lines.append(f"exceptions: {len(report.exceptions)}")
-    for row in report.exceptions:
+    lines.append(f"exceptions: {len(report['exceptions'])}")
+    for row in report["exceptions"]:
         lines.append(
             f"  h={row['h']} r={row['r']}"
             f" w={_spec_text(row['w_spec'])} lambda={_spec_text(row['lambda_spec'])}"
@@ -369,9 +338,9 @@ def render_text(report: Report) -> str:
             f" age_v={row['age_v']}"
             f" matches_iii={'yes' if row['matches_iii'] else 'no'}"
         )
-    if report.violations:
-        lines.append(f"violations: {len(report.violations)}")
-        for row in report.violations:
+    if report["violations"]:
+        lines.append(f"violations: {len(report['violations'])}")
+        for row in report["violations"]:
             lines.append(
                 f"  rule={row['rule']} h={row['h']} r={row['r']}"
                 f" w={_spec_text(row['w_spec'])} lambda={_spec_text(row['lambda_spec'])}"
@@ -379,12 +348,10 @@ def render_text(report: Report) -> str:
             )
     else:
         lines.append("violations: none")
-    if report.oracle is not None:
-        lines.append(
-            f"oracle: {report.oracle['passes']} passed,"
-            f" {report.oracle['failures']} failed"
-        )
-        for case in report.oracle["cases"]:
+    oracle = report.get("oracle")
+    if oracle is not None:
+        lines.append(f"oracle: {oracle['passes']} passed, {oracle['failures']} failed")
+        for case in oracle["cases"]:
             status = "ok" if case["ok"] else "FAIL"
             lines.append(
                 f"  case {case['index']}: a={case['a_signature']}"

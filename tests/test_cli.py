@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import reidtai.cli
 import reidtai.oracle
 from reidtai.cli import main, sweep_charts
-from reidtai.report import Report, render_json
+from reidtai.report import render_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -40,19 +40,6 @@ def cli_process(*argv):
     return subprocess.run(
         [sys.executable, "-m", "reidtai.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
-    )
-
-
-def parse_json(text):
-    """A JSON report read back into a ``Report``."""
-    data = json.loads(text)
-    return Report(
-        config=data["config"],
-        minima=data["minima"],
-        exceptions=data["exceptions"],
-        violations=data["violations"],
-        verdicts=data["verdicts"],
-        oracle=data.get("oracle"),
     )
 
 
@@ -315,15 +302,15 @@ def test_unconstrained_mode_small(capsys):
 
 
 def test_report_round_trip():
-    report = Report(
-        config={"command": "sweep", "h": 1, "r": 4},
-        minima=[{"h": 1, "r": 4, "min_age": "1/2", "witnesses": []}],
-        exceptions=[],
-        violations=[],
-        verdicts=[{"stratum": "interior", "g": 5, "kind": "canonical",
-                   "min_age": "1/1"}],
-    )
-    assert parse_json(render_json(report)) == report
+    report = {
+        "config": {"command": "sweep", "h": 1, "r": 4},
+        "minima": [{"h": 1, "r": 4, "min_age": "1/2", "witnesses": []}],
+        "exceptions": [],
+        "violations": [],
+        "verdicts": [{"stratum": "interior", "g": 5, "kind": "canonical",
+                      "min_age": "1/1"}],
+    }
+    assert json.loads(render_json(report)) == report
 
 
 def test_every_package_export_is_run_by_the_program_or_the_gate():
@@ -442,18 +429,21 @@ def test_fan_out_without_fork_runs_serially(monkeypatch):
 
 
 def test_fan_out_returns_payloads_larger_than_a_pipe_buffer():
-    # chart (1, 3) at N = 24 marshals to about 339 KB, over five 64 KiB pipe buffers
+    # chart (1, 3) at N = 24 marshals to about 762 KB of rows, over eleven
+    # 64 KiB pipe buffers
     tasks = [(1, 3, 24, "unconstrained", True), (2, 2, 24, "unconstrained", True)]
     assert sweep_charts(tasks, 2) == sweep_charts(tasks, 1)
 
 
 # Ways a fanned-out sweep fails: a worker raises on one chart, a worker is
-# killed outright, a chart's result holds an object marshal refuses, or this
+# killed outright, a chart's rows hold an object marshal refuses, or this
 # process is interrupted while a worker is stuck.
 _FAILURES = {
     "raises": ("raise RuntimeError('chart failed on purpose')", "", "RuntimeError"),
     "killed": ("os.kill(os.getpid(), signal.SIGKILL)", "", "RuntimeError"),
-    "unmarshallable": ("return chart(task).replace(best=object())", "", "RuntimeError"),
+    "unmarshallable": (
+        "return chart(task).replace(classes_seen=object())", "", "RuntimeError"
+    ),
     "interrupted": ("time.sleep(30)", """
 def interrupted(fd, *size):
     if os.getpid() == parent:
@@ -761,28 +751,20 @@ def test_cyclic_garbage_does_not_grow_with_the_run(capsys):
             gc.enable()
 
 
-def test_pool_results_carry_no_objects():
-    # a --jobs worker sends a chart's result as builtin types, which marshal
-    # takes (it refuses any other class, a tuple subclass included), and
-    # this process rebuilds the same result with its record types
+def test_worker_rows_survive_marshal():
+    # a --jobs worker sends a chart's finished report rows, which marshal
+    # takes as they are (it refuses any other class, a tuple subclass
+    # included), and they are the rows this process builds for the chart
     task = (1, 4, 12, "unconstrained", True)
-    result = reidtai.cli._chart(task)
+    result = reidtai.criterion.check_exception_catalog(reidtai.cli._chart(task))
     assert result.exceptions and result.violations
     with pytest.raises(ValueError):
         marshal.dumps(result)
-    plain = reidtai.cli._plain_chart(task)
-    rebuilt = reidtai.cli._rebuilt(marshal.loads(marshal.dumps(plain)))
-    # plain tuples equal the records, so equality cannot show the rebuild;
-    # the types do
-    assert rebuilt == result == plain
-    assert type(rebuilt) is reidtai.criterion.SweepResult
-    assert {type(rec) for rec in rebuilt.exceptions} == {reidtai.criterion.ExceptionRecord}
-    assert {type(rec) for rec in rebuilt.violations} == {reidtai.criterion.ViolationRecord}
-    # the rebuilt fields read as the originals do
-    assert [rec.element for rec in rebuilt.exceptions] == [
-        rec.element for rec in result.exceptions
-    ]
-    assert [rec.rule for rec in rebuilt.violations] == [rec.rule for rec in result.violations]
+    rows = reidtai.cli._catalog_chart(task)
+    assert marshal.loads(marshal.dumps(rows)) == rows
+    assert rows == (
+        *reidtai.cli.sweep_rows(result), reidtai.cli.chart_verdict_row(result)
+    )
 
 
 # Reports of the fixed schema, for the writer against json.dumps.  Strings
@@ -867,30 +849,34 @@ _oracle = st.fixed_dictionaries(
     },
     optional={"error": _text},
 )
-_reports = st.builds(
-    Report,
-    config=_config,
-    minima=st.lists(_minimum, max_size=3),
-    exceptions=st.lists(_exception, max_size=3),
-    violations=st.lists(_violation, max_size=3),
-    verdicts=st.lists(_verdict, max_size=3),
-    oracle=st.one_of(st.none(), _oracle),
+_reports = st.fixed_dictionaries(
+    {
+        "config": _config,
+        "minima": st.lists(_minimum, max_size=3),
+        "exceptions": st.lists(_exception, max_size=3),
+        "violations": st.lists(_violation, max_size=3),
+        "verdicts": st.lists(_verdict, max_size=3),
+    },
+    optional={"oracle": _oracle},
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(report=_reports)
 def test_json_writer_matches_json_dumps(report):
-    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert render_json(report) == expected
 
 
 def test_json_writer_escapes_an_oracle_error():
-    report = Report(config={"command": "oracle", "tol": 1e-09})
-    report.oracle = {
-        "cases": [], "passes": 0, "failures": 1,
-        "error": 'angle "3/7" off by 1e-3 \\ ¿qué? \u2603\n\t\U0001f600',
+    report = {
+        "config": {"command": "oracle", "tol": 1e-09},
+        "minima": [], "exceptions": [], "violations": [], "verdicts": [],
+        "oracle": {
+            "cases": [], "passes": 0, "failures": 1,
+            "error": 'angle "3/7" off by 1e-3 \\ ¿qué? \u2603\n\t\U0001f600',
+        },
     }
-    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert render_json(report) == expected
-    assert parse_json(render_json(report)) == report
+    assert json.loads(render_json(report)) == report

@@ -309,29 +309,26 @@ def test_interior_minimizer_shape():
 
 
 def catalog_rows(g, n):
-    """Each chart's (minima, exception, violation) rows of the genus-g
-    catalog over n, built as ``exceptions --g g`` builds them."""
-    return [
-        sweep_rows(check_exception_catalog(cli._chart((h, g - h, n, "integral-both", False))))
-        for h in range(1, g + 1)
-    ]
+    """Each chart's (minima, exception, violation, verdict) rows of the
+    genus-g catalog over n, as ``exceptions --g g`` builds them."""
+    return [cli._catalog_chart((h, g - h, n, "integral-both", False)) for h in range(1, g + 1)]
 
 
 def without_classes(rows):
-    minima, exceptions, violations = rows
-    return {k: v for k, v in minima.items() if k != "classes"}, exceptions, violations
+    minima, *rest = rows
+    return {k: v for k, v in minima.items() if k != "classes"}, *rest
 
 
 @pytest.mark.parametrize("g", [8, 9, 10, 11])
 def test_catalog_is_the_single_germ_up_to_genus_11(g):
     # the unique age-1/2 germ, and the chart minima min(h/2, (g + 1)/6)
     charts = catalog_rows(g, 12)
-    assert [row for _, exceptions, _ in charts for row in exceptions] == [{
+    assert [row for _, exceptions, _, _ in charts for row in exceptions] == [{
         "h": 1, "r": g - 1, "w_spec": ["1/2"], "lambda_spec": ["0/1"] + ["1/2"] * (g - 2),
         "age_sym2": "0/1", "age_tensor": "1/2", "age_v": "1/2", "matches_iii": True,
     }]
-    assert not any(violations for _, _, violations in charts)
-    for h, (minima, _, _) in enumerate(charts, 1):
+    assert not any(violations for _, _, violations, _ in charts)
+    for h, (minima, _, _, _) in enumerate(charts, 1):
         assert F(minima["min_age"]) == min(F(h, 2), F(g + 1, 6))
 
 
