@@ -16,6 +16,7 @@ unique exceptional shape.  A failed check raises
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from itertools import compress, count, repeat
 from math import gcd
@@ -96,18 +97,6 @@ def rst_verdict(tangent_of: Callable[[int], Spectrum], order: int) -> Verdict:
     return Verdict(kind, k, min_age)
 
 
-def _fields(*names: str) -> Callable[[type], type]:
-    """Name a tuple subclass's fields: one read-only property per position."""
-
-    def name_fields(cls: type) -> type:
-        for i, name in enumerate(names):
-            setattr(cls, name, property(lambda self, i=i: self[i]))
-        cls._fields = names
-        return cls
-
-    return name_fields
-
-
 def _element(
     xs: tuple[int, ...], ys: tuple[int, ...], n: int, kernel: bool = False
 ) -> ElementClass:
@@ -117,10 +106,12 @@ def _element(
     return ElementClass(len(xs), len(ys), as_spectrum(xs, n), as_spectrum(ys, n), order, kernel)
 
 
-class _Pair(tuple):
-    """A reported (W, Lambda) pair as a tuple of integers over N, which
-    sorts as a plain tuple and is rebuilt from one by ``RecordType(fields)``
-    (so it defines no ``__new__``); the subclasses name the fields.
+class _Pair:
+    """The attributes shared by the records of a reported (W, Lambda) pair:
+    a mixin in front of each record's ``namedtuple`` base, which names the
+    fields.  A record is a tuple of integers over N and sorts as a plain
+    tuple; xs and ys are the W and Lambda numerators over n in canonical
+    order, and av is n times the chart age.
 
     Each record leads with its ordering key, ``ElementClass.sort_key`` of
     the pair, so records sort by it.  The class and the Fraction ages are
@@ -128,11 +119,6 @@ class _Pair(tuple):
     """
 
     __slots__ = ()
-    sort_key: tuple
-    xs: tuple[int, ...]  # W numerators over n, canonical order
-    ys: tuple[int, ...]  # Lambda numerators over n, canonical order
-    n: int
-    av: int  # n * chart age
 
     h = property(lambda self: self.sort_key[0])
     r = property(lambda self: self.sort_key[1])
@@ -146,12 +132,8 @@ class _Pair(tuple):
         from fractions import Fraction  # built only when an age is read
         return Fraction(self.av, self.n)
 
-    def __repr__(self) -> str:
-        return type(self).__name__ + tuple.__repr__(self)
 
-
-@_fields("sort_key", "xs", "ys", "n", "a2", "av", "matches_iii")
-class ExceptionRecord(_Pair):
+class ExceptionRecord(_Pair, namedtuple("ExceptionRecord", "sort_key xs ys n a2 av matches_iii")):
     """One class at or below the age threshold, with its component ages:
     (sort key, xs, ys, n, n * Sym^2 age, n * chart age, shape flag)."""
 
@@ -168,8 +150,7 @@ class ExceptionRecord(_Pair):
         return Fraction(self.av - self.a2, self.n)
 
 
-@_fields("rule", "sort_key", "xs", "ys", "n", "av", "v_order")
-class ViolationRecord(_Pair):
+class ViolationRecord(_Pair, namedtuple("ViolationRecord", "rule sort_key xs ys n av v_order")):
     """A machine-checked claim that failed, with the offending class:
     (rule, sort key, xs, ys, n, n * chart age, order on the chart), so
     violations sort by rule, then by class.  The rule is "kernel",
@@ -194,22 +175,22 @@ class PropositionViolation(Exception):
         return "; ".join(lines) or "proposition violation"
 
 
-@_fields("h", "r", "classes_seen", "n", "best", "witness_rows", "exceptions", "violations")
-class SweepResult(tuple):
+class SweepResult(
+    namedtuple("SweepResult", "h r classes_seen n best witness_rows exceptions violations")
+):
     """Result of a chart sweep: the minimum age with its witnesses and the
     rows at or below the threshold, as integers over N = n.
 
     best is n times the minimum age (None when no pair moves the chart),
     and each witness row is (sort key, xs, ys) like a record's head.  The
     records are :class:`ExceptionRecord` and :class:`ViolationRecord`
-    tuples of integers, rule names and shape flags, which ``report`` turns
-    into rows; a fan-out worker sends those rows, not the result
+    named tuples of integers, rule names and shape flags, which ``report``
+    turns into rows; a fan-out worker sends those rows, not the result
     (``cli._catalog_chart``).  ``min_age`` and ``witnesses`` build the
     Fraction and the classes when read.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...]
 
     @property
     def min_age(self) -> Fraction | None:
@@ -224,10 +205,7 @@ class SweepResult(tuple):
         """This result with the named fields replaced."""
         if not fields.keys() <= set(self._fields):
             raise TypeError(f"SweepResult fields are {self._fields}, got {sorted(fields)}")
-        return SweepResult(fields.get(name, value) for name, value in zip(self._fields, self))
-
-    def __repr__(self) -> str:
-        return "SweepResult" + tuple.__repr__(self)
+        return self._replace(**fields)
 
 
 def twin_sort_key(rec: ExceptionRecord) -> tuple:
@@ -399,16 +377,16 @@ def fold_chart(
     for xs, j in kernel:
         key, _, ys = head(xs, j)
         if not _plus_minus_one(xs, ys, n):
-            violations.append(ViolationRecord(("kernel", key, xs, ys, n, 0, 1)))
+            violations.append(ViolationRecord("kernel", key, xs, ys, n, 0, 1))
     exceptions = []
     for xs, j, a2, av in rows:
         key, _, ys = head(xs, j)
-        exceptions.append(ExceptionRecord((key, xs, ys, n, a2, av, _exceptional(xs, ys, n))))
+        exceptions.append(ExceptionRecord(key, xs, ys, n, a2, av, _exceptional(xs, ys, n)))
         if av < n:
             v_order = chart_order(xs, ys, n)
             if v_order != 2:
-                violations.append(ViolationRecord(("order-2", key, xs, ys, n, av, v_order)))
-    return SweepResult((
+                violations.append(ViolationRecord("order-2", key, xs, ys, n, av, v_order))
+    return SweepResult(
         cfg.h,
         cfg.r,
         seen,
@@ -417,7 +395,7 @@ def fold_chart(
         tuple(sorted(head(xs, j) for xs, j in witnesses)),
         tuple(sorted(exceptions)),
         tuple(sorted(violations)),
-    ))
+    )
 
 
 def sweep_v(
@@ -454,7 +432,7 @@ def check_exception_catalog(result: SweepResult) -> SweepResult:
     Returns the result with any failures appended as violations.
     """
     bad = [
-        ViolationRecord(("exception-shape", key, xs, ys, n, av, chart_order(xs, ys, n)))
+        ViolationRecord("exception-shape", key, xs, ys, n, av, chart_order(xs, ys, n))
         for key, xs, ys, n, _, av, shaped in result.exceptions
         if av < n and not (shaped and 2 * av == n)
     ]

@@ -240,21 +240,21 @@ def ppav_states(h: int, order_divides: int) -> Iterator[State]:
     per orbit order, ascending."""
     # an order-d orbit fills phi(d)/2 entries of W (the doubled homology
     # holds the whole orbit), so orders with phi(d) > 2h cannot occur
-    yield from _assemble(_orbit_levels(order_divides, 2 * h), h, order_divides)
+    return _assemble(_orbit_levels(order_divides, 2 * h), h, order_divides)
 
 
 def lattice_states(r: int, order_divides: int) -> Iterator[State]:
     """The states of every integral rank-r spectrum of order dividing the
     bound, a multiset of whole Galois orbits: one level per orbit order,
     ascending, in whole copies."""
-    yield from _assemble(_orbit_levels(order_divides, r), r, order_divides, whole=True)
+    return _assemble(_orbit_levels(order_divides, r), r, order_divides, whole=True)
 
 
 def multiset_states(dim: int, order_divides: int) -> Iterator[State]:
     """The states of every dim-multiset over the rotation universe: one
     level per universe entry."""
     levels = tuple((x,) for x in keyed_residues(order_divides))
-    yield from _assemble(levels, dim, order_divides)
+    return _assemble(levels, dim, order_divides)
 
 
 def _spectra(states: Iterator[State], n: int) -> Iterator[Spectrum]:
@@ -266,13 +266,13 @@ def ppav_classes(h: int, order_divides: int) -> Iterator[Spectrum]:
     """All dimension-h spectra of order dividing the bound that extend to an
     integral action on the doubled homology; duplicate-free, in the
     lexicographic order of the sorted entries."""
-    yield from _spectra(ppav_states(h, order_divides), order_divides)
+    return _spectra(ppav_states(h, order_divides), order_divides)
 
 
 def lattice_classes(r: int, order_divides: int) -> Iterator[Spectrum]:
     """Integral rank-r spectra: every multiset of whole Galois orbits of
     total degree r, in the lexicographic order of the sorted orbit orders."""
-    yield from _spectra(lattice_states(r, order_divides), order_divides)
+    return _spectra(lattice_states(r, order_divides), order_divides)
 
 
 def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[State]:
@@ -280,7 +280,7 @@ def abelian_factor_classes(cfg: EnumerationConfig) -> Iterator[State]:
     (entries, a2); the chart fold computes the tensor costs of the states
     it opens."""
     states = ppav_states if cfg.constraint_mode == "integral-both" else multiset_states
-    yield from states(cfg.h, cfg.order_divides)
+    return states(cfg.h, cfg.order_divides)
 
 
 def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[tuple[int, ...]]:
@@ -291,9 +291,8 @@ def lattice_factor_classes(cfg: EnumerationConfig) -> Iterator[tuple[int, ...]]:
     :func:`lattice_states`)."""
     n = cfg.order_divides
     if cfg.constraint_mode == "unconstrained":
-        yield from combinations_with_replacement(keyed_residues(n), cfg.r)
-    else:
-        yield from (entries for entries, _ in lattice_states(cfg.r, n))
+        return combinations_with_replacement(keyed_residues(n), cfg.r)
+    return (entries for entries, _ in lattice_states(cfg.r, n))
 
 
 def element_classes(cfg: EnumerationConfig) -> Iterator[ElementClass]:

@@ -12,12 +12,12 @@ strings here: each entry or age x/N is read from a lazily filled table,
 built only for the x a report shows.  The JSON writer knows the report's
 fixed schema and produces the text of
 ``json.dumps(report, sort_keys=True, indent=2)`` with the C encoder's leaf
-functions.
+functions, taken from ``_json`` without importing the ``json`` package.
 """
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii as _quote  # the C function json.encoder uses
 from functools import lru_cache
 
 from .criterion import (
@@ -164,7 +164,6 @@ def chart_verdict_row(result: SweepResult) -> dict:
 # exception, violation and oracle-case row is one template at its fixed
 # depth in the report (row at 4 spaces, keys at 6, list items at 8), and
 # every other object through _object, keys sorted as json.dumps sorts them.
-_quote = json.encoder.encode_basestring_ascii  # the C function; loaded by json
 _LEAVES = {
     str: _quote,
     int: int.__repr__,

@@ -111,7 +111,7 @@ def exception_record(
     n = math.lcm(element.order, age_sym2.denominator, age_v.denominator)
     xs, ys = spectrum_numerators(element.w_spec, n), spectrum_numerators(element.lambda_spec, n)
     a2, av = int(age_sym2 * n), int(age_v * n)
-    return ExceptionRecord((element.sort_key, xs, ys, n, a2, av, matches_iii))
+    return ExceptionRecord(element.sort_key, xs, ys, n, a2, av, matches_iii)
 
 
 def spectrum_numerators(s: Spectrum, n: int) -> tuple[int, ...]:
@@ -214,16 +214,16 @@ def full_fold(
     for xs, j in kernel:
         key, _, ys = head(xs, j)
         if not _plus_minus_one(xs, ys, n):
-            violations.append(ViolationRecord(("kernel", key, xs, ys, n, 0, 1)))
+            violations.append(ViolationRecord("kernel", key, xs, ys, n, 0, 1))
     exceptions = []
     for xs, j, a2, av in rows:
         key, _, ys = head(xs, j)
-        exceptions.append(ExceptionRecord((key, xs, ys, n, a2, av, _exceptional(xs, ys, n))))
+        exceptions.append(ExceptionRecord(key, xs, ys, n, a2, av, _exceptional(xs, ys, n)))
         if av < n:
             v_order = integer_chart_order(xs, ys, n)
             if v_order != 2:
-                violations.append(ViolationRecord(("order-2", key, xs, ys, n, av, v_order)))
-    return SweepResult((
+                violations.append(ViolationRecord("order-2", key, xs, ys, n, av, v_order))
+    return SweepResult(
         cfg.h,
         cfg.r,
         seen,
@@ -232,7 +232,7 @@ def full_fold(
         tuple(sorted(head(xs, j) for xs, j in witnesses)),
         tuple(sorted(exceptions)),
         tuple(sorted(violations)),
-    ))
+    )
 
 
 def sym2_age_num(xs: tuple[int, ...], n: int) -> int:

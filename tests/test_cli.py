@@ -553,16 +553,19 @@ def test_cli_import_leaves_numpy_out():
     # only the oracle needs numpy; the sweeps must not pay for its import,
     # nor for dataclasses (with inspect) or fractions: the value classes are
     # plain slots classes, and a catalog run reads its ages as integers.
-    # pathlib and typing are left out too; -S keeps site's .pth files from
-    # importing them.
+    # Nor for the json package: the JSON writer takes its C string encoder
+    # from _json.  pathlib and typing are left out too; -S keeps site's .pth
+    # files from importing them.
     script = """
 import contextlib, io, sys
 import reidtai.cli
-loaded = {"numpy", "dataclasses", "fractions", "inspect", "pathlib", "typing"} & set(sys.modules)
+loaded = {"numpy", "dataclasses", "fractions", "inspect", "json", "pathlib", "typing"}
+loaded &= set(sys.modules)
 assert not loaded, loaded
 with contextlib.redirect_stdout(io.StringIO()):
     assert reidtai.cli.main(["exceptions", "--g", "7", "--format", "json"]) == 0
 assert "fractions" not in sys.modules, "the catalog run built a Fraction"
+assert "json" not in sys.modules, "the catalog run loaded the json package"
 """
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))

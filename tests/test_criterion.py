@@ -186,6 +186,36 @@ def test_sweep_result_replace_takes_only_its_fields():
     assert str(info.value) == f"SweepResult fields are {result._fields}, got ['best', 'bogus']"
 
 
+def test_records_are_named_tuples_in_report_order():
+    # report unpacks the records by position, so the field order is pinned;
+    # the constructor and the repr, which names every field, are the named
+    # tuple's, and a record carries no instance dict
+    result = sweep_v(1, 4, 12)
+    rec = result.exceptions[0]
+    records = {
+        criterion.ExceptionRecord: (
+            ("sort_key", "xs", "ys", "n", "a2", "av", "matches_iii"),
+            tuple(rec),
+        ),
+        criterion.ViolationRecord: (
+            ("rule", "sort_key", "xs", "ys", "n", "av", "v_order"),
+            ("kernel", rec.sort_key, rec.xs, rec.ys, rec.n, 0, 1),
+        ),
+        SweepResult: (
+            ("h", "r", "classes_seen", "n", "best", "witness_rows", "exceptions", "violations"),
+            tuple(result),
+        ),
+    }
+    for cls, (fields, values) in records.items():
+        assert cls._fields == fields
+        assert not {"__new__", "__repr__"} & vars(cls).keys(), cls
+        built = cls(*values)
+        assert built == values and not hasattr(built, "__dict__")
+        assert dict(zip(fields, values)) == {name: getattr(built, name) for name in fields}
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+        assert repr(built) == f"{cls.__name__}({shown})"
+
+
 def test_sweep_threshold_terminal_rows():
     # h=2, r=4 bottoms out exactly at 1: the boundary rows appear only
     # when age-one rows are requested, and they trip no checks
@@ -266,7 +296,7 @@ def test_check_exception_catalog():
     # a crafted off-shape record must be flagged
     bad_element = ElementClass.build(S("1/2"), S("1/3, 2/3, 0"))
     rec = exception_record(bad_element, F(0), F(5, 6), False)
-    bad = SweepResult((1, 3, 1, rec.n, rec.av, (rec[:3],), (rec,), ()))
+    bad = SweepResult(1, 3, 1, rec.n, rec.av, (rec[:3],), (rec,), ())
     assert (bad.min_age, bad.witnesses) == (F(5, 6), (bad_element,))
     flagged = check_exception_catalog(bad)
     assert len(flagged.violations) == 1

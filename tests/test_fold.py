@@ -331,7 +331,7 @@ def test_row_facts_match_the_spectrum_route(data):
     # gives back the class and its twin's key
     keys = residue_keys(n)
     assert (c.h, c.r, tuple(keys[x] for x in xs), tuple(keys[y] for y in ys)) == c.sort_key
-    rec = ExceptionRecord((c.sort_key, xs, ys, n, a2, av, exceptional_shape(c)))
+    rec = ExceptionRecord(c.sort_key, xs, ys, n, a2, av, exceptional_shape(c))
     assert rec.element == ElementClass(c.h, c.r, c.w_spec, c.lambda_spec, c.order, av == 0)
     assert twin_sort_key(rec) == central_twin(c).sort_key
 
@@ -356,7 +356,7 @@ def test_twin_key_leaves_the_rotation_cap():
     # at an odd bound above 180 a twin has order 2N > 360, which no
     # RotationNumber can hold; the key needs no twin, so dedupe still pairs
     c = ElementClass.build(Spectrum.of([rot(1, 359)]), Spectrum.of([rot(0, 1)]))
-    rec = ExceptionRecord((c.sort_key, (1,), (0,), 359, 2, 3, False))
+    rec = ExceptionRecord(c.sort_key, (1,), (0,), 359, 2, 3, False)
     assert twin_sort_key(rec) == (1, 1, ((718, 361),), ((2, 1),))
     with pytest.raises(ValueError):
         central_twin(c)
