@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs", type=_in_range(int, lambda k: k >= 1, "must be >= 1"),
         default=1, metavar="K",
-        help="fan the exceptions charts out over K forked workers (default 1);"
-        " a sweep runs in one process",
+        help="sweep the exceptions charts on K processes, this one included"
+        " (default 1); a sweep runs in one process",
     )
 
     p_sweep = sub.add_parser(
@@ -162,7 +162,7 @@ def _chart(task: tuple) -> criterion.SweepResult:
 def _catalog_chart(task: tuple) -> tuple[dict, list[dict], list[dict], dict]:
     """One ``exceptions`` chart, catalog-checked, as its report rows:
     minima, exception rows, violation rows and verdict.  The rows are dicts,
-    lists, strings, ints, bools and None, so a forked worker sends them
+    lists, strings, ints, bools and None, so a forked child sends them
     through ``marshal`` as they are."""
     result = criterion.check_exception_catalog(_chart(task))
     return (*sweep_rows(result), chart_verdict_row(result))
@@ -178,12 +178,15 @@ def _usable_cpus() -> int:
 
 def sweep_charts(tasks: list[tuple], jobs: int) -> list[tuple]:
     """The :func:`_catalog_chart` rows of each (h, r, order_divides, mode,
-    include_age_one) chart, in task order, swept on at most one forked
-    worker per job, chart and usable CPU (:func:`reidtai.fanout.fork_map`:
-    charts handed out one at a time, the first task first).  Each worker
-    sends its charts' finished rows back through ``marshal``, so this
-    process only joins them.  One worker, or a platform without
-    ``os.fork``, sweeps the charts here instead."""
+    include_age_one) chart, in task order, swept on at most one process per
+    job, chart and usable CPU, this one included
+    (:func:`reidtai.fanout.fork_map`): each of the last ``workers - 1``
+    charts runs in a forked child of its own, which sends its finished rows
+    back through ``marshal``, and this process sweeps the other charts.
+    The tasks come in order of h, and the W stream grows with h, so in the
+    integral catalogs the children take the costliest charts (at g = 12
+    the h = 12 chart is over two fifths of the chart time).  With one process, or on a platform
+    without ``os.fork``, every chart is swept here."""
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [_catalog_chart(task) for task in tasks]
@@ -361,7 +364,7 @@ def run() -> None:
     because the collector finds nothing to free here: a run's data are
     integer tuples and lists that reference counting frees, and each
     ``main()`` leaves the same few hundred objects of cyclic garbage (its
-    argparse parser), whatever the run's size.  Forked workers inherit the
+    argparse parser), whatever the run's size.  Forked children inherit the
     disabled collector and leave through ``os._exit``.  ``main()`` does
     neither, so tests and library callers keep the collector as they set it.
     """

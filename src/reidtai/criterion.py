@@ -185,7 +185,7 @@ class SweepResult(
     and each witness row is (sort key, xs, ys) like a record's head.  The
     records are :class:`ExceptionRecord` and :class:`ViolationRecord`
     named tuples of integers, rule names and shape flags, which ``report``
-    turns into rows; a fan-out worker sends those rows, not the result
+    turns into rows; a forked child sends those rows, not the result
     (``cli._catalog_chart``).  ``min_age`` and ``witnesses`` build the
     Fraction and the classes when read.
     """

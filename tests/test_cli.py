@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import reidtai.cli
 import reidtai.oracle
+from reidtai import fanout
 from reidtai.cli import main, sweep_charts
 from reidtai.report import render_json
 
@@ -355,9 +356,9 @@ def test_deterministic_outputs(tmp_path, capsys):
 
 
 def test_jobs_do_not_change_bytes(tmp_path, capsys):
-    # the exceptions run fans its five charts out over forked workers, and
-    # its violation rows come back through their pipes; every renderer,
-    # the text one reading the rebuilt records' fields, writes the same bytes
+    # the exceptions run sweeps four of its five charts here and forks a
+    # child for the last, whose rows come back through its pipe; every
+    # renderer writes the same bytes
     cases = [
         (("sweep", "--h", "1", "--r", "4"), "3", 0),
         (("exceptions", "--g", "5", "--mode", "unconstrained",
@@ -405,10 +406,30 @@ def test_fan_out_capped_at_cpu_count(monkeypatch, cpus, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert sweep_charts(tasks, 1000) == serial
-    # min(jobs, charts, usable cpus) workers, and no fork when that is 1
-    assert len(forks) == (0 if expected == 1 else expected)
+    # min(jobs, charts, usable cpus) processes, this one included, so one
+    # fork fewer than that
+    assert len(forks) == expected - 1
     assert sweep_charts(tasks[:1], 1000) == serial[:1]
-    assert len(forks) == (0 if expected == 1 else expected)
+    assert len(forks) == expected - 1
+
+
+def _task_and_pid(task):
+    return task, os.getpid()
+
+
+def test_fan_out_splits_the_tasks_by_position():
+    # the last workers - 1 tasks each run in a child of their own, the
+    # others here, and the results come back in task order
+    tasks = list(range(5))
+    serial = [_task_and_pid(task) for task in tasks]
+    for workers in range(1, len(tasks) + 1):
+        results = fanout.fork_map(_task_and_pid, tasks, workers)
+        head = len(tasks) - workers + 1
+        assert results[:head] == serial[:head], workers
+        assert [task for task, _ in results] == tasks
+        children = [pid for _, pid in results[head:]]
+        assert os.getpid() not in children
+        assert len(set(children)) == workers - 1
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
@@ -435,30 +456,32 @@ def test_fan_out_returns_payloads_larger_than_a_pipe_buffer():
     assert sweep_charts(tasks, 2) == sweep_charts(tasks, 1)
 
 
-# Ways a fanned-out sweep fails: a worker raises on one chart, a worker is
-# killed outright, a chart's rows hold an object marshal refuses, or this
-# process is interrupted while a worker is stuck.
+# Ways a fanned-out sweep fails: on the tail chart (r = 3, a child's) the
+# child raises, is killed outright, or returns rows holding an object
+# marshal refuses, or this process is interrupted while the child is stuck;
+# or this process raises on a head chart (r = 0, its own).
 _FAILURES = {
-    "raises": ("raise RuntimeError('chart failed on purpose')", "", "RuntimeError"),
-    "killed": ("os.kill(os.getpid(), signal.SIGKILL)", "", "RuntimeError"),
+    "raises": (3, "raise RuntimeError('chart failed on purpose')", "", "RuntimeError"),
+    "killed": (3, "os.kill(os.getpid(), signal.SIGKILL)", "", "RuntimeError"),
     "unmarshallable": (
-        "return chart(task).replace(classes_seen=object())", "", "RuntimeError"
+        3, "return chart(task).replace(classes_seen=object())", "", "RuntimeError"
     ),
-    "interrupted": ("time.sleep(30)", """
-def interrupted(fd, *size):
+    "interrupted": (3, "time.sleep(30)", """
+def interrupted(fd):
     if os.getpid() == parent:
         raise KeyboardInterrupt
-    return read(fd, *size)
+    return read(fd)
 
 fanout._read = interrupted
 """, "KeyboardInterrupt"),
+    "head": (0, "raise ValueError('head chart failed on purpose')", "", "ValueError"),
 }
 
 
 @pytest.mark.parametrize("failure", sorted(_FAILURES))
 def test_fan_out_failure_raises_and_reaps_every_worker(failure):
     # in a subprocess, so a hang fails the test through the timeout
-    in_worker, in_parent, expected = _FAILURES[failure]
+    r, in_chart, in_parent, expected = _FAILURES[failure]
     script = f"""
 import os, signal, sys, time
 import reidtai.cli as cli
@@ -467,8 +490,10 @@ import reidtai.fanout as fanout
 chart, read, parent = cli._chart, fanout._read, os.getpid()
 
 def failing(task):
-    if task[1] == 2:
-        {in_worker}
+    if task[1] == {r}:
+        # two processes, four charts: r = 0, 1, 2 run here, r = 3 in a child
+        assert (os.getpid() == parent) == (task[1] < 3), "ran in the wrong process"
+        {in_chart}
     return chart(task)
 
 cli._chart = failing
@@ -506,6 +531,9 @@ else:
     elif failure == "unmarshallable":
         assert "worker failed: exited with 1" in done.stdout
         assert "unmarshallable object" in done.stderr
+    elif failure == "head":
+        assert "head chart failed on purpose" in done.stdout
+        assert "worker failed" not in done.stdout + done.stderr
 
 
 def test_jobs_env_var_is_not_read(tmp_path, capsys, monkeypatch):
@@ -578,8 +606,8 @@ assert "json" not in sys.modules, "the catalog run loaded the json package"
 
 def test_cli_import_leaves_the_process_pool_out():
     # neither the import nor a fanned-out run loads a process pool or
-    # pickle (the workers' results come back through marshal), and the run
-    # leaves no worker behind; only a fanned-out run loads the fan-out
+    # pickle (the children's results come back through marshal), and the
+    # run leaves no child behind; only a fanned-out run loads the fan-out
     script = """
 import contextlib, io, os, sys
 import reidtai.cli
