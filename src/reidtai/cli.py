@@ -8,9 +8,12 @@ Reports are deterministic; timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import gc
 import os
 import re
+import shutil
 import sys
 import time
 from collections.abc import Callable
@@ -68,13 +71,19 @@ _out_path = _in_range(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse's default width, read once: left to itself, each of the
+    # parser's formatters (one per argument added) asks for the terminal size
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="reidtai",
         description="Exact age sweeps over boundary-chart spectra.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
     common.add_argument(
         "--order-divides", type=_order_bound, default=12, metavar="N",
         help=f"restrict element orders to divisors of N, 1..{MAX_DENOMINATOR} (default 12)",
@@ -101,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common],
+        "sweep", parents=[common], formatter_class=formatter,
         help="sweep one chart (--h/--r), one Sym^2 table (--h), or the interior (--interior --g)",
     )
     p_sweep.add_argument("--h", type=int, help="abelian-factor dimension")
@@ -113,13 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_exc = sub.add_parser(
-        "exceptions", parents=[common],
+        "exceptions", parents=[common], formatter_class=formatter,
         help="catalog every below-1 class over all charts with h + r = g",
     )
     p_exc.add_argument("--g", type=int, required=True, help="total genus")
 
     p_orc = sub.add_parser(
-        "oracle", help="numeric eigenvalue audit of the exact calculus",
+        "oracle", formatter_class=formatter,
+        help="numeric eigenvalue audit of the exact calculus",
     )
     p_orc.add_argument(
         "--samples", default=100,
@@ -352,27 +362,56 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _observed() -> bool:
+    """Whether a profiler or tracer watches this process: one set with
+    ``sys.setprofile`` or ``sys.settrace``, or (Python 3.12 and later, where
+    cProfile and coverage can use it) a ``sys.monitoring`` tool."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.getprofile() is not None
+        or sys.gettrace() is not None
+        # sys.monitoring has six tool ids, 0 to 5
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
+
+
 def run() -> None:
     """The process entry point (``python -m reidtai.cli`` and the ``reidtai``
-    script): ``main()`` with the cyclic garbage collector off, then the heap
-    frozen before the interpreter exits.
+    script): ``main()`` with the cyclic garbage collector off, then an exit
+    without the interpreter's teardown.
 
     Off, the collector makes none of its young-generation passes during the
-    run, numpy's import among them.  Frozen, the whole heap sits in the
-    permanent generation, which the interpreter's final collection skips;
-    turning the collector off does not skip that collection.  Both are safe
-    because the collector finds nothing to free here: a run's data are
-    integer tuples and lists that reference counting frees, and each
-    ``main()`` leaves the same few hundred objects of cyclic garbage (its
-    argparse parser), whatever the run's size.  Forked children inherit the
-    disabled collector and leave through ``os._exit``.  ``main()`` does
-    neither, so tests and library callers keep the collector as they set it.
+    run, numpy's import among them.  It would find nothing to free: a run's
+    data are integer tuples and lists that reference counting frees, and
+    each ``main()`` leaves the same few hundred objects of cyclic garbage
+    (its argparse parser), whatever the run's size.
+
+    Once ``main()`` returns, the exit handlers run and stdout and stderr are
+    flushed, in the interpreter's own shutdown order, and ``os._exit`` ends
+    the process.  That skips the final collection, the teardown of every
+    module and the freeing of the run's tables, rows and numpy: memory the
+    operating system takes back anyway.  Nothing else is lost, because
+    ``main()`` has closed the ``--out`` file and reaped every ``--jobs``
+    child, and the command starts no Python thread.  The usual ``sys.exit``
+    is kept when ``main()`` raises (a usage error among them), when a flush
+    fails, so that the interpreter reports it, and under a profiler or
+    tracer, so that ``python -m cProfile -m reidtai.cli`` and coverage
+    write their reports.  Forked children inherit the disabled collector
+    and leave through ``os._exit`` too.  ``main()`` does neither, so tests
+    and library callers keep the collector and the interpreter's exit as
+    they are.
     """
     gc.disable()
-    try:
-        code = main()
-    finally:
-        gc.freeze()
+    code = main()
+    if not _observed():
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            pass  # sys.exit reports the failed flush and sets the status
+        else:
+            os._exit(code)
     sys.exit(code)
 
 

@@ -34,14 +34,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def cli_process(*argv):
-    """``python -m reidtai.cli ARGV`` in a subprocess, through ``run()``."""
+def python_process(*args):
+    """``python ARGS`` in a subprocess that imports this checkout's package,
+    with stdout block-buffered into a pipe, as it is by default."""
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, "-m", "reidtai.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def cli_process(*argv):
+    """``python -m reidtai.cli ARGV`` in a subprocess, through ``run()``."""
+    return python_process("-m", "reidtai.cli", *argv)
 
 
 def test_sweep_exception_chart(capsys):
@@ -693,30 +699,114 @@ def test_sweep_reports_match_the_pinned_digests(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# run() turns the cyclic collector off for the command and freezes the heap
-# before the interpreter exits; main() leaves the collector alone.
-@pytest.mark.parametrize("fails", [False, True])
-def test_run_turns_the_collector_off_and_freezes_the_heap(monkeypatch, fails):
+# run() ends the process with the code main() returns, skipping the
+# interpreter's teardown, so it runs in a child here: in this process its
+# os._exit would end the test session.  main() leaves the collector alone.
+RUN_SCRIPT = """\
+import atexit, gc, os, sys
+import reidtai.cli
+
+class Tell:
+    def __del__(self, write=sys.stderr.write):
+        write("torn down\\n")
+
+kept = Tell()  # freed only by the interpreter's teardown
+
+def entry():
+    print("collector enabled:", gc.isenabled(), file=sys.stderr)
+{body}
+
+atexit.register(print, "exit handler ran", file=sys.stderr)
+reidtai.cli.main = entry
+reidtai.cli.run()
+"""
+PAYLOAD_LINES = 10_000  # a megabyte: far more than a pipe buffer holds
+
+
+def run_process(*body):
+    """A child that runs ``run()`` with ``main()`` replaced by BODY's lines."""
+    body = "\n".join(f"    {line}" for line in body)
+    return python_process("-c", RUN_SCRIPT.format(body=body))
+
+
+@pytest.mark.parametrize("code", [0, 3])
+def test_run_exits_with_the_code_main_returns_and_skips_teardown(code):
+    # the last lines are still buffered when main() returns
+    done = run_process(
+        f'sys.stdout.writelines(["x" * 99 + "\\n"] * {PAYLOAD_LINES})', f"return {code}"
+    )
+    assert done.returncode == code
+    assert done.stdout == ("x" * 99 + "\n") * PAYLOAD_LINES
+    assert done.stderr.splitlines() == ["collector enabled: False", "exit handler ran"]
+
+
+def test_run_lets_an_exception_from_main_end_the_process_as_usual():
+    done = run_process('raise RuntimeError("main failed on purpose")')
+    assert done.returncode == 1
+    first, traceback, *_, error, handler, teardown = done.stderr.splitlines()
+    assert (first, traceback) == ("collector enabled: False", "Traceback (most recent call last):")
+    assert (error, handler, teardown) == (
+        "RuntimeError: main failed on purpose", "exit handler ran", "torn down"
+    )
+
+
+def test_run_leaves_a_failed_flush_to_the_usual_exit():
+    # the report is still buffered when its file descriptor goes
+    done = run_process('print("report")', "os.close(1)", "return 0")
+    assert done.returncode == 120  # the interpreter's status for a failed final flush
+    lines = done.stderr.splitlines()
+    assert lines[:2] == ["collector enabled: False", "exit handler ran"]
+    assert "Exception ignored" in lines[2] and lines[-1] == "torn down"
+
+
+def test_run_under_cprofile_keeps_the_stats_table(capsys):
+    argv = ("exceptions", "--g", "3", "--format", "json")
+    _, out, _ = run_cli(capsys, *argv)
+    done = python_process("-m", "cProfile", "-m", "reidtai.cli", *argv)
+    assert done.stdout.startswith(out)
+    stats = done.stdout[len(out):]
+    assert "function calls" in stats and "Ordered by:" in stats
+
+
+def test_run_under_a_tracer_raises_system_exit(capsys):
+    argv = ("exceptions", "--g", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    script = (
+        "import sys\n"
+        "import reidtai.cli\n"
+        "sys.settrace(lambda frame, event, arg: None)\n"
+        "try:\n"
+        "    reidtai.cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    print('exit code:', exc.code, file=sys.stderr)\n"
+    )
+    done = python_process("-c", script, *argv)
+    assert (done.returncode, done.stdout) == (0, out)
+    assert done.stderr.splitlines()[-1] == f"exit code: {code}"
+
+
+def test_help_and_usage_errors_wrap_as_argparse_does_by_default(monkeypatch, capsys):
+    def parsers():
+        parser = reidtai.cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [parser, *sub.choices.values()]
+
+    def written(parsers):
+        helps = [parser.format_help() for parser in parsers]
+        with pytest.raises(SystemExit):
+            parsers[0].parse_args(["exceptions", "--g", "x"])
+        return helps, capsys.readouterr().err
+
     seen = []
-
-    def entry():
-        seen.append(gc.isenabled())
-        if fails:
-            raise RuntimeError("main failed on purpose")
-        return 3
-
-    monkeypatch.setattr(reidtai.cli, "main", entry)
-    monkeypatch.setattr(gc, "freeze", lambda: seen.append("frozen"))
-    enabled = gc.isenabled()
-    try:
-        with pytest.raises(RuntimeError if fails else SystemExit) as exc:
-            reidtai.cli.run()
-    finally:
-        if enabled:
-            gc.enable()
-    assert seen == [False, "frozen"]
-    if not fails:
-        assert exc.value.code == 3
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        built = parsers()
+        got = written(built)
+        for parser in built:
+            parser.formatter_class = argparse.HelpFormatter
+        assert got == written(built), columns
+        seen.append(got)
+    assert seen[0] != seen[1]  # the width reached the text
 
 
 @pytest.mark.parametrize(
