@@ -8,12 +8,15 @@ for the induced symmetric-square and tensor operators built from it.
 A run poses each distinct eigenvalue problem once and builds its integer
 matrix whole.  Every such matrix is block diagonal along the realization's
 parts: one companion block per part, one Sym^2 block per pair of parts
-p <= q, one Kronecker block per part of each factor.  After an exact check
-that nothing lies outside those blocks (a matrix that fails it is solved
-whole), each distinct block is solved once per run, on its own, and a
-problem's angles are the sorted union of its blocks' angles.  Each
-problem's verdict, or the first failure of its steps, is stored in one
-table; each case then reads its steps from that table.
+p <= q, one Kronecker block per part of each factor.  One ``take`` along
+the layout's flat in-block index cuts it into those blocks, after an exact
+check that nothing lies outside them (a matrix that fails it is one block,
+itself).  Each distinct block is solved once per run, on its own, and its
+angles are snapped once to each exact grid 1/L its problems need, into
+integer numerators; a problem matches iff its blocks' numerators, sorted,
+equal those of its exact spectrum over L.  Each problem's verdict, or the
+first failure of its steps, is stored in one table; each case then reads
+its steps from that table.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 from collections import defaultdict
 from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,11 +35,6 @@ from .rotations import (
     DEFAULT_TOLERANCE, MAX_MATCH_TOLERANCE, MIN_DEGREE,
     OrbitSignature, Spectrum, divisors, element_order, totient,
 )
-
-
-# Most angles in the rows one match_angles call snaps, so it bounds the rows
-# and exact spectra a run holds waiting for their match.
-STACK_ENTRIES = 1 << 15
 
 
 class OracleFailure(RuntimeError):
@@ -126,6 +124,23 @@ def numeric_angles(m: np.ndarray) -> np.ndarray:
     return np.sort(np.mod(np.angle(eigenvalues) / (2.0 * math.pi), 1.0), axis=-1)
 
 
+def _tolerance_error(tol: float) -> ValueError | None:
+    """The error a tolerance out of (0, MAX_MATCH_TOLERANCE] raises."""
+    if not 0.0 < tol <= MAX_MATCH_TOLERANCE:
+        return ValueError(f"tolerance must be in (0, {MAX_MATCH_TOLERANCE}], got {tol}")
+    return None
+
+
+def _snap(x: np.ndarray, big, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The snap rule: each angle's nearest grid numerator k (k/big, as
+    floats; big broadcasts against the last axis) and whether every angle
+    along that axis lies within tol of its grid point, in circular
+    distance."""
+    k = np.rint(x * big) % big
+    d = np.abs(x - k / big) % 1.0
+    return k, np.all(np.minimum(d, 1.0 - d) <= tol, axis=-1)
+
+
 def match_angles(
     angles: np.ndarray,
     exact: Sequence[Spectrum],
@@ -137,9 +152,10 @@ def match_angles(
     within tol under circular distance.
 
     Every exact entry lies on the grid k/L, L = element_order(exact).  Each
-    angle is snapped to its nearest grid point; the match holds iff every
-    snap is within tol and the snapped numerators equal the exact ones as a
-    multiset.  Distinct exact values lie more than 2*tol apart (see
+    angle is snapped to its nearest grid point by :func:`_snap`, the rule
+    :func:`solve_stacked` applies to each block's angles; the match holds
+    iff every snap is within tol and the snapped numerators equal the exact
+    ones as a multiset.  Distinct exact values lie more than 2*tol apart (see
     MAX_MATCH_TOLERANCE), so an angle has at most one exact value within
     tol, and the snap finds it while the grid spacing 1/L stays well above
     2*tol.  A row whose grid is finer than that (tol*L > 1/4, so L above
@@ -148,10 +164,8 @@ def match_angles(
     depends on its own row and spectrum only.  A tolerance out of range
     raises ValueError.
     """
-    if not 0.0 < tol <= MAX_MATCH_TOLERANCE:
-        raise ValueError(
-            f"tolerance must be in (0, {MAX_MATCH_TOLERANCE}], got {tol}"
-        )
+    if (error := _tolerance_error(tol)) is not None:
+        raise error
     x = np.asarray(angles, dtype=np.float64)
     width = x.shape[1]
     verdicts: list[bool | None] = [None] * len(exact)
@@ -169,11 +183,7 @@ def match_angles(
         numerators += [q.num * (big // q.den) for q in entries]
     if not snapped:
         return verdicts
-    x = x[snapped]
-    big = np.array(orders, dtype=np.float64)[:, None]
-    k = np.rint(x * big) % big
-    d = np.abs(x - k / big) % 1.0
-    close = np.all(np.minimum(d, 1.0 - d) <= tol, axis=1)
+    k, close = _snap(x[snapped], np.array(orders, dtype=np.float64)[:, None], tol)
     same = np.zeros_like(close)
     # orders past int64 make the exact numerators an object array
     exact_k = np.array(numerators).reshape(len(snapped), width)[close]
@@ -316,28 +326,37 @@ def random_signature(
 def _problems(
     drawn: Sequence[tuple[OrbitSignature, OrbitSignature]],
     realized: dict[OrbitSignature, tuple[np.ndarray, Spectrum]],
-) -> dict[int, list[tuple[tuple, Callable, Callable]]]:
+) -> dict[tuple, list[tuple[tuple, Callable, Callable]]]:
     """Each distinct eigenvalue problem of the drawn pairs whose signatures
     are realized, once, as (memo key, a function making its matrix, one
-    making its exact spectrum), grouped by matrix size."""
-    by_size: dict[int, list] = defaultdict(list)
+    making its exact spectrum), grouped by layout: the problem's kind and
+    the degrees of its factors' parts, all a :func:`_cut` needs.  The
+    tables are keyed by parts, whose tuples hash in C."""
+    by_shape: dict[tuple, list] = defaultdict(list)
+    by_parts = {}
     for sig, (mat, exact) in realized.items():
-        by_size[len(mat)].append((("spectrum", sig), lambda m=mat: m, lambda e=exact: e))
-    for a in dict.fromkeys(a for a, _ in drawn):
-        if a in realized:
-            mat, exact = realized[a]
-            by_size[len(mat) * (len(mat) + 1) // 2].append(
+        degrees = tuple(map(totient, sig.parts))
+        by_parts[sig.parts] = mat, exact, degrees
+        by_shape["spectrum", degrees].append(
+            (("spectrum", sig), lambda m=mat: m, lambda e=exact: e)
+        )
+    for a in {a.parts: a for a, _ in drawn}.values():
+        if a.parts in by_parts:
+            mat, exact, degrees = by_parts[a.parts]
+            by_shape["sym2", degrees].append(
                 (("sym2", a), partial(_sym2_entries, mat), partial(sym2, exact))
             )
-    for a, b in dict.fromkeys(drawn):
-        if a in realized and b in realized:
-            (a_mat, a_exact), (b_mat, b_exact) = realized[a], realized[b]
-            by_size[len(a_mat) * len(b_mat)].append((
+    for a, b in {(a.parts, b.parts): (a, b) for a, b in drawn}.values():
+        if a.parts in by_parts and b.parts in by_parts:
+            (a_mat, a_exact, a_degrees), (b_mat, b_exact, b_degrees) = (
+                by_parts[a.parts], by_parts[b.parts]
+            )
+            by_shape["tensor", a_degrees, b_degrees].append((
                 ("tensor", a, b),
                 partial(_kron_entries, a_mat, b_mat),
                 partial(tensor, a_exact, b_exact),
             ))
-    return by_size
+    return by_shape
 
 
 def solve_stacked(
@@ -358,115 +377,156 @@ def solve_stacked(
     tolerance out of range, and a grid too fine for the tolerance, stored
     as a ValueError.
 
-    Problem by problem, by size, each matrix is built whole and cut by
-    :func:`_blocks` along its cached :func:`_layout`.  Each distinct block
-    is solved once per run, alone; a failed block fails every problem
-    holding it.  A problem's row, the sorted union of its blocks' angles,
-    waits with its exact spectrum for one :func:`match_angles` call over as
-    many rows as STACK_ENTRIES angles hold (at least one), or over the rest
-    at the end of each size.
+    The problems come grouped by layout (:func:`_problems`), and each
+    layout's :func:`_cut` is made once per run.  Each problem matrix is
+    built whole, narrowed to int8 when every entry fits (exactly: the cast
+    refuses any entry it would change), and cut by one ``take`` along the
+    cut's flat in-block index; a matrix with a nonzero entry outside its
+    blocks is one block, itself.  Each distinct block, keyed by its side and
+    its entries' bytes, is solved once per run, alone; a failed block fails
+    every problem holding it.  A problem's exact spectrum fixes its grid
+    1/L, L = element_order, and :func:`_verdict` snaps each distinct block
+    to each grid once per run, by :func:`match_angles`' rule.  Snapping goes
+    angle by angle, so each verdict is the one :func:`match_angles` gives
+    the problem's whole sorted row, at every tolerance.
     """
     realized = {}
-    for sig in dict.fromkeys(sig for pair in drawn for sig in pair):
+    for sig in {sig.parts: sig for pair in drawn for sig in pair}.values():
         try:
             realized[sig] = memo[("realize", sig)] = _realized(sig)
         except OracleFailure as exc:
             memo[("realize", sig)] = exc
-    solved: dict = {}  # each block's sorted angles, or its solve's failure
-    for size, problems in sorted(_problems(drawn, realized).items()):
-        per_match, queued = max(1, STACK_ENTRIES // max(1, size)), []
+    out_of_range = _tolerance_error(tol)
+    blocks: dict = {}  # (side, entries) -> the block's index in angles
+    angles: list = []  # each distinct block's sorted angles, or its solve's failure
+    failed: set = set()  # the indexes of the failed solves
+    snaps: dict = {}  # L -> block index -> its numerators over L, or False
+    for shape, problems in _problems(drawn, realized).items():
+        index, spans = _cut(*shape)
         for key, matrix, exact in problems:
             try:
                 mat = matrix()
             except OracleFailure as exc:
                 memo[key] = exc
                 continue
-            kind, *sigs = key
-            layout = _layout(kind, *(tuple(map(totient, sig.parts)) for sig in sigs))
-            angles = []
-            for block in _blocks(mat, layout):
-                if block not in solved:
-                    side, data = block
-                    square = np.frombuffer(data, dtype=np.int64).reshape(side, side)
+            flat = mat.ravel()
+            try:  # the int8 entries, exact and an eighth of the int64 bytes
+                flat = flat.astype(np.int8, casting="same_value")
+            except ValueError:  # an entry past int8 (or a numpy before 2.3)
+                pass
+            kept, cut = flat, spans
+            if index is not None:
+                kept = flat.take(index)
+                if np.count_nonzero(kept) != np.count_nonzero(flat):
+                    kept, cut = flat, ((len(mat), 0, flat.size),)
+            data, narrow = kept.tobytes(), kept.itemsize == 1
+            ids = []
+            for side, start, stop in cut:
+                if narrow:
+                    block = (side, data[start:stop])
+                else:
+                    block = _block_key(kept[start:stop], side)
+                i = blocks.get(block)
+                if i is None:
+                    i = blocks[block] = len(angles)
+                    square = kept[start:stop].astype(np.int64).reshape(side, side)
                     try:
-                        solved[block] = numeric_angles(square)
+                        angles.append(numeric_angles(square))
                     except OracleFailure as exc:
-                        solved[block] = exc
-                angles.append(solved[block])
-            failure = next((a for a in angles if isinstance(a, OracleFailure)), None)
-            if failure is not None:
-                memo[key] = failure
+                        angles.append(exc)
+                        failed.add(i)
+                ids.append(i)
+            if failed and not failed.isdisjoint(ids):
+                memo[key] = angles[next(i for i in ids if i in failed)]
                 continue
             try:
-                queued.append((key, exact(), angles))
+                spectrum = exact()
             except ValueError as exc:
                 memo[key] = exc
                 continue
-            if len(queued) == per_match:
-                _match(queued, size, tol, memo)
-        if queued:
-            _match(queued, size, tol, memo)
+            memo[key] = out_of_range or _verdict(spectrum, ids, angles, snaps, len(mat), tol)
 
 
-@lru_cache(maxsize=None)
-def _layout(kind: str, degrees: tuple[int, ...], b_degrees: tuple[int, ...] = ()) -> tuple:
+def _block_key(entries: np.ndarray, side: int) -> tuple[int, bytes]:
+    """A block's side and its int64 entries, as int8 bytes if they all fit,
+    else as their own bytes: two blocks get equal keys iff they are equal."""
+    try:
+        return side, entries.astype(np.int8, casting="same_value").tobytes()
+    except ValueError:
+        return side, entries.tobytes()
+
+
+def _verdict(
+    spectrum: Spectrum, ids: list[int], angles: list, snaps: dict, size: int, tol: float
+) -> bool | ValueError:
+    """A problem's match: False if its size is not the spectrum's, a
+    ValueError if the grid 1/L, L = element_order(spectrum), is too fine for
+    the tolerance, else whether each of its blocks' angles (``angles[i]``
+    for i in ``ids``) snaps within tol and their numerators over L, sorted,
+    equal the spectrum's.  Each block is snapped to each grid once, into
+    ``snaps``."""
+    entries = spectrum.entries
+    if len(entries) != size:
+        return False
+    big = element_order(spectrum)
+    if 4 * tol * big > 1:
+        return ValueError(f"grid 1/{big} too fine to snap angles at tolerance {tol}")
+    grid = snaps.get(big)
+    if grid is None:
+        grid = snaps[big] = {}
+    numerators = []
+    for i in ids:
+        snap = grid.get(i)
+        if snap is None:
+            k, close = _snap(angles[i], float(big), tol)
+            snap = grid[i] = bool(close) and k.astype(np.int64).tolist()
+        if snap is False:
+            return False
+        numerators += snap
+    numerators.sort()
+    return numerators == sorted([q.num * (big // q.den) for q in entries])
+
+
+def _cut(
+    kind: str, degrees: tuple[int, ...], b_degrees: tuple[int, ...] = ()
+) -> tuple[np.ndarray | None, tuple[tuple[int, int, int], ...]]:
     """The diagonal blocks of a problem matrix of this kind whose factors'
-    parts have these degrees, one per part of a realization, per pair of
+    parts have these degrees: one per part of a realization, per pair of
     parts p <= q of a Sym^2 matrix (e_i.e_j, i in p, j in q) or per part p
-    of a and q of b of a Kronecker matrix (i*m + k, i in p, k in q): the
-    stable order sorting each index's block label, the sorted labels as a
-    column, the labels (int16 arrays, which hold every label and index while
-    each signature's degree is at most 181; the CLI allows 24), the sides."""
-    labels = np.repeat(np.arange(len(degrees), dtype=np.int16), degrees)
+    of a and q of b of a Kronecker matrix (i*m + k, i in p, k in q), in
+    that order.
+
+    Returns the flat index of the in-block entries, block after block, each
+    row-major (None when the matrix is one block, itself), and each block's
+    (side, start, stop) in that index.  With the basis ordered stably by
+    block label, the in-block entries of each row are its block's row, so
+    one mask over the reordered index grid lists them in turn; a basis
+    already in label order lists them as they lie."""
+    if kind == "spectrum":
+        sides = degrees
+    elif kind == "sym2":
+        sides = [
+            p * q if i < j else p * (p + 1) // 2
+            for i, p in enumerate(degrees) for j, q in enumerate(degrees) if i <= j
+        ]
+    else:
+        sides = [p * q for p in degrees for q in b_degrees]
+    stops = list(accumulate(side * side for side in sides))
+    spans = tuple(zip(sides, [0, *stops], stops))
+    if len(sides) < 2:
+        return None, spans
+    labels = np.repeat(np.arange(len(degrees)), degrees)
     if kind == "sym2":
         i, j = _square_basis(len(labels))[:2]
         labels = labels[i] * len(degrees) + labels[j]
     elif kind == "tensor":
-        b_labels = np.repeat(np.arange(len(b_degrees), dtype=np.int16), b_degrees)
-        labels = (labels[:, None] * len(b_degrees) + b_labels).flatten()
-    order = np.argsort(labels, kind="stable").astype(np.int16)
-    sides = np.bincount(labels)
-    layout = order, labels[order[:, None]], labels
-    for a in layout:
-        a.setflags(write=False)  # shared by every caller of the cache
-    return *layout, tuple(sides[sides > 0].tolist())
-
-
-def _blocks(mat: np.ndarray, layout: tuple) -> list[tuple[int, bytes]]:
-    """An int64 matrix as its diagonal blocks (side, bytes) along a
-    :func:`_layout`, or as one block, itself, if an entry outside them is
-    nonzero.  With the rows gathered in layout order, each row's entries in
-    the columns of its own label are every block in turn, row-major, so
-    each block is a slice of one buffer, which must hold every nonzero."""
-    order, ranked, labels, sides = layout
-    kept = mat.take(order, 0)[ranked == labels]
-    if np.count_nonzero(kept) != np.count_nonzero(mat):
-        return [(len(mat), mat.tobytes())]
-    data, start, out = kept.tobytes(), 0, []
-    for side in sides:
-        out.append((side, data[start : start + side * side * 8]))
-        start += side * side * 8
-    return out
-
-
-def _match(queued: list, size: int, tol: float, memo: dict) -> None:
-    """Store the verdict of each queued (key, exact spectrum, pieces of
-    angles), whose row is the sorted union of its pieces; empty the queue."""
-    keys, spectra, pieces = zip(*queued)
-    queued.clear()
-    rows = np.concatenate([np.empty(0), *chain.from_iterable(pieces)])
-    rows = np.sort(rows.reshape(len(keys), size), axis=1)
-    try:
-        verdicts = match_angles(rows, spectra, tol)
-    except ValueError as exc:  # a tolerance out of range
-        verdicts = [exc] * len(keys)
-    for key, spectrum, verdict in zip(keys, spectra, verdicts):
-        if verdict is None:
-            verdict = ValueError(
-                f"grid 1/{element_order(spectrum)} too fine to snap angles"
-                f" at tolerance {tol}"
-            )
-        memo[key] = verdict
+        b_labels = np.repeat(np.arange(len(b_degrees)), b_degrees)
+        labels = (labels[:, None] * len(b_degrees) + b_labels).ravel()
+    if kind == "spectrum" or len(b_degrees) == 1:  # the labels are sorted
+        return np.flatnonzero(labels[:, None] == labels), spans
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    return (order[:, None] * len(labels) + order)[ranked[:, None] == ranked], spans
 
 
 def run_oracle_cases(

@@ -34,7 +34,7 @@ MIN_DEGREE = 1
 # check.  A Kronecker matrix of two such signatures has side 576, so a run
 # at order bound 360 stays within a few MB per matrix.
 MAX_DEGREE = 24
-# Largest --samples: a run holds about 1 KB per sample (a peak RSS of 137 MB
+# Largest --samples: a run holds about 1 KB per sample (a peak RSS of 134 MB
 # at this bound with --format json, Python 3.11 and numpy 2.4 on x86-64
 # Linux), so a larger count is refused rather than left to exhaust memory.
 MAX_SAMPLES = 100_000

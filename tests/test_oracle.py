@@ -316,10 +316,10 @@ def test_numeric_angles_returns_sorted_float64_array():
 # of a call with a fresh table.
 
 
-def _drawn(samples, seed):
+def _drawn(samples, seed, max_degree=8):
     rng = random.Random(seed)
     return [
-        (random_signature(rng, 8, 36), random_signature(rng, 8, 36))
+        (random_signature(rng, max_degree, 36), random_signature(rng, max_degree, 36))
         for _ in range(samples)
     ]
 
@@ -394,6 +394,77 @@ def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     assert len(solved) == len(blocks) < problems
     assert {ndim for ndim, _, _ in solved} == {2}  # each block alone, as one matrix
     assert {(side, data) for _, side, data in solved} == blocks
+
+
+def _problem_rows(drawn):
+    """Each distinct problem of the drawn pairs as (memo key, the sorted row
+    of its blocks' angles, solved by the reference along its own index
+    sets, its exact spectrum)."""
+    realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
+    return [
+        (key, ref.block_angles(matrix(), ref.block_sets(*key)), exact())
+        for problems in oracle._problems(drawn, realized).values()
+        for key, matrix, exact in problems
+    ]
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_each_block_is_solved_once_and_snapped_once_per_grid(monkeypatch, seed):
+    # every case passes, so every block of every problem is snapped to its
+    # problem's grid: once per distinct (block, L), and never twice
+    solved = _count_rows(monkeypatch)
+    snap = oracle._snap
+    snapped = []
+
+    def recorded(x, big, tol):
+        snapped.append((id(x), big))
+        return snap(x, big, tol)
+
+    monkeypatch.setattr(oracle, "_snap", recorded)
+    cases = run_oracle_cases(200, seed=seed)
+    assert all(case["ok"] for case in cases)
+    drawn = _drawn(200, seed)
+    blocks = _distinct_blocks(drawn)
+    assert len(solved) == len({(side, data) for _, side, data in solved}) == len(blocks)
+    realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
+    grids = set()  # each distinct block, by its entries, with each grid it meets
+    for problems in oracle._problems(drawn, realized).values():
+        for key, matrix, exact in problems:
+            mat, big = matrix(), element_order(exact())
+            grids.update((mat[np.ix_(s, s)].tobytes(), big) for s in ref.block_sets(*key))
+    assert len(snapped) == len(set(snapped)) == len(grids)
+
+
+def test_seed_3_run_solves_56_blocks_and_snaps_165_grids(monkeypatch):
+    solved = _count_rows(monkeypatch)
+    snap = oracle._snap
+    snapped = []
+    monkeypatch.setattr(oracle, "_snap", lambda *args: snapped.append(args) or snap(*args))
+    run_oracle_cases(1000, seed=3)
+    assert (len(solved), len(snapped)) == (56, 165)
+
+
+@pytest.fixture(scope="module")
+def rows_of_seeds():
+    """The problems of 50 draws of degree up to 12 at each seed 0-19, whose
+    blocks reach side 144, so that 3e-16 already fails a few."""
+    return {seed: _problem_rows(_drawn(50, seed, max_degree=12)) for seed in range(20)}
+
+
+@pytest.mark.parametrize("tol", [MAX_MATCH_TOLERANCE, DEFAULT_TOLERANCE, 3e-16, 1e-16])
+def test_memo_verdicts_match_whole_rows(rows_of_seeds, tol):
+    # the run's verdict of every problem, decided block by block on integer
+    # numerators, is what match_angles gives the problem's whole sorted row
+    verdicts = []
+    for seed, rows in rows_of_seeds.items():
+        memo = {}
+        oracle.solve_stacked(_drawn(50, seed, max_degree=12), tol, memo)
+        for key, row, exact in rows:
+            [want] = match_angles(row[None], [exact], tol)
+            assert memo[key] == want, (seed, key)
+            verdicts.append(want)
+    assert True in verdicts
+    assert all(verdicts) == (tol >= DEFAULT_TOLERANCE)
 
 
 def test_crosscheck_order_and_short_circuit():
@@ -548,33 +619,32 @@ def test_no_solving_after_solve_stacked(monkeypatch, fault):
 
 
 # The block solve: each distinct diagonal block is solved once per run, on
-# its own, and one match_angles call snaps at most STACK_ENTRIES angles.
+# its own, and snapped once to each exact grid its problems need; no problem
+# row is built, so none waits for a match.
 
 
-def test_no_stack_exceeds_the_entry_cap(monkeypatch):
+def test_each_solve_is_one_distinct_block_and_no_row_is_matched(monkeypatch):
+    # a larger run than the memo test, with Kronecker matrices of side up to
+    # 144: every eigvals call gets one square block, each distinct block of
+    # the run exactly once, and match_angles, which snaps rows, never runs
     original = np.linalg.eigvals
-    sizes = []
+    shapes = []
 
     def counted(a):
-        sizes.append(a.size)
+        shapes.append(a.shape)
         return original(a)
 
-    match = oracle.match_angles
     matched = []
-
-    def recorded(angles, exact, tol):
-        matched.append(angles.shape)
-        return match(angles, exact, tol)
-
     monkeypatch.setattr(oracle.np.linalg, "eigvals", counted)
-    monkeypatch.setattr(oracle, "match_angles", recorded)
-    run_oracle_cases(4000, seed=3, max_degree=12)
-    cap = oracle.STACK_ENTRIES
-    assert max(sizes) <= cap
-    assert all(rows * side <= max(cap, side) for rows, side in matched)
-    assert sum(rows * side for rows, side in matched) > 4 * cap
-    # the cap splits the rows of some size over more than one call
-    assert len(matched) > len({side for _, side in matched})
+    monkeypatch.setattr(oracle, "match_angles", lambda *args: matched.append(args))
+    solved = _count_rows(monkeypatch)
+    cases = run_oracle_cases(4000, seed=3, max_degree=12)
+    assert all(case["ok"] for case in cases)
+    blocks = _distinct_blocks(_drawn(4000, 3, max_degree=12))
+    assert {(side, data) for _, side, data in solved} == blocks
+    assert len(solved) == len(blocks) == len(shapes)
+    assert all(len(shape) == 2 and shape[0] == shape[1] for shape in shapes)
+    assert not matched
 
 
 @pytest.mark.parametrize("kind", ["sym2", "tensor"])
@@ -626,14 +696,59 @@ def test_entry_outside_the_blocks_is_solved_whole(monkeypatch, kind):
         assert case["ok"] == ref.crosscheck_functor(a, b)
 
 
-@pytest.mark.parametrize("cap", [1, 50, 400])
-def test_stack_cap_leaves_the_cases_unchanged(monkeypatch, cap):
-    # matrices and blocks larger than a small cap are solved one per stack;
-    # at 2e-16 the cases split between pass and fail on rounding
-    expected = run_oracle_cases(200, seed=6, tol=2e-16)
-    assert 0 < sum(case["ok"] for case in expected) < 200
-    monkeypatch.setattr(oracle, "STACK_ENTRIES", cap)
-    assert run_oracle_cases(200, seed=6, tol=2e-16) == expected
+def test_entry_past_int8_keys_its_blocks_one_by_one(monkeypatch):
+    # one recurring pair's Kronecker matrix gets an entry of 300 in its last
+    # block, in the oracle and in the reference alike: that matrix is not
+    # narrowed to int8, so its blocks are keyed one by one, and its other
+    # blocks still meet their int8 keys, so no block is solved twice; the
+    # forged block fails off the unit circle, at the reference's case
+    drawn = _drawn(200, 4)
+    bad = next(
+        pair for pair in drawn
+        if drawn.count(pair) > 1 and len(pair[0].parts) * len(pair[1].parts) > 1
+    )
+    last = ref.block_sets("tensor", *bad)[-1]
+    entries = [realize(sig) for sig in bad]
+
+    def forge(build):
+        def forged(*args):
+            out = build(*args)
+            if all(map(np.array_equal, args, entries)):
+                out = out.copy()
+                out[last[0], last[-1]] = 300
+            return out
+
+        return forged
+
+    monkeypatch.setattr(oracle, "kron_matrix", forge(oracle.kron_matrix))
+    monkeypatch.setattr(np, "kron", forge(np.kron))
+    solved = _count_rows(monkeypatch)
+
+    def per_case():
+        for a, b in drawn:
+            ref.crosscheck_functor(a, b)
+
+    want = _first_failure(per_case)
+    assert _first_failure(lambda: run_oracle_cases(200, seed=4)) == want
+    assert len(solved) == len({(side, data) for _, side, data in solved})
+    assert any(300 in np.frombuffer(data, dtype=np.int64) for _, _, data in solved)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled", "sorted"])
+def test_problem_order_leaves_the_verdicts_unchanged(order):
+    # which problem first meets a block, and a block a grid, follows the
+    # order of the draws; at 2e-16 the verdicts split between pass and fail
+    # on rounding, and every one of them stays as in draw order
+    drawn = _drawn(200, 6)
+    expected = _memo_of(drawn, 2e-16)
+    assert 0 < sum(v is True for v in expected.values()) < len(expected)
+    if order == "reversed":
+        moved = drawn[::-1]
+    elif order == "shuffled":
+        moved = random.Random(6).sample(drawn, len(drawn))
+    else:
+        moved = sorted(drawn, key=lambda pair: (pair[0].parts, pair[1].parts))
+    assert _memo_of(moved, 2e-16) == expected
 
 
 def test_failed_block_keeps_the_first_failure(monkeypatch):
@@ -687,7 +802,7 @@ def test_failed_block_keeps_the_first_failure(monkeypatch):
 def _stacks_of_seeds():
     """Every distinct problem of the 200-case runs at seeds 0-4, as one
     stack of angle rows of the whole matrices, one of the rows solved block
-    by block, and their exact spectra, per matrix size."""
+    by block, and their exact spectra, per layout (so per matrix size)."""
     drawn = [pair for seed in range(5) for pair in _drawn(200, seed)]
     realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
     return [
@@ -811,8 +926,9 @@ def test_kron_matrix_is_np_kron(a, b):
 # tracemalloc's peak over run_oracle_cases(1000, seed=3) in a fresh process
 # with numpy and reidtai.oracle imported: 2,142,262 bytes before the block
 # solve (Python 3.11, numpy 2.4).  A run holds one problem matrix at a
-# time, the rows and spectra of one match (at most STACK_ENTRIES angles)
-# and the block layouts it has met, so the guard allows 10 % over that.
+# time, the layouts it has met, each distinct block's int8 entries and
+# angles, and each block's numerators per grid, so the guard allows 10 %
+# over that (the run peaks near 1.4 MB).
 PARENT_ORACLE_PEAK = 2_142_262
 
 

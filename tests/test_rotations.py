@@ -111,6 +111,24 @@ def test_spectrum_canonical_form():
     assert Spectrum((rot(1, 2), rot(1, 2))).dim == 2
 
 
+@pytest.mark.parametrize("swap", [0, -2])
+def test_spectrum_order_check_finds_an_inversion_at_either_end(swap):
+    # one swapped neighbour pair, at the first or the last position of a
+    # canonical spectrum with runs of equal entries, is refused
+    entries = list(parse_spectrum("0, 1/2, 1/2, 1/3, 1/3, 2/3, 1/4, 3/4").entries)
+    assert Spectrum(tuple(entries)).dim == 8
+    entries[swap], entries[swap + 1] = entries[swap + 1], entries[swap]
+    assert entries[swap] != entries[swap + 1]
+    with pytest.raises(ValueError, match="entries not canonically sorted; use Spectrum.of"):
+        Spectrum(tuple(entries))
+
+
+def test_spectrum_of_equal_entries_is_canonical():
+    for text in ("1/3, 1/3, 1/3", "0, 0", "5/12"):
+        entries = parse_spectrum(text).entries
+        assert Spectrum(entries).entries == entries
+
+
 @pytest.mark.parametrize(
     "n, expected",
     [
