@@ -102,7 +102,8 @@ def orbit_residues(d: int, n: int) -> tuple[int, ...]:
 
 def _orbit_levels(n: int, budget: int) -> Levels:
     """The Galois orbits over n of the orders d | n with phi(d) <= budget,
-    ascending: the only place that decides which orders fit a budget."""
+    ascending: the only place in the enumeration that decides which orders
+    fit a budget (``oracle._fitting`` decides it for the oracle's draws)."""
     return tuple(orbit_residues(d, n) for d in divisors(n) if totient(d) <= budget)
 
 

@@ -131,11 +131,10 @@ def _tolerance_error(tol: float) -> ValueError | None:
     return None
 
 
-def _snap(x: np.ndarray, big, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _snap(x: np.ndarray, big: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The snap rule: each angle's nearest grid numerator k (k/big, as
-    floats; big broadcasts against the last axis) and whether every angle
-    along that axis lies within tol of its grid point, in circular
-    distance."""
+    floats) and whether every angle lies within tol of its grid point, in
+    circular distance."""
     k = np.rint(x * big) % big
     d = np.abs(x - k / big) % 1.0
     return k, np.all(np.minimum(d, 1.0 - d) <= tol, axis=-1)
@@ -151,47 +150,17 @@ def match_angles(
     the row's angles pair off one-to-one with the spectrum's entries, each
     within tol under circular distance.
 
-    Every exact entry lies on the grid k/L, L = element_order(exact).  Each
-    angle is snapped to its nearest grid point by :func:`_snap`, the rule
-    :func:`solve_stacked` applies to each block's angles; the match holds
-    iff every snap is within tol and the snapped numerators equal the exact
-    ones as a multiset.  Distinct exact values lie more than 2*tol apart (see
-    MAX_MATCH_TOLERANCE), so an angle has at most one exact value within
-    tol, and the snap finds it while the grid spacing 1/L stays well above
-    2*tol.  A row whose grid is finer than that (tol*L > 1/4, so L above
-    250 000; the CLI's order bound keeps L <= 360) gets None.  The stack is
-    snapped in one pass, each row against its own L, and each verdict
-    depends on its own row and spectrum only.  A tolerance out of range
-    raises ValueError.
+    Each row is decided by :func:`_verdict`, as one block of its own: the
+    rule every run applies block by block.  A row whose grid is too fine for
+    the tolerance gets None.  A tolerance out of range, or a number of rows
+    other than the number of spectra, raises ValueError.
     """
     if (error := _tolerance_error(tol)) is not None:
         raise error
-    x = np.asarray(angles, dtype=np.float64)
-    width = x.shape[1]
-    verdicts: list[bool | None] = [None] * len(exact)
-    snapped, orders, numerators = [], [], []
-    for i, spectrum in enumerate(exact):
-        entries = spectrum.entries
-        if len(entries) != width:
-            verdicts[i] = False
-            continue
-        big = element_order(spectrum)
-        if 4 * tol * big > 1:
-            continue
-        snapped.append(i)
-        orders.append(big)
-        numerators += [q.num * (big // q.den) for q in entries]
-    if not snapped:
-        return verdicts
-    k, close = _snap(x[snapped], np.array(orders, dtype=np.float64)[:, None], tol)
-    same = np.zeros_like(close)
-    # orders past int64 make the exact numerators an object array
-    exact_k = np.array(numerators).reshape(len(snapped), width)[close]
-    same[close] = np.all(
-        np.sort(k[close].astype(np.int64), axis=1) == np.sort(exact_k, axis=1), axis=1
-    )
-    for i, ok in zip(snapped, same):
-        verdicts[i] = bool(ok)
+    verdicts: list[bool | None] = []
+    for row, spectrum in zip(np.asarray(angles, dtype=np.float64), exact, strict=True):
+        verdict = _verdict(spectrum, [0], [row], {}, len(row), tol)
+        verdicts.append(None if isinstance(verdict, ValueError) else verdict)
     return verdicts
 
 
@@ -386,8 +355,8 @@ def solve_stacked(
     its entries' bytes, is solved once per run, alone; a failed block fails
     every problem holding it.  A problem's exact spectrum fixes its grid
     1/L, L = element_order, and :func:`_verdict` snaps each distinct block
-    to each grid once per run, by :func:`match_angles`' rule.  Snapping goes
-    angle by angle, so each verdict is the one :func:`match_angles` gives
+    to each grid once per run.  Snapping goes angle by angle, so each
+    verdict is the one :func:`match_angles`, the same rule on one row, gives
     the problem's whole sorted row, at every tolerance.
     """
     realized = {}
@@ -464,7 +433,15 @@ def _verdict(
     the tolerance, else whether each of its blocks' angles (``angles[i]``
     for i in ``ids``) snaps within tol and their numerators over L, sorted,
     equal the spectrum's.  Each block is snapped to each grid once, into
-    ``snaps``."""
+    ``snaps``.
+
+    Every exact entry lies on the grid k/L.  Distinct exact values lie more
+    than 2*tol apart (see MAX_MATCH_TOLERANCE), so an angle has at most one
+    exact value within tol, and :func:`_snap`'s nearest grid point finds it
+    while the spacing 1/L stays well above 2*tol.  A grid finer than that
+    (tol*L > 1/4, so L above 250 000; the CLI's order bound keeps L <= 360)
+    is refused.  So the verdict is a one-to-one pairing of the angles with
+    the entries, each within tol."""
     entries = spectrum.entries
     if len(entries) != size:
         return False
@@ -498,23 +475,11 @@ def _cut(
 
     Returns the flat index of the in-block entries, block after block, each
     row-major (None when the matrix is one block, itself), and each block's
-    (side, start, stop) in that index.  With the basis ordered stably by
-    block label, the in-block entries of each row are its block's row, so
-    one mask over the reordered index grid lists them in turn; a basis
-    already in label order lists them as they lie."""
-    if kind == "spectrum":
-        sides = degrees
-    elif kind == "sym2":
-        sides = [
-            p * q if i < j else p * (p + 1) // 2
-            for i, p in enumerate(degrees) for j, q in enumerate(degrees) if i <= j
-        ]
-    else:
-        sides = [p * q for p in degrees for q in b_degrees]
-    stops = list(accumulate(side * side for side in sides))
-    spans = tuple(zip(sides, [0, *stops], stops))
-    if len(sides) < 2:
-        return None, spans
+    (side, start, stop) in that index.  Each basis vector is labelled by its
+    block, in block order; a block's side is the count of its label.  With
+    the basis ordered stably by label, the in-block entries of each row are
+    its block's row, so one mask over the reordered index grid lists them in
+    turn."""
     labels = np.repeat(np.arange(len(degrees)), degrees)
     if kind == "sym2":
         i, j = _square_basis(len(labels))[:2]
@@ -522,8 +487,12 @@ def _cut(
     elif kind == "tensor":
         b_labels = np.repeat(np.arange(len(b_degrees)), b_degrees)
         labels = (labels[:, None] * len(b_degrees) + b_labels).ravel()
-    if kind == "spectrum" or len(b_degrees) == 1:  # the labels are sorted
-        return np.flatnonzero(labels[:, None] == labels), spans
+    counts = np.bincount(labels)
+    sides = counts[counts > 0].tolist()  # no Sym^2 pair p > q
+    stops = list(accumulate(side * side for side in sides))
+    spans = tuple(zip(sides, [0, *stops], stops))
+    if len(sides) < 2:
+        return None, spans
     order = np.argsort(labels, kind="stable")
     ranked = labels[order]
     return (order[:, None] * len(labels) + order)[ranked[:, None] == ranked], spans

@@ -110,6 +110,12 @@ def test_match_angles_guards():
     # a case with its tolerance out of range raises that failure
     with pytest.raises(ValueError, match="tolerance must be in"):
         crosscheck_functor(OrbitSignature.of([2]), OrbitSignature.of([1]), 0.0)
+    # each row needs its own spectrum: a count mismatch either way raises
+    rows = np.zeros((2, 1))
+    with pytest.raises(ValueError):
+        match_angles(rows, [S("0")])
+    with pytest.raises(ValueError):
+        match_angles(rows, [S("0")] * 3)
 
 
 def test_companion_rejects_non_monic():
@@ -873,6 +879,32 @@ def test_stacked_snap_edge_rows():
     assert match_angles(rows[:0], [], DEFAULT_TOLERANCE) == []
     with pytest.raises(ValueError):
         match_angles(rows, spectra, 0.0)
+
+
+@pytest.mark.parametrize("max_degree", [8, 12])
+def test_cut_matches_the_reference_block_sets(max_degree):
+    # every layout of the 200-case runs at seeds 0-4: each block's side is
+    # its reference index set's size, in order, and the flat index lists
+    # each set's entries row-major, set after set
+    drawn = [pair for seed in range(5) for pair in _drawn(200, seed, max_degree)]
+    realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
+    layouts = oracle._problems(drawn, realized)
+    for shape, problems in layouts.items():
+        index, spans = oracle._cut(*shape)
+        sets = ref.block_sets(*problems[0][0])
+        n = sum(map(len, sets))
+        assert [side for side, _, _ in spans] == list(map(len, sets))
+        assert [start for _, start, _ in spans] == [0] + [stop for _, _, stop in spans[:-1]]
+        grid = np.arange(n * n).reshape(n, n)
+        want = np.concatenate([grid[np.ix_(s, s)].ravel() for s in sets])
+        got = np.arange(n * n) if index is None else index
+        assert (index is None) == (len(sets) == 1)
+        assert np.array_equal(got, want) and spans[-1][2] == len(want)
+    # one-part signatures, and tensors whose b side has one part and whose
+    # a side has more (a run of labels already in order), are among them
+    kinds = {(shape[0], len(shape[1]) == 1) for shape in layouts}
+    assert kinds >= {("spectrum", True), ("spectrum", False), ("sym2", True)}
+    assert any(s[0] == "tensor" and len(s[1]) > 1 and len(s[2]) == 1 for s in layouts)
 
 
 def _memo_of(drawn, tol):
