@@ -1,8 +1,11 @@
 """Age and the induced-operator calculus on spectra.
 
-Everything here is exact: spectra in, spectra out, ages as Fractions.
-Threshold comparisons downstream (age vs 1 or 1/2) must never go through
-floats, because the boundary cases sit exactly on the thresholds.
+Everything here is exact: ages are Fractions, and the symmetric square
+and tensor product are summed by two integer kernels, ``sym2_sums`` and
+``tensor_sums``, over numerators mod the order; ``sym2`` and ``tensor``
+turn their sums into spectra.  Threshold comparisons downstream (age vs 1
+or 1/2) must never go through floats, because the boundary cases sit
+exactly on the thresholds.
 """
 
 from __future__ import annotations
@@ -24,44 +27,56 @@ def age(s: Spectrum) -> Fraction:
     return sum((q.fraction for q in s.entries), Fraction(0))
 
 
-def _numerators(s: Spectrum, big: int) -> list[int]:
+def numerators(s: Spectrum, big: int) -> list[int]:
     """Entries of s as numerators over big, which each denominator divides."""
     return [q.num * (big // q.den) for q in s.entries]
+
+
+def check_cap(sums: list[int], big: int) -> None:
+    """Raise the ValueError that adding the entries one pair at a time
+    raises first, if some k/big, k in sums, reduces past the cap: the
+    distinct sums are read in order of first occurrence."""
+    if big > MAX_DENOMINATOR:
+        entries = residues(big)
+        for k in dict.fromkeys(sums):
+            entries[k]  # builds the entry, or raises
 
 
 def _spectrum_over(sums: list[int], big: int) -> Spectrum:
     """The spectrum {k/big : k in sums}, for sums already reduced mod big.
 
-    The sums are sorted once, in place, keyed by ``residue_keys(big)``, and
-    mapped through ``residues(big)``.  Over a denominator above the cap the
-    distinct sums are read first in order of first occurrence, so a sum
-    whose reduced denominator exceeds it raises the ValueError that adding
-    the entries one pair at a time raises first."""
-    entries = residues(big)
-    if big > MAX_DENOMINATOR:
-        for k in dict.fromkeys(sums):
-            entries[k]  # builds the entry, or raises
+    After :func:`check_cap`, the sums are sorted once, in place, keyed by
+    ``residue_keys(big)``, and mapped through ``residues(big)``."""
+    check_cap(sums, big)
     sums.sort(key=residue_keys(big).__getitem__)
-    return Spectrum(tuple(map(entries.__getitem__, sums)))
+    return Spectrum(tuple(map(residues(big).__getitem__, sums)))
+
+
+def sym2_sums(x: list[int], big: int) -> list[int]:
+    """The numerators {(x_i + x_j) mod big : i <= j}, i outer."""
+    return [(xi + y) % big for i, xi in enumerate(x) for y in x[i:]]
+
+
+def tensor_sums(x: list[int], y: list[int], big: int) -> list[int]:
+    """The numerators {(x_i + y_j) mod big}, i outer."""
+    return [(xi + z) % big for xi in x for z in y]
 
 
 def sym2(a: Spectrum) -> Spectrum:
     """Spectrum of the induced operator on the symmetric square.
 
     For |a| = h this is the multiset {a_i + a_j : i <= j}, of size
-    h*(h+1)/2, summed as integer numerators over the order of a.
+    h*(h+1)/2, summed by :func:`sym2_sums` over the order of a.
     """
     big = element_order(a)
-    x = _numerators(a, big)
-    return _spectrum_over([(xi + y) % big for i, xi in enumerate(x) for y in x[i:]], big)
+    return _spectrum_over(sym2_sums(numerators(a, big), big), big)
 
 
 def tensor(a: Spectrum, b: Spectrum) -> Spectrum:
     """Spectrum of the induced operator on the tensor product (size |a|*|b|),
-    summed as integer numerators over the lcm of the two orders."""
+    summed by :func:`tensor_sums` over the lcm of the two orders."""
     big = math.lcm(element_order(a), element_order(b))
-    y = _numerators(b, big)
-    return _spectrum_over([(x + z) % big for x in _numerators(a, big) for z in y], big)
+    return _spectrum_over(tensor_sums(numerators(a, big), numerators(b, big), big), big)
 
 
 def direct_sum(*summands: Spectrum) -> Spectrum:

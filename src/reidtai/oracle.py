@@ -14,9 +14,10 @@ check that nothing lies outside them (a matrix that fails it is one block,
 itself).  Each distinct block is solved once per run, on its own, and its
 angles are snapped once to each exact grid 1/L its problems need, into
 integer numerators; a problem matches iff its blocks' numerators, sorted,
-equal those of its exact spectrum over L.  Each problem's verdict, or the
-first failure of its steps, is stored in one table; each case then reads
-its steps from that table.
+equal those of its exact spectrum over L, which the kernels of ``functors``
+sum from each signature's numerators, with no spectrum built per problem.
+Each problem's verdict, or the first failure of its steps, is stored in
+one table; each case then reads its steps from that table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .functors import sym2, tensor
+from .functors import check_cap, numerators, sym2_sums, tensor_sums
 from .rotations import (
     DEFAULT_TOLERANCE, MAX_MATCH_TOLERANCE, MIN_DEGREE,
     OrbitSignature, Spectrum, divisors, element_order, totient,
@@ -83,25 +84,34 @@ def companion(coeffs: tuple[int, ...]) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=None)
+def _part_block(n: int) -> tuple[np.ndarray, bool]:
+    """The companion block of the n-th cyclotomic polynomial, read-only,
+    and whether its n-th power, by exact integer powering, is I."""
+    block = companion(cyclotomic_polynomial(n))
+    block.setflags(write=False)
+    power = np.linalg.matrix_power(block, n)
+    return block, np.array_equal(power, np.eye(len(block), dtype=np.int64))
+
+
 def realize(sig: OrbitSignature) -> np.ndarray:
     """Block-diagonal companion realization of a signature, as an int64
     array.
 
-    The matrix has size total_degree; its exact order, the lcm of the
-    parts, is verified by exact integer powering.
+    The matrix has size total_degree.  Its exact order is the lcm of the
+    parts iff each part's block C_n has C_n^n = I, which is checked once
+    per part order n (:func:`_part_block`).
     """
     size = sig.total_degree
     m = np.zeros((size, size), dtype=np.int64)
     pos = 0
     for n in sig.parts:
+        block, of_order = _part_block(n)
+        if not of_order:
+            raise OracleFailure(f"realization of {sig} is not of order {sig.order}")
         d = totient(n)
-        m[pos : pos + d, pos : pos + d] = companion(cyclotomic_polynomial(n))
+        m[pos : pos + d, pos : pos + d] = block
         pos += d
-    order = sig.order
-    if size and not np.array_equal(
-        np.linalg.matrix_power(m, order), np.eye(size, dtype=np.int64)
-    ):
-        raise OracleFailure(f"realization of {sig} is not of order {order}")
     return m
 
 
@@ -150,16 +160,18 @@ def match_angles(
     the row's angles pair off one-to-one with the spectrum's entries, each
     within tol under circular distance.
 
-    Each row is decided by :func:`_verdict`, as one block of its own: the
-    rule every run applies block by block.  A row whose grid is too fine for
-    the tolerance gets None.  A tolerance out of range, or a number of rows
-    other than the number of spectra, raises ValueError.
+    Each row is decided by :func:`_verdict`, as one block of its own, on
+    its spectrum's order and sorted numerators: the rule every run applies
+    block by block.  A row whose grid is too fine for the tolerance gets
+    None.  A tolerance out of range, or a number of rows other than the
+    number of spectra, raises ValueError.
     """
     if (error := _tolerance_error(tol)) is not None:
         raise error
     verdicts: list[bool | None] = []
     for row, spectrum in zip(np.asarray(angles, dtype=np.float64), exact, strict=True):
-        verdict = _verdict(spectrum, [0], [row], {}, len(row), tol)
+        big, x = _over_order(spectrum)
+        verdict = _verdict((big, sorted(x)), [0], [row], {}, len(row), tol)
         verdicts.append(None if isinstance(verdict, ValueError) else verdict)
     return verdicts
 
@@ -292,28 +304,71 @@ def random_signature(
     return _signature(tuple(sorted(parts)))
 
 
+def _over_order(spectrum: Spectrum) -> tuple[int, list[int]]:
+    """The order L of a spectrum and its entries as numerators over L, in
+    the spectrum's order."""
+    big = element_order(spectrum)
+    return big, numerators(spectrum, big)
+
+
+def _reduced(sums: list[int], big: int) -> tuple[int, list[int]]:
+    """The order L of the spectrum {k/big : k in sums} (L = big // gcd(big,
+    *sums), its element_order) and its sorted numerators over L, after the
+    cap check that building it makes."""
+    check_cap(sums, big)
+    g = math.gcd(big, *sums)
+    if g > 1:
+        sums = [k // g for k in sums]
+    sums.sort()
+    return big // g, sums
+
+
+def _sym2_exact(big: int, x: list[int]) -> tuple[int, list[int]]:
+    """The Sym^2 problem's exact side, from the signature's entries x/big."""
+    return _reduced(sym2_sums(x, big), big)
+
+
+def _tensor_exact(
+    a_big: int, x: list[int], b_big: int, y: list[int]
+) -> tuple[int, list[int]]:
+    """The tensor problem's exact side, from the entries x/a_big and
+    y/b_big, summed over the lcm of the two orders."""
+    big = math.lcm(a_big, b_big)
+    if big != a_big:
+        x = [k * (big // a_big) for k in x]
+    if big != b_big:
+        y = [k * (big // b_big) for k in y]
+    return _reduced(tensor_sums(x, y, big), big)
+
+
 def _problems(
     drawn: Sequence[tuple[OrbitSignature, OrbitSignature]],
     realized: dict[OrbitSignature, tuple[np.ndarray, Spectrum]],
 ) -> dict[tuple, list[tuple[tuple, Callable, Callable]]]:
     """Each distinct eigenvalue problem of the drawn pairs whose signatures
     are realized, once, as (memo key, a function making its matrix, one
-    making its exact spectrum), grouped by layout: the problem's kind and
-    the degrees of its factors' parts, all a :func:`_cut` needs.  The
-    tables are keyed by parts, whose tuples hash in C."""
+    making its exact side), grouped by layout: the problem's kind and the
+    degrees of its factors' parts, all a :func:`_cut` needs.  The tables
+    are keyed by parts, whose tuples hash in C.
+
+    An exact side is the order L of the problem's exact spectrum and its
+    sorted numerators over L.  Each signature's spectrum is read once as
+    its order and numerators; its Sym^2 and tensor problems sum those by
+    the ``functors`` kernels, the sums ``sym2`` and ``tensor`` make."""
     by_shape: dict[tuple, list] = defaultdict(list)
     by_parts = {}
-    for sig, (mat, exact) in realized.items():
+    for sig, (mat, spectrum) in realized.items():
         degrees = tuple(map(totient, sig.parts))
+        exact = _over_order(spectrum)
         by_parts[sig.parts] = mat, exact, degrees
         by_shape["spectrum", degrees].append(
-            (("spectrum", sig), lambda m=mat: m, lambda e=exact: e)
+            (("spectrum", sig), lambda m=mat: m, lambda e=exact: (e[0], sorted(e[1])))
         )
     for a in {a.parts: a for a, _ in drawn}.values():
         if a.parts in by_parts:
             mat, exact, degrees = by_parts[a.parts]
             by_shape["sym2", degrees].append(
-                (("sym2", a), partial(_sym2_entries, mat), partial(sym2, exact))
+                (("sym2", a), partial(_sym2_entries, mat), partial(_sym2_exact, *exact))
             )
     for a, b in {(a.parts, b.parts): (a, b) for a, b in drawn}.values():
         if a.parts in by_parts and b.parts in by_parts:
@@ -323,7 +378,7 @@ def _problems(
             by_shape["tensor", a_degrees, b_degrees].append((
                 ("tensor", a, b),
                 partial(_kron_entries, a_mat, b_mat),
-                partial(tensor, a_exact, b_exact),
+                partial(_tensor_exact, *a_exact, *b_exact),
             ))
     return by_shape
 
@@ -353,11 +408,12 @@ def solve_stacked(
     cut's flat in-block index; a matrix with a nonzero entry outside its
     blocks is one block, itself.  Each distinct block, keyed by its side and
     its entries' bytes, is solved once per run, alone; a failed block fails
-    every problem holding it.  A problem's exact spectrum fixes its grid
-    1/L, L = element_order, and :func:`_verdict` snaps each distinct block
-    to each grid once per run.  Snapping goes angle by angle, so each
-    verdict is the one :func:`match_angles`, the same rule on one row, gives
-    the problem's whole sorted row, at every tolerance.
+    every problem holding it.  A problem's exact side, the order L of its
+    exact spectrum and its sorted numerators over L, fixes its grid 1/L,
+    and :func:`_verdict` snaps each distinct block to each grid once per
+    run.  Snapping goes angle by angle, so each verdict is the one
+    :func:`match_angles`, the same rule on one row, gives the problem's
+    whole sorted row, at every tolerance.
     """
     realized = {}
     for sig in {sig.parts: sig for pair in drawn for sig in pair}.values():
@@ -409,11 +465,11 @@ def solve_stacked(
                 memo[key] = angles[next(i for i in ids if i in failed)]
                 continue
             try:
-                spectrum = exact()
+                side = exact()
             except ValueError as exc:
                 memo[key] = exc
                 continue
-            memo[key] = out_of_range or _verdict(spectrum, ids, angles, snaps, len(mat), tol)
+            memo[key] = out_of_range or _verdict(side, ids, angles, snaps, len(mat), tol)
 
 
 def _block_key(entries: np.ndarray, side: int) -> tuple[int, bytes]:
@@ -426,14 +482,15 @@ def _block_key(entries: np.ndarray, side: int) -> tuple[int, bytes]:
 
 
 def _verdict(
-    spectrum: Spectrum, ids: list[int], angles: list, snaps: dict, size: int, tol: float
+    exact: tuple[int, list[int]], ids: list[int], angles: list, snaps: dict, size: int,
+    tol: float,
 ) -> bool | ValueError:
-    """A problem's match: False if its size is not the spectrum's, a
-    ValueError if the grid 1/L, L = element_order(spectrum), is too fine for
-    the tolerance, else whether each of its blocks' angles (``angles[i]``
-    for i in ``ids``) snaps within tol and their numerators over L, sorted,
-    equal the spectrum's.  Each block is snapped to each grid once, into
-    ``snaps``.
+    """A problem's match against its exact side (L, the exact spectrum's
+    sorted numerators over its order L): False if its size is not the
+    spectrum's, a ValueError if the grid 1/L is too fine for the tolerance,
+    else whether each of its blocks' angles (``angles[i]`` for i in
+    ``ids``) snaps within tol and their numerators over L, sorted, equal the
+    spectrum's.  Each block is snapped to each grid once, into ``snaps``.
 
     Every exact entry lies on the grid k/L.  Distinct exact values lie more
     than 2*tol apart (see MAX_MATCH_TOLERANCE), so an angle has at most one
@@ -442,10 +499,9 @@ def _verdict(
     (tol*L > 1/4, so L above 250 000; the CLI's order bound keeps L <= 360)
     is refused.  So the verdict is a one-to-one pairing of the angles with
     the entries, each within tol."""
-    entries = spectrum.entries
-    if len(entries) != size:
+    big, want = exact
+    if len(want) != size:
         return False
-    big = element_order(spectrum)
     if 4 * tol * big > 1:
         return ValueError(f"grid 1/{big} too fine to snap angles at tolerance {tol}")
     grid = snaps.get(big)
@@ -461,7 +517,7 @@ def _verdict(
             return False
         numerators += snap
     numerators.sort()
-    return numerators == sorted([q.num * (big // q.den) for q in entries])
+    return numerators == want
 
 
 def _cut(

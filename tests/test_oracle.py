@@ -1,6 +1,7 @@
 """Numeric eigenvalue cross-checks of the exact calculus."""
 
 import functools
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference_functors as ref_functors
 import reference_oracle as ref
 from reidtai import oracle
 from reidtai.functors import sym2, tensor
@@ -90,6 +92,45 @@ def test_realize_examples():
     assert np.array_equal(np.linalg.matrix_power(m, 3), np.eye(2, dtype=np.int64))
     assert not np.array_equal(m, np.eye(2, dtype=np.int64))
     assert realize(OrbitSignature()).shape == (0, 0)
+
+
+def test_forged_companion_fails_every_signature_holding_its_part(monkeypatch):
+    # the block of part 3 forged as the companion of Phi_6, whose cube is -I:
+    # every signature holding 3 fails its realization, by name, also where
+    # an even part makes the lcm of the parts a multiple of 6, so that the
+    # whole matrix to that power is I; no other signature fails
+    original = oracle.companion
+    phi3, phi6 = cyclotomic_polynomial(3), cyclotomic_polynomial(6)
+    drawn = _drawn(200, 0)
+    signatures = {sig for pair in drawn for sig in pair}
+    holding = {sig for sig in signatures if 3 in sig.parts}
+    assert any(sig.order % 6 == 0 for sig in holding)
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "companion", lambda c: original(phi6 if c == phi3 else c))
+        oracle._part_block.cache_clear()  # the blocks are cached per part order
+        try:
+            memo = {}
+            oracle.solve_stacked(drawn, DEFAULT_TOLERANCE, memo)
+            for sig in signatures:
+                step = memo[("realize", sig)]
+                if sig in holding:
+                    message = f"realization of {sig} is not of order {sig.order}"
+                    assert isinstance(step, OracleFailure) and str(step) == message
+                    with pytest.raises(OracleFailure) as raised:
+                        realize(sig)
+                    assert str(raised.value) == message
+                else:
+                    assert not isinstance(step, Exception)
+            for a, b in drawn:
+                if a in holding or b in holding:
+                    with pytest.raises(OracleFailure, match="is not of order"):
+                        crosscheck_functor(a, b, memo=memo)
+                else:
+                    assert crosscheck_functor(a, b, memo=memo)
+            with pytest.raises(OracleFailure, match="is not of order"):
+                run_oracle_cases(200, seed=0)
+        finally:
+            oracle._part_block.cache_clear()
 
 
 @pytest.mark.parametrize("n", [3, 4, 12])
@@ -322,10 +363,11 @@ def test_numeric_angles_returns_sorted_float64_array():
 # of a call with a fresh table.
 
 
-def _drawn(samples, seed, max_degree=8):
+def _drawn(samples, seed, max_degree=8, order_divides=36):
     rng = random.Random(seed)
     return [
-        (random_signature(rng, max_degree, 36), random_signature(rng, max_degree, 36))
+        (random_signature(rng, max_degree, order_divides),
+         random_signature(rng, max_degree, order_divides))
         for _ in range(samples)
     ]
 
@@ -380,7 +422,8 @@ def _count_rows(monkeypatch):
 @pytest.mark.parametrize("seed", [3, 8])
 def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     counts = _count_calls(
-        monkeypatch, ["crosscheck_functor", "realize", "sym2_matrix", "sym2", "tensor"]
+        monkeypatch,
+        ["crosscheck_functor", "realize", "sym2_matrix", "sym2_sums", "tensor_sums"],
     )
     solved = _count_rows(monkeypatch)
     cases = run_oracle_cases(200, seed=seed)
@@ -392,8 +435,8 @@ def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     assert len(signatures) < 400 and len(pairs) < 200  # the draws repeat
     assert counts["crosscheck_functor"] == 200
     assert counts["realize"] == len(signatures)
-    assert counts["sym2_matrix"] == counts["sym2"] == len(firsts)
-    assert counts["tensor"] == len(pairs)
+    assert counts["sym2_matrix"] == counts["sym2_sums"] == len(firsts)
+    assert counts["tensor_sums"] == len(pairs)
     # what is solved is each distinct diagonal block of those problems, once
     problems = len(signatures) + len(firsts) + len(pairs)
     blocks = _distinct_blocks(drawn)
@@ -402,15 +445,26 @@ def test_memo_checks_each_signature_and_pair_once(monkeypatch, seed):
     assert {(side, data) for _, side, data in solved} == blocks
 
 
+def _spectrum_of(key):
+    """The exact spectrum of the problem under a memo key, by the public
+    functors."""
+    kind, a, *b = key
+    if kind == "spectrum":
+        return a.spectrum()
+    if kind == "sym2":
+        return sym2(a.spectrum())
+    return tensor(a.spectrum(), b[0].spectrum())
+
+
 def _problem_rows(drawn):
     """Each distinct problem of the drawn pairs as (memo key, the sorted row
     of its blocks' angles, solved by the reference along its own index
     sets, its exact spectrum)."""
     realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
     return [
-        (key, ref.block_angles(matrix(), ref.block_sets(*key)), exact())
+        (key, ref.block_angles(matrix(), ref.block_sets(*key)), _spectrum_of(key))
         for problems in oracle._problems(drawn, realized).values()
-        for key, matrix, exact in problems
+        for key, matrix, _ in problems
     ]
 
 
@@ -435,8 +489,8 @@ def test_each_block_is_solved_once_and_snapped_once_per_grid(monkeypatch, seed):
     realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
     grids = set()  # each distinct block, by its entries, with each grid it meets
     for problems in oracle._problems(drawn, realized).values():
-        for key, matrix, exact in problems:
-            mat, big = matrix(), element_order(exact())
+        for key, matrix, _ in problems:
+            mat, big = matrix(), element_order(_spectrum_of(key))
             grids.update((mat[np.ix_(s, s)].tobytes(), big) for s in ref.block_sets(*key))
     assert len(snapped) == len(set(snapped)) == len(grids)
 
@@ -815,7 +869,7 @@ def _stacks_of_seeds():
         (numeric_angles(np.stack([matrix() for _, matrix, _ in problems])),
          np.array([ref.block_angles(matrix(), ref.block_sets(*key))
                    for key, matrix, _ in problems]),
-         [exact() for _, _, exact in problems])
+         [_spectrum_of(key) for key, _, _ in problems])
         for problems in oracle._problems(drawn, realized).values()
     ]
 
@@ -915,22 +969,28 @@ def _memo_of(drawn, tol):
 
 @pytest.mark.parametrize("fault", ["raises", "too fine"])
 def test_exact_side_fault_is_stored_on_its_problem(monkeypatch, fault):
-    # one first signature's exact Sym^2 raises, or lands on a grid too fine
-    # for the tolerance: the ValueError is stored under its problem, every
-    # other problem keeps its clean verdict, and the case raises it
+    # one first signature's exact Sym^2 raises in the kernel, or lands on a
+    # grid too fine for the tolerance: the ValueError is stored under its
+    # problem, every other problem keeps its clean verdict, and the case
+    # raises it.  A kernel's sums lie on the signature's own grid, so the
+    # too-fine side is forged one step later, where the sums are reduced.
     drawn = _drawn(200, 2)
     clean = _memo_of(drawn, MAX_MATCH_TOLERANCE)
     bad = next(a for a, _ in drawn if len(realize(a)) == 2)
-    original = oracle.sym2
+    big = element_order(bad.spectrum())
+    side = (big, [q.num * (big // q.den) for q in bad.spectrum().entries])
+    name = "sym2_sums" if fault == "raises" else "_sym2_exact"
+    original = getattr(oracle, name)
 
-    def faulty(exact):
-        if exact == bad.spectrum():
+    def faulty(*args):
+        if args in (side, side[::-1]):  # the kernel takes (x, big)
             if fault == "raises":
                 raise ValueError("forced exact-side failure")
-            return parse_spectrum("1/359, 1/358, 1/357")
-        return original(exact)
+            fine, x = oracle._over_order(parse_spectrum("1/359, 1/358, 1/357"))
+            return fine, sorted(x)
+        return original(*args)
 
-    monkeypatch.setattr(oracle, "sym2", faulty)
+    monkeypatch.setattr(oracle, name, faulty)
     memo = _memo_of(drawn, MAX_MATCH_TOLERANCE)
     message = "forced exact-side failure" if fault == "raises" else "too fine to snap"
     assert clean[("sym2", bad)] is True
@@ -940,6 +1000,75 @@ def test_exact_side_fault_is_stored_on_its_problem(monkeypatch, fault):
     b = next(b for a, b in drawn if a == bad)
     with pytest.raises(ValueError, match=message):
         crosscheck_functor(bad, b, MAX_MATCH_TOLERANCE)
+
+
+def _order_and_numerators(spectrum):
+    """The order of a spectrum and its sorted numerators over it, from its
+    rotation numbers."""
+    big = element_order(spectrum)
+    return big, sorted(q.num * (big // q.den) for q in spectrum.entries)
+
+
+@pytest.mark.parametrize("order_divides", [36, 360])
+@pytest.mark.parametrize("max_degree", [8, 12])
+def test_exact_sides_match_the_reference_functors(max_degree, order_divides):
+    # every problem of the 200-case runs at seeds 0-19: its exact side is the
+    # order and sorted numerators of its spectrum, summed for Sym^2 and the
+    # tensor by the rotation-number sums of the reference
+    kinds, orders = set(), set()
+    for seed in range(20):
+        drawn = _drawn(200, seed, max_degree, order_divides)
+        realized = {sig: oracle._realized(sig) for pair in drawn for sig in pair}
+        for problems in oracle._problems(drawn, realized).values():
+            for key, _, exact in problems:
+                kind, a, *b = key
+                if kind == "spectrum":
+                    want = a.spectrum()
+                elif kind == "sym2":
+                    want = ref_functors.sym2(a.spectrum())
+                else:
+                    want = ref_functors.tensor(a.spectrum(), b[0].spectrum())
+                side = exact()
+                assert side == _order_and_numerators(want), (seed, key)
+                kinds.add(kind)
+                orders.add(side[0])
+    assert kinds == {"spectrum", "sym2", "tensor"}
+    assert max(orders) > 36 or order_divides == 36
+
+
+def _outcome(side):
+    try:
+        return side()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("a, b, raises", [
+    ("1/16, 1/45", "0", [True, False, False]),
+    ("0, 0", "1/16, 1/45", [False, False, False]),
+    ("1/16, 1/45", "1/16, 15/16", [True, True, True]),
+    ("1/16", "1/45", [False, True, True]),
+    ("1/80, 3/16, 1/45", "1/9, 1/16", [True, True, True]),
+])
+def test_exact_side_over_an_order_above_the_cap(a, b, raises):
+    # orders whose lcm is 720, for Sym^2 of a and the tensors a.b and b.a:
+    # where every sum reduces to a denominator <= 360 the oracle's exact
+    # side is the public spectrum's order and numerators, and where one
+    # does not, both routes raise the same ValueError, as the
+    # rotation-number sums do
+    a, b = S(a), S(b)
+    a_side, b_side = oracle._over_order(a), oracle._over_order(b)
+    assert math.lcm(a_side[0], b_side[0]) == 720
+    routes = [
+        (lambda: oracle._sym2_exact(*a_side), sym2, ref_functors.sym2, (a,)),
+        (lambda: oracle._tensor_exact(*a_side, *b_side), tensor, ref_functors.tensor, (a, b)),
+        (lambda: oracle._tensor_exact(*b_side, *a_side), tensor, ref_functors.tensor, (b, a)),
+    ]
+    for (side, public, reference, spectra), raising in zip(routes, raises, strict=True):
+        want = _outcome(lambda: _order_and_numerators(reference(*spectra)))
+        assert _outcome(lambda: _order_and_numerators(public(*spectra))) == want
+        assert _outcome(side) == want
+        assert isinstance(want, str) == raising
 
 
 SQUARES = st.integers(0, 5).flatmap(
