@@ -18,8 +18,6 @@ import sys
 import time
 from collections.abc import Callable
 
-from . import criterion
-from .enumeration import CONSTRAINT_MODES
 from .report import (
     RENDERERS,
     _spec_text,
@@ -31,9 +29,13 @@ from .report import (
     violation_row,
 )
 from .rotations import (
-    DEFAULT_TOLERANCE, MAX_DEGREE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE, MAX_SAMPLES,
-    MIN_DEGREE,
+    CONSTRAINT_MODES, DEFAULT_TOLERANCE, MAX_DEGREE, MAX_DENOMINATOR, MAX_MATCH_TOLERANCE,
+    MAX_SAMPLES, MIN_DEGREE,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .criterion import SweepResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,15 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_orc.add_argument("--out", type=_out_path, metavar="PATH")
-    p_orc.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    # the CSV format holds the exception table only, which an audit has not
+    p_orc.add_argument("--format", choices=("json", "text"), default="text")
     return parser
 
 
-def _chart(task: tuple) -> criterion.SweepResult:
+def _chart(task: tuple) -> SweepResult:
     """Sweep one chart; a violating chart returns its result instead of
     raising, so the other charts still run and the report lists every row.
     The result holds integer records only: tuples of ints, strings and
     bools, no Fraction, spectrum or class."""
+    from . import criterion  # the chart sweeps, which the oracle never loads
+
     try:
         return criterion.sweep_v(*task)
     except criterion.PropositionViolation as exc:
@@ -174,6 +179,8 @@ def _catalog_chart(task: tuple) -> tuple[dict, list[dict], list[dict], dict]:
     minima, exception rows, violation rows and verdict.  The rows are dicts,
     lists, strings, ints, bools and None, so a forked child sends them
     through ``marshal`` as they are."""
+    from . import criterion
+
     result = criterion.check_exception_catalog(_chart(task))
     return (*sweep_rows(result), chart_verdict_row(result))
 
@@ -242,47 +249,54 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
     if (args.interior or args.r is None or args.h == 0) and include_age_one:
         # these sweeps report a minimum, no rows, so the threshold has no effect
         parser.error("--threshold terminal applies to the boundary charts (--h >= 1 --r R) only")
+    from . import criterion  # the sweeps, which the oracle never loads
 
-    if args.interior:
-        if args.g is None:
-            parser.error("--interior requires --g")
-        if args.h is not None or args.r is not None:
-            parser.error("--interior takes --g, not --h/--r")
-        if args.g < 1:
-            parser.error("--g must be >= 1")
-        summary = criterion.interior_verdict(args.g, args.order_divides)
-        report["verdicts"].append(interior_verdict_row(summary))
-        report["minima"].append(
-            sym2_minima_row(summary.g, summary.min_age, summary.witnesses)
-        )
-        return report, EXIT_OK
+    try:
+        if args.interior:
+            if args.g is None:
+                parser.error("--interior requires --g")
+            if args.h is not None or args.r is not None:
+                parser.error("--interior takes --g, not --h/--r")
+            if args.g < 1:
+                parser.error("--g must be >= 1")
+            summary = criterion.interior_verdict(args.g, args.order_divides)
+            report["verdicts"].append(interior_verdict_row(summary))
+            report["minima"].append(
+                sym2_minima_row(summary.g, summary.min_age, summary.witnesses)
+            )
+            return report, EXIT_OK
 
-    if args.h is None:
-        parser.error("sweep needs --h (with optional --r) or --interior --g")
-    if args.g is not None:
-        parser.error("--g is only used with --interior or the exceptions command")
-    if args.h < 0 or (args.r is not None and args.r < 0):
-        parser.error("--h and --r must be non-negative")
+        if args.h is None:
+            parser.error("sweep needs --h (with optional --r) or --interior --g")
+        if args.g is not None:
+            parser.error("--g is only used with --interior or the exceptions command")
+        if args.h < 0 or (args.r is not None and args.r < 0):
+            parser.error("--h and --r must be non-negative")
 
-    if args.r is None:
-        if args.h < 1:
-            parser.error("the Sym^2 sweep needs --h >= 1")
-        min_age, witnesses = criterion.sweep_sym2(args.h, args.order_divides)
-        report["minima"].append(sym2_minima_row(args.h, min_age, witnesses))
-        return report, EXIT_OK
+        if args.r is None:
+            if args.h < 1:
+                parser.error("the Sym^2 sweep needs --h >= 1")
+            min_age, witnesses = criterion.sweep_sym2(args.h, args.order_divides)
+            report["minima"].append(sym2_minima_row(args.h, min_age, witnesses))
+            return report, EXIT_OK
 
-    if args.h == 0:
-        summary = criterion.torus_summary(args.r, args.order_divides, args.mode)
-        verdict, minima = torus_rows(summary)
-        report["verdicts"].append(verdict)
-        report["minima"].append(minima)
-        return report, EXIT_OK
+        if args.h == 0:
+            summary = criterion.torus_summary(args.r, args.order_divides, args.mode)
+            verdict, minima = torus_rows(summary)
+            report["verdicts"].append(verdict)
+            report["minima"].append(minima)
+            return report, EXIT_OK
 
-    # one chart, so --jobs has nothing to fan out: it runs here, unchecked
-    # against the catalog
-    result = _chart((args.h, args.r, args.order_divides, args.mode, include_age_one))
-    _add_chart(report, *sweep_rows(result), chart_verdict_row(result))
-    return report, EXIT_VIOLATION if report["violations"] else EXIT_OK
+        # one chart, so --jobs has nothing to fan out: it runs here, unchecked
+        # against the catalog
+        result = _chart((args.h, args.r, args.order_divides, args.mode, include_age_one))
+        _add_chart(report, *sweep_rows(result), chart_verdict_row(result))
+        return report, EXIT_VIOLATION if report["violations"] else EXIT_OK
+    except criterion.PropositionViolation as exc:
+        # the r = 0 folds raise on a kernel violation: list it as a chart would
+        report = _report(_echo_config(args, "sweep"))
+        report["violations"] += map(violation_row, exc.result.violations)
+        return report, EXIT_VIOLATION
 
 
 def _cmd_exceptions(
@@ -292,6 +306,10 @@ def _cmd_exceptions(
         parser.error("--g must be >= 1")
     include_age_one = args.threshold == "terminal"
     report = _report(_echo_config(args, "exceptions"))
+    # loaded before sweep_charts forks, so that every child inherits the
+    # module rather than loading it again
+    from . import criterion  # noqa: F401
+
     tasks = [
         (h, args.g - h, args.order_divides, args.mode, include_age_one)
         for h in range(1, args.g + 1)
@@ -334,13 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     command = {"sweep": _cmd_sweep, "exceptions": _cmd_exceptions, "oracle": _cmd_oracle}
-    try:
-        report, code = command[args.command](args, parser)
-    except criterion.PropositionViolation as exc:
-        # the r = 0 folds of sweep raise on a kernel violation: list it as a chart would
-        report = _report(_echo_config(args, args.command))
-        report["violations"] += map(violation_row, exc.result.violations)
-        code = EXIT_VIOLATION
+    report, code = command[args.command](args, parser)
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.out:

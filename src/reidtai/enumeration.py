@@ -16,6 +16,7 @@ from operator import add
 
 from .functors import v_spectrum
 from .rotations import (
+    CONSTRAINT_MODES,
     Frozen,
     Spectrum,
     divisors,
@@ -24,8 +25,6 @@ from .rotations import (
     residues,
     totient,
 )
-
-CONSTRAINT_MODES = ("integral-both", "integral-lambda-only", "unconstrained")
 
 
 class EnumerationConfig(Frozen):

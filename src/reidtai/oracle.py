@@ -5,19 +5,22 @@ polynomials; eigenvalue angles extracted numerically must land within
 tolerance of the exact rotation numbers, both for the realized matrix and
 for the induced symmetric-square and tensor operators built from it.
 
-A run poses each distinct eigenvalue problem once and builds its integer
-matrix whole.  Every such matrix is block diagonal along the realization's
-parts: one companion block per part, one Sym^2 block per pair of parts
-p <= q, one Kronecker block per part of each factor.  One ``take`` along
-the layout's flat in-block index cuts it into those blocks, after an exact
-check that nothing lies outside them (a matrix that fails it is one block,
-itself).  Each distinct block is solved once per run, on its own, and its
-angles are snapped once to each exact grid 1/L its problems need, into
-integer numerators; a problem matches iff its blocks' numerators, sorted,
-equal those of its exact spectrum over L, which the kernels of ``functors``
-sum from each signature's numerators, with no spectrum built per problem.
-Each problem's verdict, or the first failure of its steps, is stored in
-one table; each case then reads its steps from that table.
+A run checks each distinct eigenvalue problem once, in three passes.  It
+first poses every problem: it builds the problem's integer matrix whole,
+which is block diagonal along the realization's parts (one companion block
+per part, one Sym^2 block per pair of parts p <= q, one Kronecker block per
+part of each factor), and one ``take`` along the layout's flat in-block
+index cuts it into those blocks, after an exact check that nothing lies
+outside them (a matrix that fails it is one block, itself).  It then
+solves each distinct block once, on its own, and last decides each
+problem: its blocks' angles are snapped once to each exact grid 1/L, into
+integer numerators, and a problem matches iff those numerators, sorted,
+equal the ones of its exact spectrum over L, which the kernels of
+``functors`` sum from each signature's numerators, with no spectrum built
+per problem.  Each problem's verdict, or the first failure of its steps,
+is stored in one table; each case then reads its steps from that table.
+Only this module, the functors and the rotations are loaded: an audit
+imports no chart sweep.
 """
 
 from __future__ import annotations
@@ -401,19 +404,27 @@ def solve_stacked(
     tolerance out of range, and a grid too fine for the tolerance, stored
     as a ValueError.
 
-    The problems come grouped by layout (:func:`_problems`), and each
-    layout's :func:`_cut` is made once per run.  Each problem matrix is
-    built whole, narrowed to int8 when every entry fits (exactly: the cast
-    refuses any entry it would change), and cut by one ``take`` along the
-    cut's flat in-block index; a matrix with a nonzero entry outside its
-    blocks is one block, itself.  Each distinct block, keyed by its side and
-    its entries' bytes, is solved once per run, alone; a failed block fails
-    every problem holding it.  A problem's exact side, the order L of its
-    exact spectrum and its sorted numerators over L, fixes its grid 1/L,
-    and :func:`_verdict` snaps each distinct block to each grid once per
-    run.  Snapping goes angle by angle, so each verdict is the one
-    :func:`match_angles`, the same rule on one row, gives the problem's
-    whole sorted row, at every tolerance.
+    It runs in three passes.
+    - Pose.  The problems come grouped by layout (:func:`_problems`), and
+      each layout's :func:`_cut` is made once per run.  Each problem matrix
+      is built whole, narrowed to int8 when every entry fits (exactly: the
+      cast refuses any entry it would change), and cut by one ``take`` along
+      the cut's flat in-block index; a matrix with a nonzero entry outside
+      its blocks is one block, itself.  Each block is keyed by its side and
+      its entries' bytes, and a new key only gets an index, so the run holds
+      one problem matrix at a time.
+    - Solve.  Each distinct block is rebuilt from its key's bytes (int8
+      when they number side**2, else int64) and solved alone, once per run,
+      in first-seen order.
+    - Decide.  Each problem, in posing order, stores the failure of its
+      first failed block, else a ValueError of its exact side, else one of
+      the tolerance, else its verdict (or the ValueError of a grid too
+      fine).  Its exact side, the order L of its exact spectrum and its
+      sorted numerators over L, fixes its grid 1/L, and :func:`_verdict`
+      snaps each distinct block to each grid once per run.  Snapping goes
+      angle by angle, so each verdict is the one :func:`match_angles`, the
+      same rule on one row, gives the problem's whole sorted row, at every
+      tolerance.
     """
     realized = {}
     for sig in {sig.parts: sig for pair in drawn for sig in pair}.values():
@@ -421,11 +432,9 @@ def solve_stacked(
             realized[sig] = memo[("realize", sig)] = _realized(sig)
         except OracleFailure as exc:
             memo[("realize", sig)] = exc
-    out_of_range = _tolerance_error(tol)
-    blocks: dict = {}  # (side, entries) -> the block's index in angles
-    angles: list = []  # each distinct block's sorted angles, or its solve's failure
-    failed: set = set()  # the indexes of the failed solves
-    snaps: dict = {}  # L -> block index -> its numerators over L, or False
+    # pose: each problem's blocks, cut and keyed; a new block only gets an index
+    blocks: dict = {}  # (side, entries) -> the block's index, in first-seen order
+    posed = []  # (memo key, its blocks' indexes, its exact side, its size)
     for shape, problems in _problems(drawn, realized).items():
         index, spans = _cut(*shape)
         for key, matrix, exact in problems:
@@ -445,36 +454,43 @@ def solve_stacked(
                 if np.count_nonzero(kept) != np.count_nonzero(flat):
                     kept, cut = flat, ((len(mat), 0, flat.size),)
             data, narrow = kept.tobytes(), kept.itemsize == 1
-            ids = []
-            for side, start, stop in cut:
-                if narrow:
-                    block = (side, data[start:stop])
-                else:
-                    block = _block_key(kept[start:stop], side)
-                i = blocks.get(block)
-                if i is None:
-                    i = blocks[block] = len(angles)
-                    square = kept[start:stop].astype(np.int64).reshape(side, side)
-                    try:
-                        angles.append(numeric_angles(square))
-                    except OracleFailure as exc:
-                        angles.append(exc)
-                        failed.add(i)
-                ids.append(i)
-            if failed and not failed.isdisjoint(ids):
-                memo[key] = angles[next(i for i in ids if i in failed)]
-                continue
-            try:
-                side = exact()
-            except ValueError as exc:
-                memo[key] = exc
-                continue
-            memo[key] = out_of_range or _verdict(side, ids, angles, snaps, len(mat), tol)
+            ids = [
+                blocks.setdefault(
+                    (side, data[start:stop]) if narrow else _block_key(kept[start:stop], side),
+                    len(blocks),
+                )
+                for side, start, stop in cut
+            ]
+            posed.append((key, ids, exact, len(mat)))
+    # solve: each distinct block once, rebuilt from its key's bytes
+    angles: list = []  # each distinct block's sorted angles, or its solve's failure
+    failed: set = set()  # the indexes of the failed solves
+    for i, (side, data) in enumerate(blocks):
+        entries = np.frombuffer(data, np.int8 if len(data) == side * side else np.int64)
+        try:
+            angles.append(numeric_angles(entries.astype(np.int64).reshape(side, side)))
+        except OracleFailure as exc:
+            angles.append(exc)
+            failed.add(i)
+    # decide: a failed block, then the exact side, the tolerance and the grid
+    out_of_range = _tolerance_error(tol)
+    snaps: dict = {}  # L -> block index -> its numerators over L, or False
+    for key, ids, exact, size in posed:
+        if failed and not failed.isdisjoint(ids):
+            memo[key] = angles[next(i for i in ids if i in failed)]
+            continue
+        try:
+            side = exact()
+        except ValueError as exc:
+            memo[key] = exc
+            continue
+        memo[key] = out_of_range or _verdict(side, ids, angles, snaps, size, tol)
 
 
 def _block_key(entries: np.ndarray, side: int) -> tuple[int, bytes]:
     """A block's side and its int64 entries, as int8 bytes if they all fit,
-    else as their own bytes: two blocks get equal keys iff they are equal."""
+    else as their own bytes: two blocks get equal keys iff they are equal,
+    and the length of the bytes, side**2 or eight times that, tells which."""
     try:
         return side, entries.astype(np.int8, casting="same_value").tobytes()
     except ValueError:

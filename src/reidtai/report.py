@@ -20,19 +20,20 @@ from __future__ import annotations
 from _json import encode_basestring_ascii as _quote  # the C function json.encoder uses
 from functools import lru_cache
 
-from .criterion import (
-    ExceptionRecord,
-    InteriorSummary,
-    SweepResult,
-    TorusSummary,
-    ViolationRecord,
-    age_kind,
-)
 from .rotations import Spectrum, Table, residue_keys
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # annotations only: the oracle's report loads no chart sweep
+    from collections.abc import Callable
     from fractions import Fraction
+
+    from .criterion import (
+        ExceptionRecord,
+        InteriorSummary,
+        SweepResult,
+        TorusSummary,
+        ViolationRecord,
+    )
 
 
 def spectrum_strs(s: Spectrum) -> list[str]:
@@ -151,6 +152,8 @@ def torus_rows(summary: TorusSummary) -> tuple[dict, dict]:
 
 def chart_verdict_row(result: SweepResult) -> dict:
     """Informational age classification of one boundary chart."""
+    from .criterion import age_kind  # loaded by the run that swept the chart
+
     return {
         "stratum": "boundary-chart",
         "h": result.h,
@@ -177,13 +180,13 @@ def _leaf(value: str | int | float | bool | None) -> str:
     return _LEAVES[type(value)](value)
 
 
-def _items(values: list, pad: str, item=None) -> str:
-    """A JSON list, its items at pad plus two spaces: leaves, or written by
+def _items(values: list, pad: str, item: Callable[[object, str], str]) -> str:
+    """A JSON list, its items at pad plus two spaces, each written by
     item(value, item pad)."""
     if not values:
         return "[]"
     inner = pad + "  "
-    parts = map(_leaf, values) if item is None else [item(v, inner) for v in values]
+    parts = [item(v, inner) for v in values]
     return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
 
 
@@ -261,9 +264,16 @@ _CASE = """{{
       }}"""
 
 
+def _parts(values: list[int]) -> str:
+    """A case's signature parts, at 10 spaces."""
+    if not values:
+        return "[]"
+    return "[\n          " + ",\n          ".join(map(int.__repr__, values)) + "\n        ]"
+
+
 def _case(case: dict, pad: str) -> str:
     return _CASE.format(
-        _items(case["a_signature"], "        "), _items(case["b_signature"], "        "),
+        _parts(case["a_signature"]), _parts(case["b_signature"]),
         _leaf(case["index"]), _leaf(case["ok"]),
     )
 

@@ -22,6 +22,10 @@ if TYPE_CHECKING:
 # numerators and denominators stay tiny; construction enforces the cap.
 MAX_DENOMINATOR = 360
 
+# The integrality filters of the chart streams (``--mode``), kept here so
+# that the CLI's parser reads them without importing the enumeration.
+CONSTRAINT_MODES = ("integral-both", "integral-lambda-only", "unconstrained")
+
 # Limits of the numeric oracle, kept here so that reading them does not
 # import numpy.  The closest two distinct rationals with denominator <= 360
 # can get is 1/(359*360) ~ 7.7e-6, so any matching tolerance at or below

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reidtai.cli
+import reidtai.criterion
 import reidtai.oracle
 from reidtai import fanout
 from reidtai.cli import main, sweep_charts
@@ -147,6 +148,8 @@ def test_exceptions_stable_under_larger_bound(capsys):
         ("oracle", "--tol", "nan"),
         ("oracle", "--max-degree", "0"),
         ("oracle", "--max-degree", "25"),
+        # the CSV format holds the exception table only, which an audit has not
+        ("oracle", "--samples", "1", "--format", "csv"),
         ("exceptions", "--g", "2", "--out", "/nonexistent/d/x.json"),
         ("exceptions", "--g", "2", "--out", str(Path(__file__).parent)),
         ("oracle", "--samples", "1", "--out", str(Path(__file__).parent)),
@@ -607,6 +610,76 @@ assert "json" not in sys.modules, "the catalog run loaded the json package"
         [sys.executable, "-S", "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
+    assert done.returncode == 0, done.stderr
+
+
+# What each command loads, each checked in a fresh process after
+# ``import reidtai.cli``: the chart sweeps (criterion, with the class
+# streams of enumeration) are loaded only by the commands that sweep.
+LOADS = {
+    # the import loads no chart sweep, class stream, functor or oracle
+    "import": """
+unwanted = {"reidtai.criterion", "reidtai.enumeration", "reidtai.functors", "reidtai.oracle"}
+assert not unwanted & set(sys.modules), sorted(sys.modules)
+""",
+    # an audit loads the oracle and the functors, and no chart sweep
+    "oracle": """
+with contextlib.redirect_stdout(io.StringIO()):
+    assert reidtai.cli.main(["oracle", "--samples", "5"]) == 0
+assert {"reidtai.oracle", "reidtai.functors"} <= set(sys.modules)
+assert not {"reidtai.criterion", "reidtai.enumeration"} & set(sys.modules)
+""",
+    # a fanned-out catalog loads the chart sweeps before it forks, so that
+    # every child inherits them
+    "exceptions-jobs2": """
+import reidtai.fanout
+fork_map = reidtai.fanout.fork_map
+def entered(*args):
+    assert "reidtai.criterion" in sys.modules, "forked before the sweeps loaded"
+    entered.calls += 1
+    return fork_map(*args)
+entered.calls = 0
+reidtai.fanout.fork_map = entered
+reidtai.cli._usable_cpus = lambda: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    assert reidtai.cli.main(["exceptions", "--g", "5", "--jobs", "2"]) == 0
+assert entered.calls == 1
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_command_loads_only_what_it_runs(command):
+    script = "import contextlib, io, sys\nimport reidtai.cli\n" + LOADS[command]
+    done = python_process("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
+def test_package_names_resolve_on_first_use():
+    # in a fresh process that has loaded none of the modules, every
+    # re-exported name is the object its home module defines (the constants,
+    # which name no module, live in rotations), the package lists them all,
+    # an unknown name raises AttributeError, and submodules still import
+    script = """
+import importlib, sys
+import reidtai
+assert not {"reidtai.criterion", "reidtai.enumeration", "reidtai.functors",
+            "reidtai.rotations"} & set(sys.modules)
+for name in reidtai.__all__:
+    value = getattr(reidtai, name)
+    home = importlib.import_module(getattr(value, "__module__", "reidtai.rotations"))
+    assert home.__name__.startswith("reidtai.") and getattr(home, name) is value, name
+assert set(reidtai.__all__) <= set(dir(reidtai))
+try:
+    reidtai.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    sys.exit("an unknown name resolved")
+from reidtai import cli, criterion, enumeration, functors, oracle
+assert criterion is sys.modules["reidtai.criterion"]
+"""
+    done = python_process("-c", script)
     assert done.returncode == 0, done.stderr
 
 
